@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .emissions import CoefficientTable, Pollutant, vehicle_emission_rate
+from .emissions import CoefficientTable, Pollutant
+from .network import SpatialHash
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
 
 Position = tuple[float, float]
@@ -67,8 +68,8 @@ class ControllerConfig:
             raise ValueError("actuation_latency must be non-negative")
         if self.switch_interval is not None and self.switch_interval <= 0:
             raise ValueError("switch_interval must be positive")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError("radius must be positive and finite")
         if not math.isfinite(self.allowable_limit):
             raise ValueError("allowable_limit must be finite")
 
@@ -351,7 +352,7 @@ class GeofenceCoordinator:
             if snap.powertrain is Powertrain.PURE_EV:
                 rate = 0.0
             else:
-                rate = vehicle_emission_rate(snap.euro_class, self.pollutant, snap.speed, self.table)
+                rate = self.table.rate(snap.euro_class, self.pollutant, snap.speed)
             entries.append(ProblemEntry(snap.vehicle_id, snap.density_weight, rate))
         return GeofenceProblem(entries=tuple(entries), limit=compute_limit(self.config, background))
 
@@ -443,29 +444,35 @@ class GeofenceCoordinator:
         Order: expire stale fences, recompute memberships, restore vehicles
         that left every fence, then solve/toss each fence at its cadence.
         Membership changes force a fresh solve so the expected-rate budget
-        always reflects the vehicles actually being tossed.
+        always reflects the vehicles actually being tossed.  Membership
+        candidates come from a spatial hash with cells of the fence radius.
         """
         if self.single_vehicle:
             return self._single_step(now, snapshots)
         commands = self.expire(now)
-        positions = {vid: snap.position for vid, snap in snapshots.items()}
-        for fence in self.fences.values():
-            fence.member_ids = tuple(sorted(members(fence, positions)))
+        in_any_fence: set[str] = set()
+        if self.fences:
+            grid = SpatialHash(
+                self.config.radius, ((vid, snap.position) for vid, snap in snapshots.items())
+            )
+            for fence in self.fences.values():
+                fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
+                in_any_fence.update(fence.member_ids)
         for vid in sorted(self._controlled):
             if vid not in snapshots:
                 del self._controlled[vid]  # vehicle left the network
                 continue
-            if not any(vid in f.member_ids for f in self.fences.values()):
+            if vid not in in_any_fence:
                 commands.append(self._restore(vid, self._controlled[vid], now))
         if not self.control_enabled:
             return commands
         background = BackgroundReading.from_level(background_level, self.config)
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
-            controllable = tuple(s.vehicle_id for s in self._controllable(fence, snapshots))
             solve_due = now >= self._next_solve[fence_id]
             toss_due = now >= self._next_toss[fence_id]
             if toss_due and not solve_due:
+                controllable = tuple(s.vehicle_id for s in self._controllable(fence, snapshots))
                 solve_due = self._solved_members.get(fence_id) != controllable
             if solve_due:
                 self._next_solve[fence_id] = now + self.config.tau
@@ -525,6 +532,3 @@ class GeofenceCoordinator:
 
     def active_fences(self) -> list[Geofence]:
         return [self.fences[fid] for fid in sorted(self.fences)]
-
-    def current_assignment(self, fence_id: str) -> Assignment | None:
-        return self._assignments.get(fence_id)

@@ -127,6 +127,21 @@ class CoefficientTable:
 
     def __post_init__(self) -> None:
         self._validate()
+        # memo of rate(); not a field, so equality and repr ignore it
+        object.__setattr__(self, "_rates", {})
+
+    def rate(self, euro_class: int, pollutant: Pollutant, v: float) -> float:
+        """:func:`vehicle_emission_rate` on this table, memoised per
+        (euro_class, pollutant, speed).
+
+        Simulated speeds are edge limits or pinned values, so there are few
+        keys.  A call that raises is not cached and raises again.
+        """
+        key = (euro_class, pollutant, v)
+        rate = self._rates.get(key)
+        if rate is None:
+            rate = self._rates[key] = vehicle_emission_rate(euro_class, pollutant, v, self)
+        return rate
 
     def lookup(self, euro_class: int, pollutant: Pollutant) -> EmissionCoefficients:
         try:

@@ -8,7 +8,13 @@ cyclist raises a detection event.
 
 Each simulation step runs, in order: spawn due vehicles, advance movement
 by ``dt`` (which also applies mode commands whose effective time has
-arrived), detect, feed the coordinator, record one trace row.  Everything
+arrived), build the step's vehicle view, detect, feed the coordinator,
+record one trace row.  The view holds each vehicle's edge, position and
+speed, computed once per step; detection, the coordinator's snapshots and
+the trace row all read it.  Both proximity questions of a step (which
+vehicles are near a cyclist, which are inside a fence) are answered from a
+uniform-grid :class:`~ecofence.network.SpatialHash` built once for the
+step, so the step's work is linear in vehicles plus cyclists.  Everything
 is driven by two purpose-split seeded streams (spawn draws, coin tosses),
 so a run is fully determined by (scenario, seed).
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .coordinator import (
     GeofenceCoordinator,
@@ -26,9 +33,21 @@ from .coordinator import (
     VehicleSnapshot,
     euclidean,
 )
-from .emissions import CoefficientTable, Pollutant, load_default_table, vehicle_emission_rate
-from .network import Point, RoadNetwork
+from .emissions import CoefficientTable, Pollutant, load_default_table
+from .network import Edge, Point, RoadNetwork, SpatialHash
 from .scenario import CyclistSpec, FleetEntry, Scenario
+
+
+class VehicleView:
+    """A vehicle's state after the step's movement, computed once per step."""
+
+    __slots__ = ("edge_id", "edge", "position", "speed")
+
+    def __init__(self, edge_id: str, edge: Edge, position: Point, speed: float):
+        self.edge_id = edge_id
+        self.edge = edge
+        self.position = position
+        self.speed = speed
 
 
 @dataclass
@@ -51,8 +70,12 @@ class VehicleState:
             return self.speed_override
         return network.edge(self.current_edge_id()).speed_limit
 
-    def position(self, network: RoadNetwork) -> Point:
-        return network.edge(self.current_edge_id()).position_at(self.edge_offset)
+    def view(self, network: RoadNetwork) -> VehicleView:
+        """Edge, position and speed with one edge lookup."""
+        edge_id = self.current_edge_id()
+        edge = network.edge(edge_id)
+        speed = self.speed_override if self.speed_override is not None else edge.speed_limit
+        return VehicleView(edge_id, edge, edge.position_at(self.edge_offset), speed)
 
 
 @dataclass
@@ -138,22 +161,37 @@ def step(world: World, dt: float) -> World:
     return world
 
 
-def detect(world: World, detection_range: float) -> list[tuple[str, str]]:
+def vehicle_views(world: World) -> dict[str, VehicleView]:
+    """The step's view of every vehicle, keyed by vehicle id."""
+    return {vid: vehicle.view(world.network) for vid, vehicle in world.vehicles.items()}
+
+
+def detect(
+    world: World,
+    detection_range: float,
+    views: Mapping[str, VehicleView] | None = None,
+) -> list[tuple[str, str]]:
     """(cyclist_id, vehicle_id) pairs within straight-line detection range.
 
     Sorted ascending so downstream fence updates are order-deterministic;
     when several vehicles detect the same cyclist in one step, the
-    highest-sorting vehicle ends up centring the fence.
+    highest-sorting vehicle ends up centring the fence.  Candidates come
+    from a spatial hash with cells of the detection range; ``views`` is the
+    step's vehicle view, built here when not given.
     """
     if detection_range <= 0:
         raise ValueError("detection_range must be positive")
+    if not world.cyclists:
+        return []
+    if views is None:
+        views = vehicle_views(world)
+    grid = SpatialHash(detection_range, ((vid, view.position) for vid, view in views.items()))
     events = []
     for cid in sorted(world.cyclists):
         cyclist_pos = world.cyclists[cid].position(world.network)
-        for vid in sorted(world.vehicles):
-            vehicle_pos = world.vehicles[vid].position(world.network)
-            if euclidean(cyclist_pos, vehicle_pos) <= detection_range:
-                events.append((cid, vid))
+        near = grid.near(cyclist_pos, detection_range)
+        hits = [vid for vid, pos in near.items() if euclidean(cyclist_pos, pos) <= detection_range]
+        events.extend((cid, vid) for vid in sorted(hits))
     return events
 
 
@@ -166,12 +204,10 @@ def aggregate_emission_rate(world: World, fence=None, pollutant: Pollutant = Pol
     for vehicle in world.vehicles.values():
         if vehicle.mode is not VehicleMode.POLLUTING:
             continue
-        if fence is not None:
-            if euclidean(vehicle.position(world.network), fence.center) > fence.radius:
-                continue
-        total += vehicle_emission_rate(
-            vehicle.euro_class, pollutant, vehicle.current_speed(world.network), world.table
-        )
+        view = vehicle.view(world.network)
+        if fence is not None and euclidean(view.position, fence.center) > fence.radius:
+            continue
+        total += world.table.rate(vehicle.euro_class, pollutant, view.speed)
     return total
 
 
@@ -222,17 +258,17 @@ class RunResult:
     commands: tuple
 
 
-def _snapshot_vehicles(world: World) -> dict[str, VehicleSnapshot]:
+def _snapshot_vehicles(world: World, views: Mapping[str, VehicleView]) -> dict[str, VehicleSnapshot]:
     snapshots = {}
     for vid, vehicle in world.vehicles.items():
-        edge = world.network.edge(vehicle.current_edge_id())
+        view = views[vid]
         snapshots[vid] = VehicleSnapshot(
             vehicle_id=vid,
-            position=vehicle.position(world.network),
-            speed=vehicle.current_speed(world.network),
+            position=view.position,
+            speed=view.speed,
             euro_class=vehicle.euro_class,
             powertrain=vehicle.powertrain,
-            density_weight=edge.density_weight,
+            density_weight=view.edge.density_weight,
             mode=vehicle.mode,
         )
     return snapshots
@@ -269,7 +305,12 @@ def _spawn_cyclists(world: World, cyclists: tuple[CyclistSpec, ...], cursor: int
     return cursor
 
 
-def _trace_row(world: World, coordinator: GeofenceCoordinator, scenario: Scenario) -> TraceRow:
+def _trace_row(
+    world: World,
+    coordinator: GeofenceCoordinator,
+    scenario: Scenario,
+    views: Mapping[str, VehicleView],
+) -> TraceRow:
     budget = scenario.controller.allowable_limit - scenario.background_at(world.now)
     fences = tuple(
         FenceTraceEntry(
@@ -289,19 +330,19 @@ def _trace_row(world: World, coordinator: GeofenceCoordinator, scenario: Scenari
     total = 0.0
     entries = []
     for vid, vehicle in world.vehicles.items():
-        speed = vehicle.current_speed(world.network)
+        view = views[vid]
         entries.append(
             VehicleTraceEntry(
                 vehicle_id=vid,
                 euro_class=vehicle.euro_class,
-                edge_id=vehicle.current_edge_id(),
+                edge_id=view.edge_id,
                 edge_offset=vehicle.edge_offset,
-                speed=speed,
+                speed=view.speed,
                 mode=vehicle.mode.value,
             )
         )
         if vehicle.mode is VehicleMode.POLLUTING:
-            rate = vehicle_emission_rate(vehicle.euro_class, Pollutant.CO, speed, world.table)
+            rate = world.table.rate(vehicle.euro_class, Pollutant.CO, view.speed)
             total += rate
             if vid in member_union:
                 in_fence += rate
@@ -343,17 +384,18 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
         fleet_cursor = _spawn_due(world, scenario.fleet, fleet_cursor, rng_spawn)
         cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
         step(world, scenario.dt)
-        for cyclist_id, vehicle_id in detect(world, scenario.detection_range):
+        views = vehicle_views(world)
+        for cyclist_id, vehicle_id in detect(world, scenario.detection_range, views):
             coordinator.on_detection(
                 cyclist_id,
-                world.vehicles[vehicle_id].position(world.network),
+                views[vehicle_id].position,
                 world.now,
                 detecting_vehicle_id=vehicle_id,
             )
-        snapshots = _snapshot_vehicles(world)
+        snapshots = _snapshot_vehicles(world, views)
         commands = coordinator.step(world.now, snapshots, scenario.background_at(world.now))
         world.pending_commands.extend(commands)
-        rows.append(_trace_row(world, coordinator, scenario))
+        rows.append(_trace_row(world, coordinator, scenario, views))
     return RunResult(
         scenario_name=scenario.name,
         seed=seed,

@@ -3,7 +3,8 @@
 Coordinates are planar metres.  Every edge carries the cyclist-density
 weight used by the optimizer (1.0 by default, meaning no recorded cyclist
 traffic); routes are sequences of edge ids whose geometry must chain
-end-to-start.
+end-to-start.  :class:`SpatialHash` answers "which points lie near here"
+for the simulation's proximity queries.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Point = tuple[float, float]
 
@@ -121,3 +122,49 @@ class RoadNetwork:
             else:
                 updated[eid] = edge
         return RoadNetwork(edges=updated)
+
+
+class SpatialHash:
+    """Uniform-grid spatial hash over points keyed by id.
+
+    Every point goes into the bucket of the square cell of side ``cell``
+    that holds it (Teschner et al. 2003, "Optimized Spatial Hashing for
+    Collision Detection of Deformable Objects"), so a disc query visits the
+    few cells under the disc instead of every point.  Building is linear in
+    the points and a query costs the cells it visits plus the points in
+    them.  The hash only prunes: callers keep the exact distance test.
+    """
+
+    def __init__(self, cell: float, points: Iterable[tuple[str, Point]]):
+        if not (cell > 0 and math.isfinite(cell)):
+            raise ValueError("cell size must be positive and finite")
+        self.cell = cell
+        buckets: dict[tuple[int, int], list[tuple[str, Point]]] = {}
+        for key, point in points:
+            cell_key = (math.floor(point[0] / cell), math.floor(point[1] / cell))
+            buckets.setdefault(cell_key, []).append((key, point))
+        self._buckets = buckets
+
+    def near(self, center: Point, radius: float) -> dict[str, Point]:
+        """Every point within ``radius`` of ``center``, plus some beyond it.
+
+        The cells scanned cover the disc's bounding square padded by one
+        cell on each side.  Rounding in ``coord / cell`` and in a caller's
+        distance test is far below one cell for any coordinate less than
+        2**50 cells from the origin, so the padding never drops a point at
+        exactly ``radius``.
+        """
+        cell = self.cell
+        cx, cy = center
+        x_lo = math.floor((cx - radius) / cell) - 1
+        x_hi = math.floor((cx + radius) / cell) + 1
+        y_lo = math.floor((cy - radius) / cell) - 1
+        y_hi = math.floor((cy + radius) / cell) + 1
+        buckets = self._buckets
+        found: dict[str, Point] = {}
+        for ix in range(x_lo, x_hi + 1):
+            for iy in range(y_lo, y_hi + 1):
+                bucket = buckets.get((ix, iy))
+                if bucket:
+                    found.update(bucket)
+        return found

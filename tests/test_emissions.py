@@ -163,3 +163,48 @@ def test_validate_euro_class():
     assert validate_euro_class(3) == 3
     with pytest.raises(ValueError):
         validate_euro_class(5)
+
+
+# -- memoised rates ------------------------------------------------------------
+
+
+def demo_speeds(*scenarios):
+    """Every speed a vehicle can drive in the given scenarios, plus standstill."""
+    speeds = {0.0}
+    for scenario in scenarios:
+        speeds.update(edge.speed_limit for edge in scenario.network.edges.values())
+        speeds.update(entry.speed for entry in scenario.fleet if entry.speed is not None)
+    return sorted(speeds)
+
+
+def test_memoised_rate_equals_uncached_rate_on_bundled_demos(table, demo_ring, demo_slack, demo_lifecycle):
+    memo = load_default_table()
+    for v in demo_speeds(demo_ring, demo_slack, demo_lifecycle):
+        for euro_class in (1, 2, 3, 4):
+            expected = vehicle_emission_rate(euro_class, CO, v, table)
+            assert memo.rate(euro_class, CO, v) == expected
+            assert memo.rate(euro_class, CO, v) == expected  # served from the memo
+
+
+def test_memoised_rate_does_not_cache_errors(table):
+    memo = load_default_table()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo.rate(1, CO, -1.0)
+    empty = CoefficientTable(entries={})
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            empty.rate(1, CO, 30.0)
+
+
+def test_memoised_rates_are_per_table(table):
+    flat = CoefficientTable(entries={(c, CO): EmissionCoefficients(k=1.0, a=60.0) for c in (1, 2, 3, 4)})
+    assert flat.rate(3, CO, 30.0) == 1.0
+    assert table.rate(3, CO, 30.0) == vehicle_emission_rate(3, CO, 30.0, table) != 1.0
+    assert flat.rate(3, CO, 30.0) == 1.0
+
+
+def test_memo_does_not_affect_table_equality(table):
+    fresh = load_default_table()
+    fresh.rate(1, CO, 30.0)
+    assert fresh == load_default_table()
