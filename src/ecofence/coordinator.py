@@ -20,12 +20,17 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Mapping, NamedTuple
 
 from .emissions import CoefficientTable, Pollutant
 from .network import SpatialHash
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
 
 Position = tuple[float, float]
+
+# The per-vehicle loops build their NamedTuple records straight from a
+# tuple: the generated constructor costs several times the tuple itself.
+_record = tuple.__new__
 
 
 class VehicleMode(Enum):
@@ -130,12 +135,13 @@ class Geofence:
         return now - self.last_detection_at <= timeout
 
 
-@dataclass(frozen=True)
-class VehicleSnapshot:
+class VehicleSnapshot(NamedTuple):
     """What the coordinator is told about one vehicle at a decision instant.
 
     ``density_weight`` is the cyclist-density weight of the road edge the
     vehicle currently occupies; ``speed`` is its current speed in km/h.
+    The simulation engine passes its live vehicle records instead, which
+    carry the same attributes; this record is for every other caller.
     """
 
     vehicle_id: str
@@ -147,8 +153,7 @@ class VehicleSnapshot:
     mode: VehicleMode = VehicleMode.POLLUTING
 
 
-@dataclass(frozen=True)
-class ModeCommand:
+class ModeCommand(NamedTuple):
     """An instruction to a vehicle, effective after the actuation latency."""
 
     vehicle_id: str
@@ -157,8 +162,7 @@ class ModeCommand:
     effective_time: float
 
 
-@dataclass(frozen=True)
-class CommandRecord:
+class CommandRecord(NamedTuple):
     """One append-only audit row per issued command.
 
     Assignment fields are None for restore commands (fence expiry or a
@@ -318,7 +322,7 @@ class GeofenceCoordinator:
 
     # -- decisions ---------------------------------------------------------
 
-    def _controllable(self, fence: Geofence, snapshots: dict[str, VehicleSnapshot]) -> list[VehicleSnapshot]:
+    def _controllable(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot]) -> list[VehicleSnapshot]:
         """Fence members the coordinator may command, ascending vehicle id.
 
         Pure-ICE vehicles cannot switch drivetrain and are left alone; the
@@ -338,7 +342,7 @@ class GeofenceCoordinator:
     def build_problem(
         self,
         fence: Geofence,
-        snapshots: dict[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleSnapshot],
         background: BackgroundReading,
     ) -> GeofenceProblem:
         """Assemble the assignment problem for one fence.
@@ -353,13 +357,13 @@ class GeofenceCoordinator:
                 rate = 0.0
             else:
                 rate = self.table.rate(snap.euro_class, self.pollutant, snap.speed)
-            entries.append(ProblemEntry(snap.vehicle_id, snap.density_weight, rate))
+            entries.append(_record(ProblemEntry, (snap.vehicle_id, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=compute_limit(self.config, background))
 
     def decision_tick(
         self,
         fence: Geofence,
-        snapshots: dict[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleSnapshot],
         background: BackgroundReading,
         now: float,
     ) -> list[ModeCommand]:
@@ -380,7 +384,7 @@ class GeofenceCoordinator:
         fence: Geofence,
         problem: GeofenceProblem,
         assignment: Assignment,
-        snapshots: dict[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleSnapshot],
         now: float,
     ) -> list[ModeCommand]:
         commands: list[ModeCommand] = []
@@ -399,18 +403,21 @@ class GeofenceCoordinator:
             else:
                 mode = VehicleMode.POLLUTING if polluting else VehicleMode.ELECTRIC
                 self._controlled[entry.vehicle_id] = fence.fence_id
-            commands.append(ModeCommand(entry.vehicle_id, mode, now, effective))
+            commands.append(_record(ModeCommand, (entry.vehicle_id, mode, now, effective)))
             self.command_log.append(
-                CommandRecord(
-                    sim_time=now,
-                    fence_id=fence.fence_id,
-                    vehicle_id=entry.vehicle_id,
-                    density=entry.density,
-                    emission_rate=entry.emission_rate,
-                    assignment=x,
-                    draw=draw,
-                    commanded_mode=mode.value,
-                    effective_time=effective,
+                _record(
+                    CommandRecord,
+                    (
+                        now,
+                        fence.fence_id,
+                        entry.vehicle_id,
+                        entry.density,
+                        entry.emission_rate,
+                        x,
+                        draw,
+                        mode.value,
+                        effective,
+                    ),
                 )
             )
         if forced_detector is not None:
@@ -436,7 +443,7 @@ class GeofenceCoordinator:
     def step(
         self,
         now: float,
-        snapshots: dict[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleSnapshot],
         background_level: float,
     ) -> list[ModeCommand]:
         """Advance the coordinator one simulation step.
@@ -446,6 +453,13 @@ class GeofenceCoordinator:
         Membership changes force a fresh solve so the expected-rate budget
         always reflects the vehicles actually being tossed.  Membership
         candidates come from a spatial hash with cells of the fence radius.
+
+        ``snapshots`` maps every vehicle on the road to a
+        :class:`VehicleSnapshot` or any object with its attributes (the
+        engine passes its live vehicle records).  Only ``vehicle_id``,
+        ``position``, ``speed``, ``euro_class``, ``powertrain`` and
+        ``density_weight`` are read; the objects are never mutated and no
+        reference to them is kept once ``step`` returns.
         """
         if self.single_vehicle:
             return self._single_step(now, snapshots)
@@ -491,7 +505,7 @@ class GeofenceCoordinator:
                 )
         return commands
 
-    def _single_step(self, now: float, snapshots: dict[str, VehicleSnapshot]) -> list[ModeCommand]:
+    def _single_step(self, now: float, snapshots: Mapping[str, VehicleSnapshot]) -> list[ModeCommand]:
         """Single-vehicle operation: each detector goes electric for the
         timeout window after its own detections, then reverts."""
         commands: list[ModeCommand] = []

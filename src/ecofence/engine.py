@@ -8,105 +8,126 @@ cyclist raises a detection event.
 
 Each simulation step runs, in order: spawn due vehicles, advance movement
 by ``dt`` (which also applies mode commands whose effective time has
-arrived), build the step's vehicle view, detect, feed the coordinator,
-record one trace row.  The view holds each vehicle's edge, position and
-speed, computed once per step; detection, the coordinator's snapshots and
-the trace row all read it.  Both proximity questions of a step (which
-vehicles are near a cyclist, which are inside a fence) are answered from a
-uniform-grid :class:`~ecofence.network.SpatialHash` built once for the
-step, so the step's work is linear in vehicles plus cyclists.  Everything
-is driven by two purpose-split seeded streams (spawn draws, coin tosses),
-so a run is fully determined by (scenario, seed).
+arrived), detect, feed the coordinator, record one trace row.  Vehicles
+and cyclists follow their routes with one :class:`RouteCursor` each, which
+holds the current edge and looks an edge up only at spawn and when it
+moves onto the next one.  Each vehicle is one live record,
+:class:`VehicleState`: after movement ``step`` refreshes its position,
+speed and density weight once, and detection, the coordinator (which
+takes the records as its snapshots) and the trace row all read them.
+Both proximity questions of a step (which vehicles are near a cyclist,
+which are inside a fence) are answered from a uniform-grid
+:class:`~ecofence.network.SpatialHash` built once for the step, so the
+step's work is linear in vehicles plus cyclists.  Everything is driven
+by two purpose-split seeded streams (spawn draws, coin tosses), so a run
+is fully determined by (scenario, seed).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import NamedTuple
 
 from .coordinator import (
     GeofenceCoordinator,
     ModeCommand,
     Powertrain,
     VehicleMode,
-    VehicleSnapshot,
     euclidean,
 )
 from .emissions import CoefficientTable, Pollutant, load_default_table
 from .network import Edge, Point, RoadNetwork, SpatialHash
 from .scenario import CyclistSpec, FleetEntry, Scenario
 
-
-class VehicleView:
-    """A vehicle's state after the step's movement, computed once per step."""
-
-    __slots__ = ("edge_id", "edge", "position", "speed")
-
-    def __init__(self, edge_id: str, edge: Edge, position: Point, speed: float):
-        self.edge_id = edge_id
-        self.edge = edge
-        self.position = position
-        self.speed = speed
+# See coordinator: per-vehicle records are built straight from a tuple.
+_record = tuple.__new__
 
 
-@dataclass
-class VehicleState:
-    vehicle_id: str
-    euro_class: int
+@dataclass(kw_only=True, slots=True)
+class RouteCursor:
+    """Where a road user is along its fixed route.
+
+    ``edge`` is the :class:`~ecofence.network.Edge` at
+    ``route[route_index]``.  It is looked up through the network when the
+    cursor is created by the engine (or, for a cursor built without one, on
+    first use) and again only when the cursor moves onto the next edge.
+    """
+
     route: tuple[str, ...]
     route_index: int = 0
     edge_offset: float = 0.0
-    speed_override: float | None = None
-    mode: VehicleMode = VehicleMode.POLLUTING
-    powertrain: Powertrain = Powertrain.HYBRID
-    arrived: bool = False
-
-    def current_edge_id(self) -> str:
-        return self.route[min(self.route_index, len(self.route) - 1)]
-
-    def current_speed(self, network: RoadNetwork) -> float:
-        if self.speed_override is not None:
-            return self.speed_override
-        return network.edge(self.current_edge_id()).speed_limit
-
-    def view(self, network: RoadNetwork) -> VehicleView:
-        """Edge, position and speed with one edge lookup."""
-        edge_id = self.current_edge_id()
-        edge = network.edge(edge_id)
-        speed = self.speed_override if self.speed_override is not None else edge.speed_limit
-        return VehicleView(edge_id, edge, edge.position_at(self.edge_offset), speed)
-
-
-@dataclass
-class CyclistState:
-    cyclist_id: str
-    route: tuple[str, ...]
-    speed: float
-    route_index: int = 0
-    edge_offset: float = 0.0
+    edge: Edge | None = None
     finished: bool = False
 
     def current_edge_id(self) -> str:
-        return self.route[min(self.route_index, len(self.route) - 1)]
+        return self.route[self.route_index]
+
+    def current_edge(self, network: RoadNetwork) -> Edge:
+        edge = self.edge
+        if edge is None:
+            edge = self.edge = network.edge(self.route[self.route_index])
+        return edge
+
+    def advance(self, metres: float, network: RoadNetwork) -> None:
+        """Move ``metres`` along the route, parking at the end of its last edge.
+
+        Staying on the current edge, the common case, needs no lookup.
+        ``finished`` is set once the end of the route is reached.
+        """
+        edge = self.current_edge(network)
+        offset = self.edge_offset
+        while metres > 0:
+            room = edge.length - offset
+            if metres < room:
+                self.edge_offset = offset + metres
+                return
+            metres -= room
+            if self.route_index + 1 >= len(self.route):
+                self.edge_offset = edge.length
+                self.finished = True
+                return
+            self.route_index += 1
+            edge = self.edge = network.edge(self.route[self.route_index])
+            offset = 0.0
+        self.edge_offset = offset
+
+
+@dataclass(kw_only=True, slots=True)
+class VehicleState(RouteCursor):
+    """One vehicle: its route cursor, drivetrain and mode, and where it is.
+
+    ``position``, ``speed`` (km/h) and ``density_weight`` are refreshed
+    from the cursor's edge by :meth:`refresh`, which ``step`` calls once per
+    vehicle after movement; ``position`` is None until the first refresh.
+    The record carries every attribute of a
+    :class:`~ecofence.coordinator.VehicleSnapshot`, so detection, the
+    coordinator and the trace all read it directly.
+    """
+
+    vehicle_id: str
+    euro_class: int
+    speed_override: float | None = None
+    mode: VehicleMode = VehicleMode.POLLUTING
+    powertrain: Powertrain = Powertrain.HYBRID
+    position: Point | None = field(default=None, init=False)
+    speed: float = field(default=0.0, init=False)
+    density_weight: float = field(default=1.0, init=False)
+
+    def refresh(self, network: RoadNetwork) -> None:
+        edge = self.current_edge(network)
+        self.position = edge.position_at(self.edge_offset)
+        self.speed = self.speed_override if self.speed_override is not None else edge.speed_limit
+        self.density_weight = edge.density_weight
+
+
+@dataclass(kw_only=True, slots=True)
+class CyclistState(RouteCursor):
+    cyclist_id: str
+    speed: float
 
     def position(self, network: RoadNetwork) -> Point:
-        return network.edge(self.current_edge_id()).position_at(self.edge_offset)
-
-
-def _advance(route: tuple[str, ...], index: int, offset: float, distance: float, network: RoadNetwork) -> tuple[int, float, bool]:
-    """Move ``distance`` metres along a route; returns (index, offset, done)."""
-    while distance > 0:
-        edge = network.edge(route[index])
-        room = edge.length - offset
-        if distance < room:
-            return index, offset + distance, False
-        distance -= room
-        if index + 1 >= len(route):
-            return index, edge.length, True
-        index += 1
-        offset = 0.0
-    return index, offset, False
+        return self.current_edge(network).position_at(self.edge_offset)
 
 
 @dataclass
@@ -123,26 +144,27 @@ def step(world: World, dt: float) -> World:
     """Advance the world by ``dt`` seconds.
 
     Moves every vehicle and cyclist along its route, removes vehicles that
-    arrived, then applies scheduled mode commands whose effective time is
-    due.  Command application respects powertrains: a pure EV never enters
-    polluting mode and a pure ICE never goes electric.
+    arrived and refreshes the records of the others, then applies
+    scheduled mode commands whose effective time is due.  Command
+    application respects powertrains: a pure EV never enters polluting
+    mode and a pure ICE never goes electric.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    for vehicle in world.vehicles.values():
-        metres = vehicle.current_speed(world.network) / 3.6 * dt
-        vehicle.route_index, vehicle.edge_offset, vehicle.arrived = _advance(
-            vehicle.route, vehicle.route_index, vehicle.edge_offset, metres, world.network
-        )
+    network = world.network
+    arrived = []
+    for vid, vehicle in world.vehicles.items():
+        edge = vehicle.current_edge(network)
+        speed = vehicle.speed_override if vehicle.speed_override is not None else edge.speed_limit
+        vehicle.advance(speed / 3.6 * dt, network)
+        if vehicle.finished:
+            arrived.append(vid)
     for cyclist in world.cyclists.values():
-        if cyclist.finished:
-            continue
-        metres = cyclist.speed / 3.6 * dt
-        cyclist.route_index, cyclist.edge_offset, cyclist.finished = _advance(
-            cyclist.route, cyclist.route_index, cyclist.edge_offset, metres, world.network
-        )
-    for vid in [vid for vid, v in world.vehicles.items() if v.arrived]:
+        if not cyclist.finished:
+            cyclist.advance(cyclist.speed / 3.6 * dt, network)
+    for vid in arrived:
         del world.vehicles[vid]
+    _snapshot_vehicles(world)
     world.now += dt
     remaining: list[ModeCommand] = []
     for command in world.pending_commands:
@@ -161,31 +183,41 @@ def step(world: World, dt: float) -> World:
     return world
 
 
-def vehicle_views(world: World) -> dict[str, VehicleView]:
-    """The step's view of every vehicle, keyed by vehicle id."""
-    return {vid: vehicle.view(world.network) for vid, vehicle in world.vehicles.items()}
+def _snapshot_vehicles(world: World) -> None:
+    """Refresh every vehicle record from its cursor's edge.
+
+    The refreshed records are the step's vehicle snapshots: detection,
+    the coordinator and the trace row read them until the next ``step``.
+    """
+    network = world.network
+    for vehicle in world.vehicles.values():
+        vehicle.refresh(network)
 
 
-def detect(
-    world: World,
-    detection_range: float,
-    views: Mapping[str, VehicleView] | None = None,
-) -> list[tuple[str, str]]:
+def _refresh_unplaced(world: World) -> None:
+    """Refresh the records of vehicles that no ``step`` has moved yet."""
+    for vehicle in world.vehicles.values():
+        if vehicle.position is None:
+            vehicle.refresh(world.network)
+
+
+def detect(world: World, detection_range: float) -> list[tuple[str, str]]:
     """(cyclist_id, vehicle_id) pairs within straight-line detection range.
 
     Sorted ascending so downstream fence updates are order-deterministic;
     when several vehicles detect the same cyclist in one step, the
     highest-sorting vehicle ends up centring the fence.  Candidates come
-    from a spatial hash with cells of the detection range; ``views`` is the
-    step's vehicle view, built here when not given.
+    from a spatial hash with cells of the detection range.  Vehicle
+    positions are read from the records as ``step`` last refreshed them.
     """
     if detection_range <= 0:
         raise ValueError("detection_range must be positive")
     if not world.cyclists:
         return []
-    if views is None:
-        views = vehicle_views(world)
-    grid = SpatialHash(detection_range, ((vid, view.position) for vid, view in views.items()))
+    _refresh_unplaced(world)
+    grid = SpatialHash(
+        detection_range, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items())
+    )
     events = []
     for cid in sorted(world.cyclists):
         cyclist_pos = world.cyclists[cid].position(world.network)
@@ -200,22 +232,21 @@ def aggregate_emission_rate(world: World, fence=None, pollutant: Pollutant = Pol
 
     Electric-mode vehicles contribute nothing.
     """
+    _refresh_unplaced(world)
     total = 0.0
     for vehicle in world.vehicles.values():
         if vehicle.mode is not VehicleMode.POLLUTING:
             continue
-        view = vehicle.view(world.network)
-        if fence is not None and euclidean(view.position, fence.center) > fence.radius:
+        if fence is not None and euclidean(vehicle.position, fence.center) > fence.radius:
             continue
-        total += world.table.rate(vehicle.euro_class, pollutant, view.speed)
+        total += world.table.rate(vehicle.euro_class, pollutant, vehicle.speed)
     return total
 
 
 # -- trace structures --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VehicleTraceEntry:
+class VehicleTraceEntry(NamedTuple):
     vehicle_id: str
     euro_class: int
     edge_id: str
@@ -224,8 +255,7 @@ class VehicleTraceEntry:
     mode: str
 
 
-@dataclass(frozen=True)
-class FenceTraceEntry:
+class FenceTraceEntry(NamedTuple):
     fence_id: str
     center: Point
     radius: float
@@ -258,22 +288,6 @@ class RunResult:
     commands: tuple
 
 
-def _snapshot_vehicles(world: World, views: Mapping[str, VehicleView]) -> dict[str, VehicleSnapshot]:
-    snapshots = {}
-    for vid, vehicle in world.vehicles.items():
-        view = views[vid]
-        snapshots[vid] = VehicleSnapshot(
-            vehicle_id=vid,
-            position=view.position,
-            speed=view.speed,
-            euro_class=vehicle.euro_class,
-            powertrain=vehicle.powertrain,
-            density_weight=view.edge.density_weight,
-            mode=vehicle.mode,
-        )
-    return snapshots
-
-
 def _spawn_due(world: World, fleet: tuple[FleetEntry, ...], cursor: int, rng: random.Random) -> int:
     """Spawn fleet entries whose time has come; euro classes missing from
     the scenario are drawn uniformly from the spawn stream."""
@@ -287,6 +301,7 @@ def _spawn_due(world: World, fleet: tuple[FleetEntry, ...], cursor: int, rng: ra
             vehicle_id=entry.vehicle_id,
             euro_class=euro_class,
             route=entry.route,
+            edge=world.network.edge(entry.route[0]),
             speed_override=entry.speed,
             mode=mode,
             powertrain=entry.powertrain,
@@ -299,53 +314,48 @@ def _spawn_cyclists(world: World, cyclists: tuple[CyclistSpec, ...], cursor: int
     while cursor < len(cyclists) and cyclists[cursor].spawn_time <= world.now:
         spec = cyclists[cursor]
         world.cyclists[spec.cyclist_id] = CyclistState(
-            cyclist_id=spec.cyclist_id, route=spec.route, speed=spec.speed
+            cyclist_id=spec.cyclist_id,
+            route=spec.route,
+            speed=spec.speed,
+            edge=world.network.edge(spec.route[0]),
         )
         cursor += 1
     return cursor
 
 
-def _trace_row(
-    world: World,
-    coordinator: GeofenceCoordinator,
-    scenario: Scenario,
-    views: Mapping[str, VehicleView],
-) -> TraceRow:
+def _trace_row(world: World, coordinator: GeofenceCoordinator, scenario: Scenario) -> TraceRow:
     budget = scenario.controller.allowable_limit - scenario.background_at(world.now)
     fences = tuple(
-        FenceTraceEntry(
-            fence_id=f.fence_id,
-            center=f.center,
-            radius=f.radius,
-            created_at=f.created_at,
-            last_detection_at=f.last_detection_at,
-            member_ids=f.member_ids,
-        )
+        FenceTraceEntry(f.fence_id, f.center, f.radius, f.created_at, f.last_detection_at, f.member_ids)
         for f in coordinator.active_fences()
     )
     member_union: set[str] = set()
     for fence in fences:
         member_union.update(fence.member_ids)
+    rate = world.table.rate
     in_fence = 0.0
     total = 0.0
     entries = []
     for vid, vehicle in world.vehicles.items():
-        view = views[vid]
+        mode = vehicle.mode
         entries.append(
-            VehicleTraceEntry(
-                vehicle_id=vid,
-                euro_class=vehicle.euro_class,
-                edge_id=view.edge_id,
-                edge_offset=vehicle.edge_offset,
-                speed=view.speed,
-                mode=vehicle.mode.value,
+            _record(
+                VehicleTraceEntry,
+                (
+                    vid,
+                    vehicle.euro_class,
+                    vehicle.route[vehicle.route_index],
+                    vehicle.edge_offset,
+                    vehicle.speed,
+                    mode.value,
+                ),
             )
         )
-        if vehicle.mode is VehicleMode.POLLUTING:
-            rate = world.table.rate(vehicle.euro_class, Pollutant.CO, view.speed)
-            total += rate
+        if mode is VehicleMode.POLLUTING:
+            vehicle_rate = rate(vehicle.euro_class, Pollutant.CO, vehicle.speed)
+            total += vehicle_rate
             if vid in member_union:
-                in_fence += rate
+                in_fence += vehicle_rate
     return TraceRow(
         sim_time=world.now,
         budget=budget,
@@ -384,18 +394,16 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
         fleet_cursor = _spawn_due(world, scenario.fleet, fleet_cursor, rng_spawn)
         cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
         step(world, scenario.dt)
-        views = vehicle_views(world)
-        for cyclist_id, vehicle_id in detect(world, scenario.detection_range, views):
+        for cyclist_id, vehicle_id in detect(world, scenario.detection_range):
             coordinator.on_detection(
                 cyclist_id,
-                views[vehicle_id].position,
+                world.vehicles[vehicle_id].position,
                 world.now,
                 detecting_vehicle_id=vehicle_id,
             )
-        snapshots = _snapshot_vehicles(world, views)
-        commands = coordinator.step(world.now, snapshots, scenario.background_at(world.now))
+        commands = coordinator.step(world.now, world.vehicles, scenario.background_at(world.now))
         world.pending_commands.extend(commands)
-        rows.append(_trace_row(world, coordinator, scenario, views))
+        rows.append(_trace_row(world, coordinator, scenario))
     return RunResult(
         scenario_name=scenario.name,
         seed=seed,

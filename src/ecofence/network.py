@@ -43,7 +43,7 @@ class Edge:
             acc.append(acc[-1] + math.hypot(x1 - x0, y1 - y0))
         return tuple(acc)
 
-    @property
+    @cached_property
     def length(self) -> float:
         return self._cumulative[-1]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 BUDGET_TOL = 1e-9
 
@@ -31,8 +31,7 @@ BUDGET_TOL = 1e-9
 BRUTE_FORCE_MAX_ENTRIES = 8
 
 
-@dataclass(frozen=True)
-class ProblemEntry:
+class ProblemEntry(NamedTuple):
     """One vehicle in the assignment problem."""
 
     vehicle_id: str

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 from .coordinator import CommandRecord
+from .emissions import load_default_table
 from .engine import RunResult, ScenarioTrace, run
 from .optimizer import BUDGET_TOL
 from .scenario import Scenario
@@ -102,10 +103,12 @@ def run_compare(scenario: Scenario, seed: int) -> CompareResult:
 
     The two runs share spawn draws (separate purpose-keyed streams) and the
     baseline consumes no coin tosses, so the traces differ only through the
-    control actions and are directly comparable row by row.
+    control actions and are directly comparable row by row.  Both runs use
+    one coefficient table, loaded once.
     """
-    baseline = run(replace(scenario, control_enabled=False), seed)
-    control = run(replace(scenario, control_enabled=True), seed)
+    table = load_default_table()
+    baseline = run(replace(scenario, control_enabled=False), seed, table)
+    control = run(replace(scenario, control_enabled=True), seed, table)
     return CompareResult(baseline=baseline, control=control, summary=summarize(control, baseline))
 
 

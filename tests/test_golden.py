@@ -1,12 +1,15 @@
 """Byte-identity gate: the CLI's output files for the bundled demos.
 
 The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` and the
-output files of ``compare``, seed 42.  A refactor or optimisation must
-leave them unchanged; a deliberate behaviour change updates them and
-says which bytes changed and why.
+output files of ``compare``, seed 42, plus single-vehicle mode, a
+two-fence run with actuation latency, tau above 1 and a background
+series, and the merged summary of ``sweep`` on one and on two workers.
+A refactor or optimisation must leave them unchanged; a deliberate
+behaviour change updates them and says which bytes changed and why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -47,3 +50,86 @@ def test_compare_outputs_match_golden_digests(tmp_path):
     assert cli.main(argv) == 0
     for name, digest in COMPARE_DIGESTS.items():
         assert sha256(tmp_path / name) == digest, name
+
+
+SINGLE_VEHICLE_DIGESTS = {
+    "trace.csv": "70f5485e383906d08666b5a35d989ee762806f3b7be54e2093acabb9e26b89a4",
+    "commands.csv": "3393af3c0276058b04eb1f3c67c07ab97a62e8caaaf2b0d6cbc4a7d9c5c403ea",
+}
+
+TWO_TILE_DIGESTS = {
+    "trace.csv": "83a66d8b4bb56f552243043fbc06f9c39abb6c0345fe0b1ced4d4433d7f5e19e",
+    "commands.csv": "76f3e1ca3034b39a3e17b1df0047346016c6f6641e936796864d0b51384bd2e4",
+}
+
+SWEEP_DIGEST = "f9fc0256e2083f76dbb106943e7ee6a74e9e98af4263f2d08fde8da730c91224"
+
+
+def two_tile_scenario(path):
+    """Two copies of demo_ring 400 m apart, one cyclist each.
+
+    tau 5 s and a 5 s actuation latency, so toss-only and solve-only ticks
+    and delayed commands occur, and a background series that goes over
+    the 1 g/min limit from 60 s to 100 s, so the all-electric rule runs
+    and vehicles are restored afterwards.
+    """
+    demo = json.loads(data_path("demo_ring.json").read_text())
+    edges, fleet, cyclists = [], [], []
+    for tile, dx in enumerate((0.0, 400.0)):
+        prefix = f"t{tile}_"
+        for edge in demo["network"]["edges"]:
+            edges.append(
+                dict(edge, edge_id=prefix + edge["edge_id"], points=[[x + dx, y] for x, y in edge["points"]])
+            )
+        for entry in demo["fleet"]:
+            fleet.append(
+                dict(entry, vehicle_id=prefix + entry["vehicle_id"], route=[prefix + e for e in entry["route"]])
+            )
+        cyclist = demo["cyclist"]
+        cyclists.append(
+            dict(cyclist, cyclist_id=prefix + cyclist["cyclist_id"], route=[prefix + e for e in cyclist["route"]])
+        )
+    scenario = {
+        "name": "two-tile-ring",
+        "horizon": 320.0,
+        "dt": demo["dt"],
+        "network": {"edges": edges},
+        "fleet": fleet,
+        "cyclists": cyclists,
+        "control": dict(
+            demo["control"],
+            tau=5.0,
+            actuation_latency=5.0,
+            background=[[0.0, 0.2], [60.0, 1.5], [100.0, 0.3]],
+        ),
+    }
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def test_single_vehicle_run_matches_golden_digests(tmp_path):
+    argv = [
+        "run", "--scenario", str(data_path("demo_ring.json")), "--seed", "42",
+        "--single-vehicle", "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0
+    for name, digest in SINGLE_VEHICLE_DIGESTS.items():
+        assert sha256(tmp_path / name) == digest, name
+
+
+def test_two_tile_run_with_latency_and_background_matches_golden_digests(tmp_path):
+    scenario = two_tile_scenario(tmp_path / "two_tile.json")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
+    for name, digest in TWO_TILE_DIGESTS.items():
+        assert sha256(out / name) == digest, name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_summary_matches_golden_digest(jobs, tmp_path):
+    argv = [
+        "sweep", "--scenario", str(data_path("demo_ring.json")), "--seeds", "1..3",
+        "--jobs", jobs, "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0
+    assert sha256(tmp_path / "sweep_summary.json") == SWEEP_DIGEST

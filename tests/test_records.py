@@ -1,0 +1,117 @@
+"""The immutable per-vehicle records, and the live vehicle record as a snapshot.
+
+The records are NamedTuples with the field names, in order, of the frozen
+dataclasses they replaced.  The coordinator must decide the same way
+whether it reads the engine's live vehicle records or
+:class:`VehicleSnapshot` copies of them.
+"""
+
+import dataclasses
+
+import pytest
+
+from ecofence import engine
+from ecofence.coordinator import (
+    CommandRecord,
+    GeofenceCoordinator,
+    ModeCommand,
+    Powertrain,
+    VehicleMode,
+    VehicleSnapshot,
+)
+from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, run
+from ecofence.optimizer import ProblemEntry
+
+RECORDS = {
+    ModeCommand: (
+        ("vehicle_id", "mode", "issued_at", "effective_time"),
+        ("v1", VehicleMode.ELECTRIC, 1.0, 2.0),
+    ),
+    CommandRecord: (
+        (
+            "sim_time", "fence_id", "vehicle_id", "density", "emission_rate",
+            "assignment", "draw", "commanded_mode", "effective_time",
+        ),
+        (1.0, "f", "v1", 2.0, 0.5, 0.25, 0.75, "electric", 1.0),
+    ),
+    ProblemEntry: (
+        ("vehicle_id", "density", "emission_rate"),
+        ("v1", 2.0, 0.5),
+    ),
+    VehicleSnapshot: (
+        ("vehicle_id", "position", "speed", "euro_class", "powertrain", "density_weight", "mode"),
+        ("v1", (0.0, 1.0), 30.0, 4, Powertrain.HYBRID, 1.0, VehicleMode.ELECTRIC),
+    ),
+    VehicleTraceEntry: (
+        ("vehicle_id", "euro_class", "edge_id", "edge_offset", "speed", "mode"),
+        ("v1", 4, "e1", 3.5, 30.0, "polluting"),
+    ),
+    FenceTraceEntry: (
+        ("fence_id", "center", "radius", "created_at", "last_detection_at", "member_ids"),
+        ("f", (0.0, 1.0), 100.0, 0.0, 1.0, ("v1",)),
+    ),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_keeps_its_fields_and_is_immutable(record):
+    fields, values = RECORDS[record]
+    assert record._fields == fields
+    instance = record(*values)
+    assert tuple(instance) == values
+    assert instance == record(**dict(zip(fields, values)))
+    with pytest.raises(AttributeError):
+        setattr(instance, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        instance.extra = 1
+
+
+def test_snapshot_mode_defaults_to_polluting():
+    snapshot = VehicleSnapshot("v1", (0.0, 0.0), 30.0, 4, Powertrain.HYBRID, 1.0)
+    assert snapshot.mode is VehicleMode.POLLUTING
+
+
+def recording_coordinator(steps, as_snapshots):
+    """A coordinator class that logs every ``step`` result; optionally it
+    copies the engine's vehicle records into snapshots first."""
+
+    class Recording(GeofenceCoordinator):
+        def step(self, now, snapshots, background_level):
+            assert all(isinstance(v, VehicleState) for v in snapshots.values())
+            if as_snapshots:
+                snapshots = {
+                    vid: VehicleSnapshot(
+                        v.vehicle_id, v.position, v.speed, v.euro_class,
+                        v.powertrain, v.density_weight, v.mode,
+                    )
+                    for vid, v in snapshots.items()
+                }
+            commands = super().step(now, snapshots, background_level)
+            steps.append(commands)
+            return commands
+
+    return Recording
+
+
+@pytest.mark.parametrize(
+    "variant", ["demo_ring", "demo_lifecycle", "single_vehicle", "forced_detector"]
+)
+def test_coordinator_decides_alike_on_records_and_snapshots(
+    variant, demo_ring, demo_lifecycle, monkeypatch
+):
+    scenario = demo_lifecycle if variant == "demo_lifecycle" else demo_ring
+    if variant == "single_vehicle":
+        scenario = dataclasses.replace(scenario, single_vehicle=True)
+    if variant == "forced_detector":
+        controller = dataclasses.replace(scenario.controller, force_detector_electric=True)
+        scenario = dataclasses.replace(scenario, controller=controller)
+    outcomes = []
+    for as_snapshots in (False, True):
+        steps = []
+        monkeypatch.setattr(engine, "GeofenceCoordinator", recording_coordinator(steps, as_snapshots))
+        outcomes.append((steps, run(scenario, 42)))
+    (record_steps, by_records), (snapshot_steps, by_snapshots) = outcomes
+    assert any(record_steps)
+    assert record_steps == snapshot_steps
+    assert by_records.commands == by_snapshots.commands
+    assert by_records == by_snapshots

@@ -3,7 +3,10 @@ import hashlib
 
 import pytest
 
+import ecofence.engine
 import ecofence.optimizer
+import ecofence.reporting
+from ecofence.emissions import load_default_table
 from ecofence.engine import run
 from ecofence.reporting import (
     emit_plot_data,
@@ -30,6 +33,19 @@ def test_compare_zero_vehicles(demo_slack):
     compared = run_compare(scenario, 1)
     assert compared.summary.control_mean_in_fence == 0.0
     assert compared.summary.baseline_mean_in_fence == 0.0
+
+
+def test_compare_loads_the_coefficient_table_once(demo_slack, monkeypatch):
+    calls = []
+
+    def counting_load():
+        calls.append(1)
+        return load_default_table()
+
+    monkeypatch.setattr(ecofence.engine, "load_default_table", counting_load)
+    monkeypatch.setattr(ecofence.reporting, "load_default_table", counting_load)
+    run_compare(demo_slack, 1)
+    assert len(calls) == 1
 
 
 def test_compare_demo_ring_summary(demo_ring_compare):
