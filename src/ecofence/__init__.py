@@ -9,7 +9,6 @@ setting the budget.
 """
 
 from .coordinator import (
-    BackgroundReading,
     CommandRecord,
     ControllerConfig,
     Geofence,
@@ -18,7 +17,6 @@ from .coordinator import (
     Powertrain,
     VehicleMode,
     VehicleSnapshot,
-    compute_limit,
     members,
     toss_polluting,
 )
@@ -37,7 +35,6 @@ from .engine import (
     RunResult,
     ScenarioTrace,
     World,
-    aggregate_emission_rate,
     detect,
     run,
     step,
@@ -70,7 +67,6 @@ from .scenario import (
 
 __all__ = [
     "Assignment",
-    "BackgroundReading",
     "CoefficientTable",
     "CommandRecord",
     "CompareResult",
@@ -95,10 +91,8 @@ __all__ = [
     "VehicleMode",
     "VehicleSnapshot",
     "World",
-    "aggregate_emission_rate",
     "brute_force_solve",
     "budget_spend",
-    "compute_limit",
     "detect",
     "emission_rate_g_per_km",
     "emit_plot_data",

@@ -8,6 +8,11 @@ the assignment problem for the vehicles inside each fence, and enacts the
 result by a weighted coin toss per vehicle: polluting with probability
 ``x_i``, electric otherwise.
 
+Each fence keeps its own decision state: its next solve and toss times
+(every ``tau`` and every ``switch_interval``) and the problem it last
+solved with the assignment solved for it.  ``step`` has one path per
+fence: solve if due, then toss against the stored solve if due.
+
 All state mutation happens through a serialized sequence of
 ``on_detection`` / ``step`` calls made by the simulation loop; the object
 holds no threads or global state and can be moved wholesale between
@@ -90,38 +95,15 @@ class ControllerConfig:
         return cls(**params)
 
 
-@dataclass(frozen=True)
-class BackgroundReading:
-    """Background pollution inside the fence, as level and headroom delta.
-
-    ``delta`` is the level minus the allowable limit; a positive delta
-    means background alone already exceeds the allowance.
-    """
-
-    level: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.level) and math.isfinite(self.delta)):
-            raise ValueError("background reading must be finite")
-
-    @classmethod
-    def from_level(cls, level: float, config: ControllerConfig) -> "BackgroundReading":
-        return cls(level=level, delta=level - config.allowable_limit)
-
-
-def compute_limit(config: ControllerConfig, background: BackgroundReading) -> float:
-    """Emission budget for the fence: allowance minus measured background.
-
-    May be <= 0, in which case the downstream solve commands every vehicle
-    electric.
-    """
-    return config.allowable_limit - background.level
-
-
 @dataclass
 class Geofence:
-    """A circular regulated zone bound to one detected cyclist tag."""
+    """A circular regulated zone bound to one detected cyclist tag.
+
+    The fence also carries its decision state: when it next solves and
+    next tosses (a new fence does both at its first step), and the problem
+    it last solved with the assignment solved for it.  Every toss enacts
+    that assignment on that problem's vehicles, rates and densities.
+    """
 
     fence_id: str
     center: Position
@@ -130,6 +112,10 @@ class Geofence:
     last_detection_at: float
     member_ids: tuple[str, ...] = ()
     last_detector_id: str | None = None
+    next_solve: float = -math.inf
+    next_toss: float = -math.inf
+    problem: GeofenceProblem | None = None
+    assignment: Assignment | None = None
 
     def is_active(self, now: float, timeout: float) -> bool:
         return now - self.last_detection_at <= timeout
@@ -237,10 +223,6 @@ class GeofenceCoordinator:
         self.single_vehicle = single_vehicle
         self.fences: dict[str, Geofence] = {}
         self.command_log: list[CommandRecord] = []
-        self._assignments: dict[str, Assignment] = {}
-        self._solved_members: dict[str, tuple[str, ...]] = {}
-        self._next_solve: dict[str, float] = {}
-        self._next_toss: dict[str, float] = {}
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
         self._single_seen: dict[str, tuple[float, str]] = {}  # vehicle -> (time, cyclist)
         self._single_electric: set[str] = set()
@@ -275,8 +257,6 @@ class GeofenceCoordinator:
                 last_detector_id=detecting_vehicle_id,
             )
             self.fences[cyclist_id] = fence
-            self._next_solve[cyclist_id] = now
-            self._next_toss[cyclist_id] = now
         else:
             fence.center = position
             fence.last_detection_at = now
@@ -294,31 +274,21 @@ class GeofenceCoordinator:
             fence = self.fences[fence_id]
             if not fence.is_active(now, self.config.expiry_timeout):
                 del self.fences[fence_id]
-                self._assignments.pop(fence_id, None)
-                self._solved_members.pop(fence_id, None)
-                self._next_solve.pop(fence_id, None)
-                self._next_toss.pop(fence_id, None)
                 for vid in sorted(v for v, f in self._controlled.items() if f == fence_id):
                     commands.append(self._restore(vid, fence_id, now))
         return commands
 
     def _restore(self, vehicle_id: str, fence_id: str, now: float) -> ModeCommand:
         del self._controlled[vehicle_id]
+        return self._command(now, fence_id, vehicle_id, VehicleMode.POLLUTING)
+
+    def _command(self, now: float, fence_id: str, vehicle_id: str, mode: VehicleMode) -> ModeCommand:
+        """Log and return a command that enacts no assignment."""
         effective = now + self.config.actuation_latency
         self.command_log.append(
-            CommandRecord(
-                sim_time=now,
-                fence_id=fence_id,
-                vehicle_id=vehicle_id,
-                density=None,
-                emission_rate=None,
-                assignment=None,
-                draw=None,
-                commanded_mode=VehicleMode.POLLUTING.value,
-                effective_time=effective,
-            )
+            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode.value, effective))
         )
-        return ModeCommand(vehicle_id, VehicleMode.POLLUTING, now, effective)
+        return _record(ModeCommand, (vehicle_id, mode, now, effective))
 
     # -- decisions ---------------------------------------------------------
 
@@ -343,13 +313,14 @@ class GeofenceCoordinator:
         self,
         fence: Geofence,
         snapshots: Mapping[str, VehicleSnapshot],
-        background: BackgroundReading,
+        limit: float,
     ) -> GeofenceProblem:
-        """Assemble the assignment problem for one fence.
+        """Assemble the assignment problem for one fence under ``limit`` g/min.
 
-        Emission rates are recomputed from each member's current speed at
-        every decision; pure EVs enter with a zero rate so the solver hands
-        them probability 1 at no budget cost.
+        Emission rates are computed from each member's current speed; pure
+        EVs enter with a zero rate so the solver hands them probability 1
+        at no budget cost.  A non-finite limit is rejected by
+        :class:`GeofenceProblem`.
         """
         entries = []
         for snap in self._controllable(fence, snapshots):
@@ -358,35 +329,19 @@ class GeofenceCoordinator:
             else:
                 rate = self.table.rate(snap.euro_class, self.pollutant, snap.speed)
             entries.append(_record(ProblemEntry, (snap.vehicle_id, snap.density_weight, rate)))
-        return GeofenceProblem(entries=tuple(entries), limit=compute_limit(self.config, background))
-
-    def decision_tick(
-        self,
-        fence: Geofence,
-        snapshots: Mapping[str, VehicleSnapshot],
-        background: BackgroundReading,
-        now: float,
-    ) -> list[ModeCommand]:
-        """Solve the fence's problem and toss every member's coin.
-
-        One uniform draw is consumed per controllable member in ascending
-        vehicle-id order.  Pure EVs keep their draw for stream stability but
-        are always commanded electric; they have no engine to pollute with.
-        """
-        problem = self.build_problem(fence, snapshots, background)
-        assignment = solve(problem)
-        self._assignments[fence.fence_id] = assignment
-        self._solved_members[fence.fence_id] = tuple(e.vehicle_id for e in problem.entries)
-        return self._toss_fence(fence, problem, assignment, snapshots, now)
+        return GeofenceProblem(entries=tuple(entries), limit=limit)
 
     def _toss_fence(
-        self,
-        fence: Geofence,
-        problem: GeofenceProblem,
-        assignment: Assignment,
-        snapshots: Mapping[str, VehicleSnapshot],
-        now: float,
+        self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot], now: float
     ) -> list[ModeCommand]:
+        """Enact the fence's last solved assignment by one coin toss per vehicle.
+
+        Each command row carries the density and emission rate the
+        assignment was solved with.  One uniform draw is consumed per
+        problem entry in ascending vehicle-id order.  Pure EVs keep their
+        draw for stream stability but are always commanded electric; they
+        have no engine to pollute with.
+        """
         commands: list[ModeCommand] = []
         effective = now + self.config.actuation_latency
         forced_detector: str | None = None
@@ -394,9 +349,10 @@ class GeofenceCoordinator:
             snap = snapshots[fence.last_detector_id]
             if snap.powertrain is not Powertrain.PURE_ICE:
                 forced_detector = fence.last_detector_id
-        for entry in problem.entries:
+        values = fence.assignment.values
+        for entry in fence.problem.entries:
             snap = snapshots[entry.vehicle_id]
-            x = assignment.values[entry.vehicle_id]
+            x = values[entry.vehicle_id]
             polluting, draw = toss_polluting(x, self.rng)
             if snap.powertrain is Powertrain.PURE_EV:
                 mode = VehicleMode.ELECTRIC
@@ -422,20 +378,7 @@ class GeofenceCoordinator:
             )
         if forced_detector is not None:
             self._controlled[forced_detector] = fence.fence_id
-            commands.append(ModeCommand(forced_detector, VehicleMode.ELECTRIC, now, effective))
-            self.command_log.append(
-                CommandRecord(
-                    sim_time=now,
-                    fence_id=fence.fence_id,
-                    vehicle_id=forced_detector,
-                    density=None,
-                    emission_rate=None,
-                    assignment=None,
-                    draw=None,
-                    commanded_mode=VehicleMode.ELECTRIC.value,
-                    effective_time=effective,
-                )
-            )
+            commands.append(self._command(now, fence.fence_id, forced_detector, VehicleMode.ELECTRIC))
         return commands
 
     # -- per-step driver -----------------------------------------------------
@@ -449,10 +392,16 @@ class GeofenceCoordinator:
         """Advance the coordinator one simulation step.
 
         Order: expire stale fences, recompute memberships, restore vehicles
-        that left every fence, then solve/toss each fence at its cadence.
-        Membership changes force a fresh solve so the expected-rate budget
-        always reflects the vehicles actually being tossed.  Membership
-        candidates come from a spatial hash with cells of the fence radius.
+        that left every fence, then decide each fence in ascending id order.
+        A fence whose solve is due builds its problem under the budget
+        ``allowable_limit - background_level`` and solves it; the problem
+        and its assignment are stored on the fence.  A fence whose toss is
+        due tosses against the stored problem, so the commands log the
+        rates and densities the assignment was solved for.  A toss over a
+        different set of controllable vehicles than the stored problem's
+        forces a fresh solve first, so the expected-rate budget always
+        covers the vehicles actually being tossed.  Membership candidates
+        come from a spatial hash with cells of the fence radius.
 
         ``snapshots`` maps every vehicle on the road to a
         :class:`VehicleSnapshot` or any object with its attributes (the
@@ -480,36 +429,27 @@ class GeofenceCoordinator:
                 commands.append(self._restore(vid, self._controlled[vid], now))
         if not self.control_enabled:
             return commands
-        background = BackgroundReading.from_level(background_level, self.config)
+        limit = self.config.allowable_limit - background_level
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
-            solve_due = now >= self._next_solve[fence_id]
-            toss_due = now >= self._next_toss[fence_id]
+            solve_due = now >= fence.next_solve
+            toss_due = now >= fence.next_toss
             if toss_due and not solve_due:
-                controllable = tuple(s.vehicle_id for s in self._controllable(fence, snapshots))
-                solve_due = self._solved_members.get(fence_id) != controllable
+                solved = tuple(e.vehicle_id for e in fence.problem.entries)
+                solve_due = solved != tuple(s.vehicle_id for s in self._controllable(fence, snapshots))
             if solve_due:
-                self._next_solve[fence_id] = now + self.config.tau
+                fence.problem = self.build_problem(fence, snapshots, limit)
+                fence.assignment = solve(fence.problem)
+                fence.next_solve = now + self.config.tau
             if toss_due:
-                self._next_toss[fence_id] = now + self.config.toss_interval
-            if solve_due and toss_due:
-                commands.extend(self.decision_tick(fence, snapshots, background, now))
-            elif solve_due:
-                problem = self.build_problem(fence, snapshots, background)
-                self._assignments[fence_id] = solve(problem)
-                self._solved_members[fence_id] = tuple(e.vehicle_id for e in problem.entries)
-            elif toss_due:
-                problem = self.build_problem(fence, snapshots, background)
-                commands.extend(
-                    self._toss_fence(fence, problem, self._assignments[fence_id], snapshots, now)
-                )
+                fence.next_toss = now + self.config.toss_interval
+                commands.extend(self._toss_fence(fence, snapshots, now))
         return commands
 
     def _single_step(self, now: float, snapshots: Mapping[str, VehicleSnapshot]) -> list[ModeCommand]:
         """Single-vehicle operation: each detector goes electric for the
         timeout window after its own detections, then reverts."""
         commands: list[ModeCommand] = []
-        effective = now + self.config.actuation_latency
         for vid in sorted(self._single_seen):
             last, cyclist_id = self._single_seen[vid]
             if vid not in snapshots:
@@ -528,20 +468,7 @@ class GeofenceCoordinator:
                     continue
             else:
                 continue
-            commands.append(ModeCommand(vid, mode, now, effective))
-            self.command_log.append(
-                CommandRecord(
-                    sim_time=now,
-                    fence_id=cyclist_id,
-                    vehicle_id=vid,
-                    density=None,
-                    emission_rate=None,
-                    assignment=None,
-                    draw=None,
-                    commanded_mode=mode.value,
-                    effective_time=effective,
-                )
-            )
+            commands.append(self._command(now, cyclist_id, vid, mode))
         return commands
 
     def active_fences(self) -> list[Geofence]:

@@ -227,22 +227,6 @@ def detect(world: World, detection_range: float) -> list[tuple[str, str]]:
     return events
 
 
-def aggregate_emission_rate(world: World, fence=None, pollutant: Pollutant = Pollutant.CO) -> float:
-    """Aggregate g/min over polluting-mode vehicles, optionally fence members only.
-
-    Electric-mode vehicles contribute nothing.
-    """
-    _refresh_unplaced(world)
-    total = 0.0
-    for vehicle in world.vehicles.values():
-        if vehicle.mode is not VehicleMode.POLLUTING:
-            continue
-        if fence is not None and euclidean(vehicle.position, fence.center) > fence.radius:
-            continue
-        total += world.table.rate(vehicle.euro_class, pollutant, vehicle.speed)
-    return total
-
-
 # -- trace structures --------------------------------------------------------
 
 
@@ -323,8 +307,9 @@ def _spawn_cyclists(world: World, cyclists: tuple[CyclistSpec, ...], cursor: int
     return cursor
 
 
-def _trace_row(world: World, coordinator: GeofenceCoordinator, scenario: Scenario) -> TraceRow:
-    budget = scenario.controller.allowable_limit - scenario.background_at(world.now)
+def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level: float) -> TraceRow:
+    """The step's trace row; ``budget`` is the limit the coordinator decided under."""
+    budget = coordinator.config.allowable_limit - background_level
     fences = tuple(
         FenceTraceEntry(f.fence_id, f.center, f.radius, f.created_at, f.last_detection_at, f.member_ids)
         for f in coordinator.active_fences()
@@ -401,9 +386,10 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
                 world.now,
                 detecting_vehicle_id=vehicle_id,
             )
-        commands = coordinator.step(world.now, world.vehicles, scenario.background_at(world.now))
+        background_level = scenario.background_at(world.now)
+        commands = coordinator.step(world.now, world.vehicles, background_level)
         world.pending_commands.extend(commands)
-        rows.append(_trace_row(world, coordinator, scenario))
+        rows.append(_trace_row(world, coordinator, background_level))
     return RunResult(
         scenario_name=scenario.name,
         seed=seed,

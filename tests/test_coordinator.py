@@ -1,20 +1,20 @@
+import math
 import random
 
 import pytest
 
 from ecofence.coordinator import (
-    BackgroundReading,
     ControllerConfig,
     Geofence,
     GeofenceCoordinator,
     Powertrain,
     VehicleMode,
     VehicleSnapshot,
-    compute_limit,
     members,
     single_vehicle_mode,
     toss_polluting,
 )
+from ecofence.emissions import Pollutant
 
 
 def snap(vid, pos=(0.0, 0.0), speed=30.0, euro=4, powertrain=Powertrain.HYBRID, density=1.0):
@@ -106,17 +106,21 @@ def test_members_empty_fleet():
 # -- budget --------------------------------------------------------------------
 
 
-def test_compute_limit_examples():
-    config = ControllerConfig(allowable_limit=1.0)
-    assert compute_limit(config, BackgroundReading.from_level(0.0, config)) == 1.0
-    assert compute_limit(config, BackgroundReading.from_level(1.5, config)) == -0.5
-    assert compute_limit(config, BackgroundReading.from_level(0.4, config)) == pytest.approx(0.6)
+def test_compute_limit_examples(table):
+    # the budget a fence is solved under is the allowance minus the background
+    for level, limit in ((0.0, 1.0), (1.5, -0.5), (0.4, pytest.approx(0.6))):
+        coord = make_coordinator(table, config=ControllerConfig(allowable_limit=1.0))
+        fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+        coord.step(0.0, {"v1": snap("v1")}, background_level=level)
+        assert fence.problem.limit == limit
 
 
-def test_background_reading_delta():
-    config = ControllerConfig(allowable_limit=1.0)
-    reading = BackgroundReading.from_level(1.5, config)
-    assert reading.delta == pytest.approx(0.5)
+@pytest.mark.parametrize("level", [math.inf, math.nan])
+def test_non_finite_background_is_rejected(table, level):
+    coord = make_coordinator(table)
+    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    with pytest.raises(ValueError):
+        coord.step(0.0, {"v1": snap("v1")}, background_level=level)
 
 
 # -- decisions -----------------------------------------------------------------
@@ -227,6 +231,41 @@ def test_fresh_solve_when_membership_changes_between_solves(table):
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(5.0, 0.0))}
     commands = coord.step(1.0, snapshots, background_level=0.0)
     assert {c.vehicle_id for c in commands} == {"v1", "v2"}
+
+
+def test_toss_only_tick_logs_the_solved_problem(table):
+    # v1 moves onto a busier, faster road between the solve at t=0 and the
+    # toss-only tick at t=1; the toss enacts the t=0 assignment, so its row
+    # carries the t=0 density and rate, and each tick's expected spend
+    # stays within the budget the assignment was solved for
+    config = ControllerConfig(tau=10.0, switch_interval=1.0)
+    coord = make_coordinator(table, config=config)
+    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    coord.step(0.0, {"v1": snap("v1", euro=1, speed=10.0, density=1.0)}, background_level=0.0)
+    coord.step(1.0, {"v1": snap("v1", euro=1, speed=30.0, density=3.0)}, background_level=0.0)
+    first, second = coord.command_log
+    assert (first.density, first.emission_rate) == (1.0, table.rate(1, Pollutant.CO, 10.0))
+    assert (second.density, second.emission_rate) == (first.density, first.emission_rate)
+    assert second.assignment == first.assignment
+    assert 0.0 < first.assignment < 1.0  # the budget binds
+    for row in (first, second):
+        assert row.assignment * row.emission_rate <= 1.0 + 1e-9
+
+
+def test_recreated_fence_solves_and_tosses_on_its_first_tick(table):
+    config = ControllerConfig(tau=30.0)
+    coord = make_coordinator(table, config=config)
+    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    snapshots = {"v1": snap("v1")}
+    coord.step(0.0, snapshots, background_level=0.0)
+    coord.step(21.0, snapshots, background_level=0.0)
+    assert coord.fences == {}
+    fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
+    commands = coord.step(22.0, snapshots, background_level=1.5)
+    assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.ELECTRIC)]
+    assert fence.problem.limit == -0.5
+    assert (fence.next_solve, fence.next_toss) == (52.0, 52.0)
+    assert coord.command_log[-1].assignment == 0.0
 
 
 def test_force_detector_electric(table):

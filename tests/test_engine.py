@@ -1,13 +1,15 @@
 import dataclasses
+import random
 
 import pytest
 
-from ecofence.coordinator import Geofence, Powertrain, VehicleMode, ModeCommand
+from ecofence.coordinator import ControllerConfig, GeofenceCoordinator, Powertrain, VehicleMode, ModeCommand
 from ecofence.engine import (
     CyclistState,
     VehicleState,
     World,
-    aggregate_emission_rate,
+    _snapshot_vehicles,
+    _trace_row,
     detect,
     run,
     step,
@@ -134,11 +136,25 @@ def test_detect_orders_by_vehicle_id(table):
     assert detect(world, 10.0) == [("c1", "a"), ("c1", "b")]
 
 
+def trace_rates(world, fence_center=None):
+    """(total_rate, in_fence_rate) of the trace row for a hand-built world,
+    with one fence at ``fence_center`` if given."""
+    _snapshot_vehicles(world)
+    coordinator = GeofenceCoordinator(
+        ControllerConfig(), world.table, random.Random(0), control_enabled=False
+    )
+    if fence_center is not None:
+        coordinator.on_detection("f", fence_center, world.now)
+    coordinator.step(world.now, world.vehicles, 0.0)
+    row = _trace_row(world, coordinator, 0.0)
+    return row.total_rate, row.in_fence_rate
+
+
 def test_aggregate_all_electric_is_zero(table):
     v1 = vehicle("v1", mode=VehicleMode.ELECTRIC)
     v2 = vehicle("v2", mode=VehicleMode.ELECTRIC)
     world = world_with(straight_network(), table, [v1, v2])
-    assert aggregate_emission_rate(world) == 0.0
+    assert trace_rates(world, (0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_aggregate_restricted_to_fence(table):
@@ -146,12 +162,8 @@ def test_aggregate_restricted_to_fence(table):
     outside = vehicle("out")
     outside.edge_offset = 500.0
     world = world_with(straight_network(), table, [inside, outside])
-    fence = Geofence("f", (0.0, 0.0), 100.0, 0.0, 0.0)
-    total = aggregate_emission_rate(world)
-    in_fence = aggregate_emission_rate(world, fence)
-    single = aggregate_emission_rate(
-        world_with(straight_network(), table, [vehicle("only")])
-    )
+    total, in_fence = trace_rates(world, (0.0, 0.0))
+    single, _ = trace_rates(world_with(straight_network(), table, [vehicle("only")]))
     assert total == pytest.approx(2 * single)
     assert in_fence == pytest.approx(single)
 
@@ -163,7 +175,9 @@ def test_aggregate_mixed_modes_recompute(table):
     electric = vehicle("e", mode=VehicleMode.ELECTRIC)
     world = world_with(straight_network(speed=30.0), table, [polluting, electric])
     expected = vehicle_emission_rate(4, Pollutant.CO, 30.0, table)
-    assert aggregate_emission_rate(world) == pytest.approx(expected)
+    total, in_fence = trace_rates(world, (0.0, 0.0))
+    assert total == pytest.approx(expected)
+    assert in_fence == pytest.approx(expected)
 
 
 def test_run_zero_vehicles_trace_of_zeros(demo_slack):

@@ -3,7 +3,8 @@
 The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` and the
 output files of ``compare``, seed 42, plus single-vehicle mode, a
 two-fence run with actuation latency, tau above 1 and a background
-series, and the merged summary of ``sweep`` on one and on two workers.
+series, a run that tosses more often than it solves, and the merged
+summary of ``sweep`` on one and on two workers.
 A refactor or optimisation must leave them unchanged; a deliberate
 behaviour change updates them and says which bytes changed and why.
 """
@@ -64,6 +65,16 @@ TWO_TILE_DIGESTS = {
 
 SWEEP_DIGEST = "f9fc0256e2083f76dbb106943e7ee6a74e9e98af4263f2d08fde8da730c91224"
 
+# trace.csv is the digest of the code before toss-only ticks were tossed
+# against the stored problem: the same draws give the same modes.
+# commands.csv differs from that code's output (f98348e1...) only in the
+# density column of toss-only rows (1,592 of 8,073), which now reports the
+# density the assignment was solved with instead of the current one.
+TOSS_ONLY_DIGESTS = {
+    "trace.csv": "97b7213a090d738d7ab1a55678b220bf719045e35b52571dac2e3710303b6ed9",
+    "commands.csv": "da61b5e5a29597639dfda6df9cae5b23c88bd46caf4677630aa4e1bd70af0b65",
+}
+
 
 def two_tile_scenario(path):
     """Two copies of demo_ring 400 m apart, one cyclist each.
@@ -122,6 +133,19 @@ def test_two_tile_run_with_latency_and_background_matches_golden_digests(tmp_pat
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
     for name, digest in TWO_TILE_DIGESTS.items():
+        assert sha256(out / name) == digest, name
+
+
+def test_toss_only_ticks_match_golden_digests(tmp_path):
+    # demo_ring solving every 5 s and tossing every 1 s, so four ticks in
+    # five toss against the last solve
+    demo = json.loads(data_path("demo_ring.json").read_text())
+    demo["control"] = dict(demo["control"], tau=5.0, switch_interval=1.0)
+    scenario = tmp_path / "toss_only.json"
+    scenario.write_text(json.dumps(demo))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
+    for name, digest in TOSS_ONLY_DIGESTS.items():
         assert sha256(out / name) == digest, name
 
 
