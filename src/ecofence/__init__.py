@@ -25,7 +25,6 @@ from .emissions import (
     ConfigurationError,
     EmissionCoefficients,
     EmissionModelError,
-    Pollutant,
     emission_rate_g_per_km,
     load_default_table,
     to_g_per_min,
@@ -79,7 +78,6 @@ __all__ = [
     "GeofenceCoordinator",
     "GeofenceProblem",
     "ModeCommand",
-    "Pollutant",
     "Powertrain",
     "ProblemEntry",
     "RoadNetwork",

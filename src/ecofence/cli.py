@@ -17,7 +17,6 @@ import concurrent.futures
 import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -33,12 +32,21 @@ from .reporting import (
     write_table_csv,
     write_trace_csv,
 )
-from .scenario import Scenario, ScenarioError, load_density_file, load_scenario, with_density
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    _parse_background,
+    load_density_file,
+    load_scenario,
+    with_density,
+)
 
 logger = logging.getLogger(__name__)
 
 
 def _parse_background_arg(value: str):
+    """Read a ``--background`` value: a constant, or a ``time,level`` CSV file
+    as ``[[time, level], ...]``, the scenario file's form."""
     try:
         return float(value)
     except ValueError:
@@ -56,7 +64,7 @@ def _parse_background_arg(value: str):
             if len(parts) != 2:
                 raise ScenarioError([f"{value}:{lineno}: expected 'time,level'"])
             try:
-                series.append((float(parts[0]), float(parts[1])))
+                series.append([float(parts[0]), float(parts[1])])
             except ValueError:
                 raise ScenarioError([f"{value}:{lineno}: values must be numbers"]) from None
     if not series:
@@ -84,15 +92,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if getattr(args, "single_vehicle", False):
         scenario = dataclasses.replace(scenario, single_vehicle=True)
     if args.background is not None:
-        parsed = _parse_background_arg(args.background)
-        if isinstance(parsed, float):
-            if not math.isfinite(parsed):
-                raise ScenarioError(["background override must be finite"])
-            background = ((0.0, parsed),)
-        else:
-            if parsed[0][0] != 0.0:
-                raise ScenarioError(["background series must start at time 0"])
-            background = tuple(parsed)
+        problems: list[str] = []
+        raw = _parse_background_arg(args.background)
+        background = _parse_background(raw, problems, f"--background {args.background}")
+        if problems:
+            raise ScenarioError(problems)
         scenario = dataclasses.replace(scenario, background=background)
     if args.density is not None:
         weights = load_density_file(args.density, scenario.network)

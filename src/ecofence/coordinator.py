@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .emissions import CoefficientTable, Pollutant
+from .emissions import CoefficientTable
 from .network import SpatialHash
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
 
@@ -203,7 +203,8 @@ class GeofenceCoordinator:
     step; it returns the mode commands to schedule.  With
     ``control_enabled=False`` it still tracks fence lifecycle (so baseline
     runs record comparable fence state) but never solves, never draws from
-    the toss stream and never issues commands.
+    the toss stream and never issues commands; ``single_vehicle`` is a mode
+    of control, so it is ignored there and a baseline stays silent.
     """
 
     def __init__(
@@ -211,16 +212,14 @@ class GeofenceCoordinator:
         config: ControllerConfig,
         table: CoefficientTable,
         rng: random.Random,
-        pollutant: Pollutant = Pollutant.CO,
         control_enabled: bool = True,
         single_vehicle: bool = False,
     ) -> None:
         self.config = config
         self.table = table
         self.rng = rng
-        self.pollutant = pollutant
         self.control_enabled = control_enabled
-        self.single_vehicle = single_vehicle
+        self.single_vehicle = single_vehicle and control_enabled
         self.fences: dict[str, Geofence] = {}
         self.command_log: list[CommandRecord] = []
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
@@ -327,7 +326,7 @@ class GeofenceCoordinator:
             if snap.powertrain is Powertrain.PURE_EV:
                 rate = 0.0
             else:
-                rate = self.table.rate(snap.euro_class, self.pollutant, snap.speed)
+                rate = self.table.rate(snap.euro_class, snap.speed)
             entries.append(_record(ProblemEntry, (snap.vehicle_id, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 

@@ -6,10 +6,12 @@ A vehicle's emission rate is a polynomial curve of its average speed:
 
 with ``v`` in km/h.  Rates convert to the per-minute units used by the
 budget optimizer as ``rate_g_per_km * v / 60`` (g/km * km/h = g/h, /60 =
-g/min).  Coefficient sets are keyed by EURO class (1..4, lower class =
-dirtier vehicle) and pollutant, and are normally loaded from a coefficient
-table file; see :meth:`CoefficientTable.from_csv` for the format and
-:func:`load_default_table` for the bundled illustrative values.
+g/min).  The model tracks one pollutant, CO, the single number the
+budget rates each vehicle by, so a coefficient set is keyed by EURO class
+alone (1..4, lower class = dirtier vehicle).  Sets are normally loaded
+from a coefficient table file; see :meth:`CoefficientTable.from_csv` for
+the format and :func:`load_default_table` for the bundled illustrative
+values.
 
 The curve has a 1/v singularity, so speeds must be strictly positive when
 evaluating the g/km form.  A stationary vehicle is defined to emit 0 g/min
@@ -22,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from typing import Mapping
 
@@ -34,7 +35,9 @@ EURO_CLASSES = (1, 2, 3, 4)
 SPEED_DOMAIN = (1.0, 130.0)
 
 # Grid used for load-time table checks: domain endpoints plus every 5 km/h.
-_CHECK_SPEEDS = (1.0,) + tuple(float(v) for v in range(5, 131, 5))
+_CHECK_SPEEDS = (SPEED_DOMAIN[0],) + tuple(
+    float(v) for v in range(5, int(SPEED_DOMAIN[1]) + 1, 5)
+)
 
 
 class ConfigurationError(Exception):
@@ -43,19 +46,6 @@ class ConfigurationError(Exception):
 
 class EmissionModelError(Exception):
     """The emission curve produced a non-finite value."""
-
-
-class Pollutant(Enum):
-    """Pollutant species tracked by the model (extensible: NOx, PM, ...)."""
-
-    CO = "CO"
-
-
-def validate_euro_class(euro_class: int) -> int:
-    """Check that ``euro_class`` is one of the supported classes 1..4."""
-    if euro_class not in EURO_CLASSES:
-        raise ValueError(f"euro_class must be in {EURO_CLASSES}, got {euro_class!r}")
-    return euro_class
 
 
 @dataclass(frozen=True)
@@ -114,49 +104,43 @@ def to_g_per_min(rate_gkm: float, v: float) -> float:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficient sets for every (euro_class, pollutant) pair.
+    """Coefficient sets keyed by EURO class.
 
-    Tables must be total on EURO classes 1..4 for every pollutant they
-    carry, and dirtier (lower) classes must emit at least as much as
-    cleaner ones at any fixed speed.  Both properties are checked when a
-    table is constructed, over a sampled speed grid spanning
-    ``SPEED_DOMAIN``.
+    A non-empty table must be total on EURO classes 1..4, and dirtier
+    (lower) classes must emit at least as much as cleaner ones at any
+    fixed speed.  Both properties are checked when a table is constructed,
+    over a sampled speed grid spanning ``SPEED_DOMAIN``.
     """
 
-    entries: Mapping[tuple[int, Pollutant], EmissionCoefficients]
+    entries: Mapping[int, EmissionCoefficients]
 
     def __post_init__(self) -> None:
         self._validate()
         # memo of rate(); not a field, so equality and repr ignore it
         object.__setattr__(self, "_rates", {})
 
-    def rate(self, euro_class: int, pollutant: Pollutant, v: float) -> float:
+    def rate(self, euro_class: int, v: float) -> float:
         """:func:`vehicle_emission_rate` on this table, memoised per
-        (euro_class, pollutant, speed).
+        (euro_class, speed).
 
         Simulated speeds are edge limits or pinned values, so there are few
         keys.  A call that raises is not cached and raises again.
         """
-        key = (euro_class, pollutant, v)
+        key = (euro_class, v)
         rate = self._rates.get(key)
         if rate is None:
-            rate = self._rates[key] = vehicle_emission_rate(euro_class, pollutant, v, self)
+            rate = self._rates[key] = vehicle_emission_rate(euro_class, self, v)
         return rate
 
-    def lookup(self, euro_class: int, pollutant: Pollutant) -> EmissionCoefficients:
+    def lookup(self, euro_class: int) -> EmissionCoefficients:
         try:
-            return self.entries[(euro_class, pollutant)]
+            return self.entries[euro_class]
         except KeyError:
-            raise ConfigurationError(
-                f"no coefficients for euro_class={euro_class}, pollutant={pollutant.value}"
-            ) from None
-
-    def pollutants(self) -> tuple[Pollutant, ...]:
-        return tuple(sorted({p for _, p in self.entries}, key=lambda p: p.value))
+            raise ConfigurationError(f"no coefficients for euro_class={euro_class}") from None
 
     def _validate(self) -> None:
         problems: list[str] = []
-        for (cls, pollutant), coeffs in self.entries.items():
+        for cls, coeffs in self.entries.items():
             if cls not in EURO_CLASSES:
                 problems.append(f"unknown euro_class {cls!r}")
                 continue
@@ -164,39 +148,22 @@ class CoefficientTable:
                 try:
                     rate = emission_rate_g_per_km(coeffs, v)
                 except EmissionModelError:
-                    problems.append(
-                        f"class {cls}/{pollutant.value}: non-finite rate at v={v}"
-                    )
+                    problems.append(f"class {cls}: non-finite rate at v={v}")
                     break
                 if rate < 0:
-                    problems.append(
-                        f"class {cls}/{pollutant.value}: negative rate at v={v}"
-                    )
+                    problems.append(f"class {cls}: negative rate at v={v}")
                     break
-        for pollutant in self.pollutants():
-            present = [c for c in EURO_CLASSES if (c, pollutant) in self.entries]
-            if len(present) != len(EURO_CLASSES):
-                missing = sorted(set(EURO_CLASSES) - set(present))
-                problems.append(
-                    f"pollutant {pollutant.value}: missing classes {missing}"
-                )
-                continue
+        missing = [c for c in EURO_CLASSES if c not in self.entries]
+        if missing and self.entries:
+            problems.append(f"missing classes {missing}")
+        elif not missing:
             # Lower class = dirtier: rate must be non-decreasing as the
             # class number decreases, at every sampled speed.
             for v in _CHECK_SPEEDS:
-                rates = [
-                    emission_rate_g_per_km(self.entries[(c, pollutant)], v)
-                    for c in EURO_CLASSES
-                ]
-                for hi, lo in zip(rates, rates[1:]):
-                    if hi < lo:
-                        problems.append(
-                            f"pollutant {pollutant.value}: class ordering violated at v={v}"
-                        )
-                        break
-                else:
-                    continue
-                break
+                rates = [emission_rate_g_per_km(self.entries[c], v) for c in EURO_CLASSES]
+                if any(hi < lo for hi, lo in zip(rates, rates[1:])):
+                    problems.append(f"class ordering violated at v={v}")
+                    break
         if problems:
             raise ConfigurationError("invalid coefficient table: " + "; ".join(problems))
 
@@ -208,10 +175,11 @@ class CoefficientTable:
 
             euro_class,pollutant,k,a,b,c,d,e,f,g
 
-        Units are stated in the file header: rates on a g/km basis,
-        speeds in km/h.
+        The ``pollutant`` column must read ``CO`` on every row, the one
+        species the model tracks.  Units are stated in the file header:
+        rates on a g/km basis, speeds in km/h.
         """
-        entries: dict[tuple[int, Pollutant], EmissionCoefficients] = {}
+        entries: dict[int, EmissionCoefficients] = {}
         header: list[str] | None = None
         expected = ["euro_class", "pollutant", "k", "a", "b", "c", "d", "e", "f", "g"]
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -232,16 +200,16 @@ class CoefficientTable:
                 )
             try:
                 euro_class = int(fields[0])
-                pollutant = Pollutant(fields[1])
+                if fields[1] != "CO":
+                    raise ValueError(f"pollutant must be CO, got {fields[1]!r}")
                 values = [float(x) for x in fields[2:]]
             except ValueError as exc:
                 raise ConfigurationError(f"line {lineno}: {exc}") from None
-            key = (euro_class, pollutant)
-            if key in entries:
+            if euro_class in entries:
                 raise ConfigurationError(
-                    f"line {lineno}: duplicate entry for class {euro_class}/{fields[1]}"
+                    f"line {lineno}: duplicate entry for class {euro_class}"
                 )
-            entries[key] = EmissionCoefficients(*values)
+            entries[euro_class] = EmissionCoefficients(*values)
         if header is None:
             raise ConfigurationError("coefficient table has no header row")
         return cls(entries=entries)
@@ -263,18 +231,13 @@ def load_default_table() -> CoefficientTable:
     return CoefficientTable.from_csv(resource.read_text(encoding="utf-8"))
 
 
-def vehicle_emission_rate(
-    euro_class: int,
-    pollutant: Pollutant,
-    v: float,
-    table: CoefficientTable,
-) -> float:
+def vehicle_emission_rate(euro_class: int, table: CoefficientTable, v: float) -> float:
     """Per-minute emission rate for a vehicle of the given class at speed ``v``.
 
     A stationary vehicle (v = 0) emits 0 g/min by definition; the singular
     g/km form is never evaluated in that case.
     """
-    coeffs = table.lookup(euro_class, pollutant)
+    coeffs = table.lookup(euro_class)
     if v < 0:
         raise ValueError("speed must be non-negative")
     if v == 0:

@@ -36,7 +36,7 @@ from .coordinator import (
     VehicleMode,
     euclidean,
 )
-from .emissions import CoefficientTable, Pollutant, load_default_table
+from .emissions import CoefficientTable, load_default_table
 from .network import Edge, Point, RoadNetwork, SpatialHash
 from .scenario import CyclistSpec, FleetEntry, Scenario
 
@@ -337,7 +337,7 @@ def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level:
             )
         )
         if mode is VehicleMode.POLLUTING:
-            vehicle_rate = rate(vehicle.euro_class, Pollutant.CO, vehicle.speed)
+            vehicle_rate = rate(vehicle.euro_class, vehicle.speed)
             total += vehicle_rate
             if vid in member_union:
                 in_fence += vehicle_rate

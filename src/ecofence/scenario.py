@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .coordinator import ControllerConfig, Powertrain
+from .emissions import EURO_CLASSES
 from .network import Edge, RoadNetwork
 
 BackgroundSeries = tuple[tuple[float, float], ...]
@@ -159,6 +160,9 @@ def _parse_background(raw: Any, problems: list[str], where: str) -> BackgroundSe
         ):
             problems.append(f"{where}[{i}]: breakpoint must be [time, level]")
             return ((0.0, 0.0),)
+        if not all(math.isfinite(x) for x in pair):
+            problems.append(f"{where}[{i}]: time and level must be finite")
+            return ((0.0, 0.0),)
         series.append((float(pair[0]), float(pair[1])))
     if series[0][0] != 0.0:
         problems.append(f"{where}: first breakpoint must be at time 0")
@@ -259,7 +263,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}.spawn_time: must be >= 0")
             spawn_time = 0.0
         euro_class = raw.get("euro_class")
-        if euro_class is not None and euro_class not in (1, 2, 3, 4):
+        if euro_class is not None and euro_class not in EURO_CLASSES:
             problems.append(f"{where}.euro_class: must be 1..4 or null, got {euro_class!r}")
             euro_class = None
         speed = _number(raw, "speed", problems, where)

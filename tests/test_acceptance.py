@@ -14,7 +14,6 @@ import pytest
 
 from ecofence import (
     GeofenceProblem,
-    Pollutant,
     ProblemEntry,
     brute_force_solve,
     budget_spend,
@@ -185,7 +184,7 @@ def test_criterion_7_emission_model(table):
         composed = to_g_per_min(emission_rate_g_per_km(coeffs, 30.0), 30.0)
         assert composed == 1.0
         for v in (10.0, 30.0, 50.0, 90.0, 130.0):
-            rates = [vehicle_emission_rate(c, Pollutant.CO, v, table) for c in (1, 2, 3, 4)]
+            rates = [vehicle_emission_rate(c, table, v) for c in (1, 2, 3, 4)]
             assert rates == sorted(rates, reverse=True)
             assert all(r > 0 for r in rates)
 

@@ -114,6 +114,35 @@ def test_background_override_file(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0.2\n50,1.5\n20,0.1\n", "strictly increasing"),
+        ("0,0.2\n50,1.5\n50,0.1\n", "strictly increasing"),
+        ("0,nan\n", "finite"),
+    ],
+    ids=["decreasing", "duplicate", "nan"],
+)
+def test_background_file_fails_scenario_validation(tmp_path, capsys, rows, message):
+    series = tmp_path / "bg.csv"
+    series.write_text("time,level\n" + rows)
+    code = main(
+        [
+            "run",
+            "--scenario",
+            scenario_arg(),
+            "--seed",
+            "3",
+            "--background",
+            str(series),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_density_override(tmp_path):
     weights = tmp_path / "w.csv"
     weights.write_text("edge_id,weight\nring_s,4.0\n")

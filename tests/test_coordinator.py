@@ -14,7 +14,6 @@ from ecofence.coordinator import (
     single_vehicle_mode,
     toss_polluting,
 )
-from ecofence.emissions import Pollutant
 
 
 def snap(vid, pos=(0.0, 0.0), speed=30.0, euro=4, powertrain=Powertrain.HYBRID, density=1.0):
@@ -244,7 +243,7 @@ def test_toss_only_tick_logs_the_solved_problem(table):
     coord.step(0.0, {"v1": snap("v1", euro=1, speed=10.0, density=1.0)}, background_level=0.0)
     coord.step(1.0, {"v1": snap("v1", euro=1, speed=30.0, density=3.0)}, background_level=0.0)
     first, second = coord.command_log
-    assert (first.density, first.emission_rate) == (1.0, table.rate(1, Pollutant.CO, 10.0))
+    assert (first.density, first.emission_rate) == (1.0, table.rate(1, 10.0))
     assert (second.density, second.emission_rate) == (first.density, first.emission_rate)
     assert second.assignment == first.assignment
     assert 0.0 < first.assignment < 1.0  # the budget binds

@@ -8,15 +8,11 @@ from ecofence.emissions import (
     ConfigurationError,
     EmissionCoefficients,
     EmissionModelError,
-    Pollutant,
     emission_rate_g_per_km,
     load_default_table,
     to_g_per_min,
-    validate_euro_class,
     vehicle_emission_rate,
 )
-
-CO = Pollutant.CO
 
 
 def test_rate_reduces_to_ka_over_v():
@@ -73,35 +69,35 @@ def test_to_g_per_min_rejects_negative():
 def test_vehicle_rate_composes(table):
     coeffs = EmissionCoefficients(k=1.0, a=60.0)
     custom = CoefficientTable(
-        entries={(c, CO): coeffs for c in (1, 2, 3, 4)}
+        entries={c: coeffs for c in (1, 2, 3, 4)}
     )
-    assert vehicle_emission_rate(3, CO, 30.0, custom) == 1.0
+    assert vehicle_emission_rate(3, custom, 30.0) == 1.0
 
 
 def test_vehicle_rate_zero_speed_is_zero(table):
-    assert vehicle_emission_rate(1, CO, 0.0, table) == 0.0
+    assert vehicle_emission_rate(1, table, 0.0) == 0.0
 
 
 def test_vehicle_rate_missing_entry_is_configuration_error(table):
     with pytest.raises(ConfigurationError):
-        vehicle_emission_rate(1, CO, 30.0, CoefficientTable(entries={}))
+        vehicle_emission_rate(1, CoefficientTable(entries={}), 30.0)
 
 
 def test_vehicle_rate_rejects_negative_speed(table):
     with pytest.raises(ValueError):
-        vehicle_emission_rate(1, CO, -1.0, table)
+        vehicle_emission_rate(1, table, -1.0)
 
 
 def test_default_table_class_ordering_at_40(table):
-    dirty = vehicle_emission_rate(1, CO, 40.0, table)
-    clean = vehicle_emission_rate(4, CO, 40.0, table)
+    dirty = vehicle_emission_rate(1, table, 40.0)
+    clean = vehicle_emission_rate(4, table, 40.0)
     assert dirty >= clean
     assert dirty > 0 and clean > 0
 
 
 @pytest.mark.parametrize("v", [1.0, 10.0, 30.0, 50.0, 90.0, 130.0])
 def test_default_table_monotone_in_class(table, v):
-    rates = [emission_rate_g_per_km(table.lookup(c, CO), v) for c in (1, 2, 3, 4)]
+    rates = [emission_rate_g_per_km(table.lookup(c), v) for c in (1, 2, 3, 4)]
     assert rates == sorted(rates, reverse=True)
 
 
@@ -109,7 +105,7 @@ def test_default_table_monotone_in_class(table, v):
 def test_default_table_rates_finite_nonnegative(v):
     table = load_default_table()
     for cls in (1, 2, 3, 4):
-        rate = emission_rate_g_per_km(table.lookup(cls, CO), v)
+        rate = emission_rate_g_per_km(table.lookup(cls), v)
         assert math.isfinite(rate)
         assert rate >= 0.0
 
@@ -123,22 +119,22 @@ def test_composed_rate_limit_near_zero_speed():
 
 
 def test_table_rejects_missing_class():
-    entries = {(c, CO): EmissionCoefficients(k=1.0, a=10.0) for c in (1, 2, 3)}
+    entries = {c: EmissionCoefficients(k=1.0, a=10.0) for c in (1, 2, 3)}
     with pytest.raises(ConfigurationError, match="missing classes"):
         CoefficientTable(entries=entries)
 
 
 def test_table_rejects_class_ordering_violation():
-    entries = {(c, CO): EmissionCoefficients(k=1.0, a=float(c)) for c in (1, 2, 3, 4)}
+    entries = {c: EmissionCoefficients(k=1.0, a=float(c)) for c in (1, 2, 3, 4)}
     with pytest.raises(ConfigurationError, match="ordering"):
         CoefficientTable(entries=entries)
 
 
 def test_table_csv_round_trip(table):
     lines = ["euro_class,pollutant,k,a,b,c,d,e,f,g"]
-    for (cls, pollutant), co in sorted(table.entries.items(), key=lambda kv: kv[0][0]):
+    for cls, co in sorted(table.entries.items()):
         lines.append(
-            f"{cls},{pollutant.value},{co.k},{co.a},{co.b},{co.c},{co.d},{co.e},{co.f},{co.g}"
+            f"{cls},CO,{co.k},{co.a},{co.b},{co.c},{co.d},{co.e},{co.f},{co.g}"
         )
     reparsed = CoefficientTable.from_csv("\n".join(lines))
     assert reparsed == table
@@ -159,10 +155,20 @@ def test_table_csv_duplicate_row():
         CoefficientTable.from_csv(text)
 
 
-def test_validate_euro_class():
-    assert validate_euro_class(3) == 3
-    with pytest.raises(ValueError):
-        validate_euro_class(5)
+def test_table_csv_rejects_a_pollutant_other_than_co():
+    text = (
+        "euro_class,pollutant,k,a,b,c,d,e,f,g\n"
+        "1,CO,1,10,0,0,0,0,0,0\n"
+        "2,NOx,1,10,0,0,0,0,0,0\n"
+    )
+    with pytest.raises(ConfigurationError, match="line 3: .*NOx"):
+        CoefficientTable.from_csv(text)
+
+
+def test_table_csv_with_three_classes_reports_the_missing_class():
+    rows = "".join(f"{c},CO,1,10,0,0,0,0,0,0\n" for c in (1, 2, 3))
+    with pytest.raises(ConfigurationError, match=r"missing classes \[4\]"):
+        CoefficientTable.from_csv("euro_class,pollutant,k,a,b,c,d,e,f,g\n" + rows)
 
 
 # -- memoised rates ------------------------------------------------------------
@@ -181,30 +187,30 @@ def test_memoised_rate_equals_uncached_rate_on_bundled_demos(table, demo_ring, d
     memo = load_default_table()
     for v in demo_speeds(demo_ring, demo_slack, demo_lifecycle):
         for euro_class in (1, 2, 3, 4):
-            expected = vehicle_emission_rate(euro_class, CO, v, table)
-            assert memo.rate(euro_class, CO, v) == expected
-            assert memo.rate(euro_class, CO, v) == expected  # served from the memo
+            expected = vehicle_emission_rate(euro_class, table, v)
+            assert memo.rate(euro_class, v) == expected
+            assert memo.rate(euro_class, v) == expected  # served from the memo
 
 
 def test_memoised_rate_does_not_cache_errors(table):
     memo = load_default_table()
     for _ in range(2):
         with pytest.raises(ValueError):
-            memo.rate(1, CO, -1.0)
+            memo.rate(1, -1.0)
     empty = CoefficientTable(entries={})
     for _ in range(2):
         with pytest.raises(ConfigurationError):
-            empty.rate(1, CO, 30.0)
+            empty.rate(1, 30.0)
 
 
 def test_memoised_rates_are_per_table(table):
-    flat = CoefficientTable(entries={(c, CO): EmissionCoefficients(k=1.0, a=60.0) for c in (1, 2, 3, 4)})
-    assert flat.rate(3, CO, 30.0) == 1.0
-    assert table.rate(3, CO, 30.0) == vehicle_emission_rate(3, CO, 30.0, table) != 1.0
-    assert flat.rate(3, CO, 30.0) == 1.0
+    flat = CoefficientTable(entries={c: EmissionCoefficients(k=1.0, a=60.0) for c in (1, 2, 3, 4)})
+    assert flat.rate(3, 30.0) == 1.0
+    assert table.rate(3, 30.0) == vehicle_emission_rate(3, table, 30.0) != 1.0
+    assert flat.rate(3, 30.0) == 1.0
 
 
 def test_memo_does_not_affect_table_equality(table):
     fresh = load_default_table()
-    fresh.rate(1, CO, 30.0)
+    fresh.rate(1, 30.0)
     assert fresh == load_default_table()

@@ -169,12 +169,12 @@ def test_aggregate_restricted_to_fence(table):
 
 
 def test_aggregate_mixed_modes_recompute(table):
-    from ecofence.emissions import Pollutant, vehicle_emission_rate
+    from ecofence.emissions import vehicle_emission_rate
 
     polluting = vehicle("p", mode=VehicleMode.POLLUTING)
     electric = vehicle("e", mode=VehicleMode.ELECTRIC)
     world = world_with(straight_network(speed=30.0), table, [polluting, electric])
-    expected = vehicle_emission_rate(4, Pollutant.CO, 30.0, table)
+    expected = vehicle_emission_rate(4, table, 30.0)
     total, in_fence = trace_rates(world, (0.0, 0.0))
     assert total == pytest.approx(expected)
     assert in_fence == pytest.approx(expected)
@@ -211,7 +211,7 @@ def test_run_different_seed_same_spawns(demo_ring):
 
 
 def test_run_accounting_conservation(demo_ring, table):
-    from ecofence.emissions import Pollutant, vehicle_emission_rate
+    from ecofence.emissions import vehicle_emission_rate
 
     result = run(demo_ring, 42)
     for row in result.trace.rows:
@@ -219,7 +219,7 @@ def test_run_accounting_conservation(demo_ring, table):
         for fence in row.fences:
             member_union.update(fence.member_ids)
         out_rate = sum(
-            vehicle_emission_rate(e.euro_class, Pollutant.CO, e.speed, table)
+            vehicle_emission_rate(e.euro_class, table, e.speed)
             for e in row.vehicles
             if e.mode == "polluting" and e.vehicle_id not in member_union
         )
@@ -238,7 +238,7 @@ def test_spawned_classes_drawn_when_unspecified(demo_slack):
 
 def test_no_electric_vehicle_contributes(demo_ring):
     result = run(demo_ring, 42)
-    from ecofence.emissions import Pollutant, vehicle_emission_rate
+    from ecofence.emissions import vehicle_emission_rate
     from ecofence import load_default_table
 
     table = load_default_table()
@@ -247,7 +247,7 @@ def test_no_electric_vehicle_contributes(demo_ring):
         for fence in row.fences:
             member_union.update(fence.member_ids)
         recomputed = sum(
-            vehicle_emission_rate(e.euro_class, Pollutant.CO, e.speed, table)
+            vehicle_emission_rate(e.euro_class, table, e.speed)
             for e in row.vehicles
             if e.mode == "polluting" and e.vehicle_id in member_union
         )

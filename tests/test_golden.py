@@ -157,3 +157,16 @@ def test_sweep_summary_matches_golden_digest(jobs, tmp_path):
     ]
     assert cli.main(argv) == 0
     assert sha256(tmp_path / "sweep_summary.json") == SWEEP_DIGEST
+
+
+def test_baseline_in_single_vehicle_mode_never_commands(tmp_path):
+    # single-vehicle mode is a mode of control: without control it must not
+    # switch detectors, so the run equals the plain baseline byte for byte
+    base = ["run", "--scenario", str(data_path("demo_ring.json")), "--seed", "42", "--no-control"]
+    assert cli.main(base + ["--out", str(tmp_path / "plain")]) == 0
+    assert cli.main(base + ["--single-vehicle", "--out", str(tmp_path / "single")]) == 0
+    commands = (tmp_path / "single" / "commands.csv").read_text().splitlines()
+    assert commands == (tmp_path / "plain" / "commands.csv").read_text().splitlines()
+    assert len(commands) == 1  # header only
+    assert sha256(tmp_path / "single" / "trace.csv") == sha256(tmp_path / "plain" / "trace.csv")
+    assert sha256(tmp_path / "single" / "trace.csv") == COMPARE_DIGESTS["baseline_trace.csv"]

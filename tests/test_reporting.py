@@ -48,6 +48,13 @@ def test_compare_loads_the_coefficient_table_once(demo_slack, monkeypatch):
     assert len(calls) == 1
 
 
+def test_compare_baseline_is_silent_in_single_vehicle_mode(demo_ring, demo_ring_compare):
+    compared = run_compare(dataclasses.replace(demo_ring, single_vehicle=True), 42)
+    assert compared.control.commands  # the detectors do switch under control
+    assert compared.baseline.commands == ()
+    assert compared.baseline.trace.rows == demo_ring_compare.baseline.trace.rows
+
+
 def test_compare_demo_ring_summary(demo_ring_compare):
     summary = demo_ring_compare.summary
     assert summary.baseline_mean_in_fence > 1.1

@@ -64,6 +64,9 @@ def test_background_series_validation(demo_ring_dict):
     doc["control"]["background"] = [[0.0, 0.5], [5.0, 0.2], [5.0, 0.9]]
     with pytest.raises(ScenarioError, match="strictly increasing"):
         parse_scenario(doc)
+    doc["control"]["background"] = [[0.0, 0.5], [5.0, float("nan")]]
+    with pytest.raises(ScenarioError, match="finite"):
+        parse_scenario(doc)
 
 
 def test_background_lookup(demo_ring_dict):
