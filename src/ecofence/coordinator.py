@@ -171,10 +171,14 @@ def euclidean(a: Position, b: Position) -> float:
 
 
 def members(fence: Geofence, positions: dict[str, Position]) -> set[str]:
-    """Vehicle ids within the fence radius (boundary inclusive)."""
-    return {
-        vid for vid, pos in positions.items() if euclidean(pos, fence.center) <= fence.radius
-    }
+    """Vehicle ids within the fence radius (boundary inclusive).
+
+    The distance test is :func:`euclidean` written out, to the same bits.
+    """
+    cx, cy = fence.center
+    radius = fence.radius
+    hypot = math.hypot
+    return {vid for vid, (x, y) in positions.items() if hypot(x - cx, y - cy) <= radius}
 
 
 def toss_polluting(x: float, rng: random.Random) -> tuple[bool, float]:
@@ -284,8 +288,9 @@ class GeofenceCoordinator:
     def _command(self, now: float, fence_id: str, vehicle_id: str, mode: VehicleMode) -> ModeCommand:
         """Log and return a command that enacts no assignment."""
         effective = now + self.config.actuation_latency
+        name = "polluting" if mode is VehicleMode.POLLUTING else "electric"
         self.command_log.append(
-            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode.value, effective))
+            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, name, effective))
         )
         return _record(ModeCommand, (vehicle_id, mode, now, effective))
 
@@ -321,13 +326,16 @@ class GeofenceCoordinator:
         at no budget cost.  A non-finite limit is rejected by
         :class:`GeofenceProblem`.
         """
+        rate_of = self.table.rate
+        pure_ev = Powertrain.PURE_EV
         entries = []
+        append = entries.append
         for snap in self._controllable(fence, snapshots):
-            if snap.powertrain is Powertrain.PURE_EV:
+            if snap.powertrain is pure_ev:
                 rate = 0.0
             else:
-                rate = self.table.rate(snap.euro_class, snap.speed)
-            entries.append(_record(ProblemEntry, (snap.vehicle_id, snap.density_weight, rate)))
+                rate = rate_of(snap.euro_class, snap.speed)
+            append(_record(ProblemEntry, (snap.vehicle_id, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
     def _toss_fence(
@@ -348,36 +356,33 @@ class GeofenceCoordinator:
             snap = snapshots[fence.last_detector_id]
             if snap.powertrain is not Powertrain.PURE_ICE:
                 forced_detector = fence.last_detector_id
+        fence_id = fence.fence_id
         values = fence.assignment.values
+        toss = toss_polluting
+        rng = self.rng
+        controlled = self._controlled
+        log = self.command_log.append
+        append = commands.append
+        pure_ev = Powertrain.PURE_EV
+        polluting_mode = VehicleMode.POLLUTING
+        electric_mode = VehicleMode.ELECTRIC
         for entry in fence.problem.entries:
-            snap = snapshots[entry.vehicle_id]
-            x = values[entry.vehicle_id]
-            polluting, draw = toss_polluting(x, self.rng)
-            if snap.powertrain is Powertrain.PURE_EV:
-                mode = VehicleMode.ELECTRIC
+            vehicle_id, density, rate = entry
+            x = values[vehicle_id]
+            polluting, draw = toss(x, rng)
+            if snapshots[vehicle_id].powertrain is pure_ev:
+                polluting = False
             else:
-                mode = VehicleMode.POLLUTING if polluting else VehicleMode.ELECTRIC
-                self._controlled[entry.vehicle_id] = fence.fence_id
-            commands.append(_record(ModeCommand, (entry.vehicle_id, mode, now, effective)))
-            self.command_log.append(
-                _record(
-                    CommandRecord,
-                    (
-                        now,
-                        fence.fence_id,
-                        entry.vehicle_id,
-                        entry.density,
-                        entry.emission_rate,
-                        x,
-                        draw,
-                        mode.value,
-                        effective,
-                    ),
-                )
-            )
+                controlled[vehicle_id] = fence_id
+            if polluting:
+                mode, name = polluting_mode, "polluting"
+            else:
+                mode, name = electric_mode, "electric"
+            append(_record(ModeCommand, (vehicle_id, mode, now, effective)))
+            log(_record(CommandRecord, (now, fence_id, vehicle_id, density, rate, x, draw, name, effective)))
         if forced_detector is not None:
-            self._controlled[forced_detector] = fence.fence_id
-            commands.append(self._command(now, fence.fence_id, forced_detector, VehicleMode.ELECTRIC))
+            controlled[forced_detector] = fence_id
+            append(self._command(now, fence_id, forced_detector, electric_mode))
         return commands
 
     # -- per-step driver -----------------------------------------------------
@@ -387,6 +392,7 @@ class GeofenceCoordinator:
         now: float,
         snapshots: Mapping[str, VehicleSnapshot],
         background_level: float,
+        grid: SpatialHash | None = None,
     ) -> list[ModeCommand]:
         """Advance the coordinator one simulation step.
 
@@ -399,8 +405,15 @@ class GeofenceCoordinator:
         rates and densities the assignment was solved for.  A toss over a
         different set of controllable vehicles than the stored problem's
         forces a fresh solve first, so the expected-rate budget always
-        covers the vehicles actually being tossed.  Membership candidates
-        come from a spatial hash with cells of the fence radius.
+        covers the vehicles actually being tossed.
+
+        Membership candidates come from ``grid``, a
+        :class:`~ecofence.network.SpatialHash` of every vehicle in
+        ``snapshots`` keyed by vehicle id at its ``position``; any cell
+        size works, since the hash only prunes and ``members`` keeps the
+        exact test.  The engine passes the one hash it builds per step.
+        Without a grid, ``step`` builds its own with cells of the fence
+        radius, and only when a fence is active.
 
         ``snapshots`` maps every vehicle on the road to a
         :class:`VehicleSnapshot` or any object with its attributes (the
@@ -414,9 +427,10 @@ class GeofenceCoordinator:
         commands = self.expire(now)
         in_any_fence: set[str] = set()
         if self.fences:
-            grid = SpatialHash(
-                self.config.radius, ((vid, snap.position) for vid, snap in snapshots.items())
-            )
+            if grid is None:
+                grid = SpatialHash(
+                    self.config.radius, ((vid, snap.position) for vid, snap in snapshots.items())
+                )
             for fence in self.fences.values():
                 fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
                 in_any_fence.update(fence.member_ids)

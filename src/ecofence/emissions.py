@@ -66,15 +66,8 @@ class EmissionCoefficients:
     g: float = 0.0
 
 
-def emission_rate_g_per_km(coeffs: EmissionCoefficients, v: float) -> float:
-    """Evaluate the average-speed curve at speed ``v`` (km/h), in g/km.
-
-    Raises ValueError for v <= 0 (the k/v term is singular at 0) and
-    EmissionModelError if the result is not finite.  Negative polynomial
-    values are physically meaningless and clamp to 0 with a warning.
-    """
-    if v <= 0:
-        raise ValueError("speed must be positive")
+def _curve_g_per_km(coeffs: EmissionCoefficients, v: float) -> float:
+    """The curve's raw value at speed ``v`` > 0: neither clamped nor checked."""
     poly = (
         coeffs.a
         + coeffs.b * v
@@ -84,7 +77,19 @@ def emission_rate_g_per_km(coeffs: EmissionCoefficients, v: float) -> float:
         + coeffs.f * v**5
         + coeffs.g * v**6
     )
-    rate = coeffs.k / v * poly
+    return coeffs.k / v * poly
+
+
+def emission_rate_g_per_km(coeffs: EmissionCoefficients, v: float) -> float:
+    """Evaluate the average-speed curve at speed ``v`` (km/h), in g/km.
+
+    Raises ValueError for v <= 0 (the k/v term is singular at 0) and
+    EmissionModelError if the result is not finite.  Negative polynomial
+    values are physically meaningless and clamp to 0 with a warning.
+    """
+    if v <= 0:
+        raise ValueError("speed must be positive")
+    rate = _curve_g_per_km(coeffs, v)
     if not math.isfinite(rate):
         raise EmissionModelError(f"emission rate is not finite at v={v} for {coeffs}")
     if rate < 0.0:
@@ -108,8 +113,9 @@ class CoefficientTable:
 
     A non-empty table must be total on EURO classes 1..4, and dirtier
     (lower) classes must emit at least as much as cleaner ones at any
-    fixed speed.  Both properties are checked when a table is constructed,
-    over a sampled speed grid spanning ``SPEED_DOMAIN``.
+    fixed speed.  Both properties, and that every curve is finite and
+    non-negative before the runtime clamp, are checked when a table is
+    constructed, over a sampled speed grid spanning ``SPEED_DOMAIN``.
     """
 
     entries: Mapping[int, EmissionCoefficients]
@@ -144,10 +150,10 @@ class CoefficientTable:
             if cls not in EURO_CLASSES:
                 problems.append(f"unknown euro_class {cls!r}")
                 continue
+            # the raw curve: the runtime clamp would hide a negative rate
             for v in _CHECK_SPEEDS:
-                try:
-                    rate = emission_rate_g_per_km(coeffs, v)
-                except EmissionModelError:
+                rate = _curve_g_per_km(coeffs, v)
+                if not math.isfinite(rate):
                     problems.append(f"class {cls}: non-finite rate at v={v}")
                     break
                 if rate < 0:
@@ -156,11 +162,12 @@ class CoefficientTable:
         missing = [c for c in EURO_CLASSES if c not in self.entries]
         if missing and self.entries:
             problems.append(f"missing classes {missing}")
-        elif not missing:
+        elif not missing and not problems:
             # Lower class = dirtier: rate must be non-decreasing as the
-            # class number decreases, at every sampled speed.
+            # class number decreases, at every sampled speed.  Every curve
+            # is finite and non-negative here, so the raw value is the rate.
             for v in _CHECK_SPEEDS:
-                rates = [emission_rate_g_per_km(self.entries[c], v) for c in EURO_CLASSES]
+                rates = [_curve_g_per_km(self.entries[c], v) for c in EURO_CLASSES]
                 if any(hi < lo for hi, lo in zip(rates, rates[1:])):
                     problems.append(f"class ordering violated at v={v}")
                     break

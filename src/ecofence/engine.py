@@ -16,15 +16,18 @@ moves onto the next one.  Each vehicle is one live record,
 speed and density weight once, and detection, the coordinator (which
 takes the records as its snapshots) and the trace row all read them.
 Both proximity questions of a step (which vehicles are near a cyclist,
-which are inside a fence) are answered from a uniform-grid
-:class:`~ecofence.network.SpatialHash` built once for the step, so the
-step's work is linear in vehicles plus cyclists.  Everything is driven
-by two purpose-split seeded streams (spawn draws, coin tosses), so a run
-is fully determined by (scenario, seed).
+which are inside a fence) are answered from one uniform-grid
+:class:`~ecofence.network.SpatialHash` that ``run`` builds per step, with
+cells of the larger of the fence radius and the detection range, and only
+while a cyclist is on the road or a fence is active, so the step's work
+is linear in vehicles plus cyclists.  Everything is driven by two
+purpose-split seeded streams (spawn draws, coin tosses), so a run is
+fully determined by (scenario, seed).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,7 +37,6 @@ from .coordinator import (
     ModeCommand,
     Powertrain,
     VehicleMode,
-    euclidean,
 )
 from .emissions import CoefficientTable, load_default_table
 from .network import Edge, Point, RoadNetwork, SpatialHash
@@ -154,9 +156,10 @@ def step(world: World, dt: float) -> World:
     network = world.network
     arrived = []
     for vid, vehicle in world.vehicles.items():
-        edge = vehicle.current_edge(network)
-        speed = vehicle.speed_override if vehicle.speed_override is not None else edge.speed_limit
-        vehicle.advance(speed / 3.6 * dt, network)
+        # a vehicle moves at the speed its last refresh read off its edge
+        if vehicle.position is None:
+            vehicle.refresh(network)
+        vehicle.advance(vehicle.speed / 3.6 * dt, network)
         if vehicle.finished:
             arrived.append(vid)
     for cyclist in world.cyclists.values():
@@ -201,28 +204,36 @@ def _refresh_unplaced(world: World) -> None:
             vehicle.refresh(world.network)
 
 
-def detect(world: World, detection_range: float) -> list[tuple[str, str]]:
+def detect(
+    world: World, detection_range: float, grid: SpatialHash | None = None
+) -> list[tuple[str, str]]:
     """(cyclist_id, vehicle_id) pairs within straight-line detection range.
 
     Sorted ascending so downstream fence updates are order-deterministic;
     when several vehicles detect the same cyclist in one step, the
-    highest-sorting vehicle ends up centring the fence.  Candidates come
-    from a spatial hash with cells of the detection range.  Vehicle
-    positions are read from the records as ``step`` last refreshed them.
+    highest-sorting vehicle ends up centring the fence.  Vehicle positions
+    are read from the records as ``step`` last refreshed them.  Candidates
+    come from ``grid``, a spatial hash of every vehicle at that position,
+    of any cell size (``run`` passes its per-step hash); without one,
+    ``detect`` refreshes unplaced records and builds a hash with cells of
+    the detection range.
     """
     if detection_range <= 0:
         raise ValueError("detection_range must be positive")
     if not world.cyclists:
         return []
-    _refresh_unplaced(world)
-    grid = SpatialHash(
-        detection_range, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items())
-    )
+    if grid is None:
+        _refresh_unplaced(world)
+        grid = SpatialHash(
+            detection_range, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items())
+        )
+    hypot = math.hypot
     events = []
     for cid in sorted(world.cyclists):
         cyclist_pos = world.cyclists[cid].position(world.network)
+        cx, cy = cyclist_pos
         near = grid.near(cyclist_pos, detection_range)
-        hits = [vid for vid, pos in near.items() if euclidean(cyclist_pos, pos) <= detection_range]
+        hits = [vid for vid, (x, y) in near.items() if hypot(cx - x, cy - y) <= detection_range]
         events.extend((cid, vid) for vid in sorted(hits))
     return events
 
@@ -318,29 +329,24 @@ def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level:
     for fence in fences:
         member_union.update(fence.member_ids)
     rate = world.table.rate
+    polluting = VehicleMode.POLLUTING
     in_fence = 0.0
     total = 0.0
     entries = []
+    append = entries.append
     for vid, vehicle in world.vehicles.items():
-        mode = vehicle.mode
-        entries.append(
-            _record(
-                VehicleTraceEntry,
-                (
-                    vid,
-                    vehicle.euro_class,
-                    vehicle.route[vehicle.route_index],
-                    vehicle.edge_offset,
-                    vehicle.speed,
-                    mode.value,
-                ),
-            )
-        )
-        if mode is VehicleMode.POLLUTING:
-            vehicle_rate = rate(vehicle.euro_class, vehicle.speed)
+        euro_class = vehicle.euro_class
+        speed = vehicle.speed
+        if vehicle.mode is polluting:
+            mode = "polluting"
+            vehicle_rate = rate(euro_class, speed)
             total += vehicle_rate
             if vid in member_union:
                 in_fence += vehicle_rate
+        else:
+            mode = "electric"
+        edge_id = vehicle.route[vehicle.route_index]
+        append(_record(VehicleTraceEntry, (vid, euro_class, edge_id, vehicle.edge_offset, speed, mode)))
     return TraceRow(
         sim_time=world.now,
         budget=budget,
@@ -372,6 +378,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
         control_enabled=scenario.control_enabled,
         single_vehicle=scenario.single_vehicle,
     )
+    cell = max(scenario.controller.radius, scenario.detection_range)
     fleet_cursor = 0
     cyclist_cursor = 0
     rows = []
@@ -379,7 +386,11 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
         fleet_cursor = _spawn_due(world, scenario.fleet, fleet_cursor, rng_spawn)
         cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
         step(world, scenario.dt)
-        for cyclist_id, vehicle_id in detect(world, scenario.detection_range):
+        # one hash answers both proximity questions of the step
+        grid = None
+        if world.cyclists or coordinator.fences:
+            grid = SpatialHash(cell, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items()))
+        for cyclist_id, vehicle_id in detect(world, scenario.detection_range, grid):
             coordinator.on_detection(
                 cyclist_id,
                 world.vehicles[vehicle_id].position,
@@ -387,7 +398,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
                 detecting_vehicle_id=vehicle_id,
             )
         background_level = scenario.background_at(world.now)
-        commands = coordinator.step(world.now, world.vehicles, background_level)
+        commands = coordinator.step(world.now, world.vehicles, background_level, grid)
         world.pending_commands.extend(commands)
         rows.append(_trace_row(world, coordinator, background_level))
     return RunResult(

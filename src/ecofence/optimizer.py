@@ -92,22 +92,31 @@ def solve(problem: GeofenceProblem) -> Assignment:
     values: dict[str, float] = {}
     objective = 0.0
     costed: list[tuple[float, float, int, ProblemEntry]] = []
+    append = costed.append
     for index, entry in enumerate(problem.entries):
-        if entry.emission_rate == 0.0:
-            values[entry.vehicle_id] = 1.0
-            objective += 1.0 / entry.density
+        vehicle_id, density, rate = entry
+        if rate == 0.0:
+            values[vehicle_id] = 1.0
+            objective += 1.0 / density
         else:
-            key = entry.density * entry.emission_rate
-            costed.append((key, entry.density, index, entry))
-    costed.sort(key=lambda item: item[:3])
+            append((density * rate, density, index, entry))
+    # The index is unique, so tuple order never reaches the entries.
+    costed.sort()
     remaining = problem.limit
-    for _, _, _, entry in costed:
-        x = min(1.0, remaining / entry.emission_rate)
-        if x < 0.0:
+    for _, density, _, entry in costed:
+        rate = entry.emission_rate
+        # min(1.0, x) and max(0.0, remaining) as comparisons that pick
+        # the same value for every input
+        x = remaining / rate
+        if not x < 1.0:
+            x = 1.0
+        elif x < 0.0:
             x = 0.0
         values[entry.vehicle_id] = x
-        objective += x / entry.density
-        remaining = max(0.0, remaining - x * entry.emission_rate)
+        objective += x / density
+        remaining -= x * rate
+        if not remaining > 0.0:
+            remaining = 0.0
     return Assignment(values=values, objective_value=objective)
 
 

@@ -214,3 +214,16 @@ def test_memo_does_not_affect_table_equality(table):
     fresh = load_default_table()
     fresh.rate(1, 30.0)
     assert fresh == load_default_table()
+
+
+def test_table_rejects_a_curve_that_goes_negative():
+    # the runtime clamp would rate every vehicle at 0 g/min
+    entries = {c: EmissionCoefficients(k=1.0, a=-10.0) for c in (1, 2, 3, 4)}
+    with pytest.raises(ConfigurationError, match="class 1: negative rate at v=1.0"):
+        CoefficientTable(entries=entries)
+
+
+def test_complete_table_with_a_non_finite_rate_is_a_configuration_error():
+    entries = {c: EmissionCoefficients(k=1e308, a=1e308) for c in (1, 2, 3, 4)}
+    with pytest.raises(ConfigurationError, match="class 4: non-finite rate at v=1.0"):
+        CoefficientTable(entries=entries)

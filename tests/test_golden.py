@@ -3,8 +3,9 @@
 The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` and the
 output files of ``compare``, seed 42, plus single-vehicle mode, a
 two-fence run with actuation latency, tau above 1 and a background
-series, a run that tosses more often than it solves, and the merged
-summary of ``sweep`` on one and on two workers.
+series, a run that tosses more often than it solves, a run whose
+detection range exceeds its fence radius, and the merged summary of
+``sweep`` on one and on two workers.
 A refactor or optimisation must leave them unchanged; a deliberate
 behaviour change updates them and says which bytes changed and why.
 """
@@ -73,6 +74,14 @@ SWEEP_DIGEST = "f9fc0256e2083f76dbb106943e7ee6a74e9e98af4263f2d08fde8da730c91224
 TOSS_ONLY_DIGESTS = {
     "trace.csv": "97b7213a090d738d7ab1a55678b220bf719045e35b52571dac2e3710303b6ed9",
     "commands.csv": "da61b5e5a29597639dfda6df9cae5b23c88bd46caf4677630aa4e1bd70af0b65",
+}
+
+
+# The step's one spatial hash has cells of max(radius, detection_range);
+# here that is the detection range, not the radius as in every other demo.
+WIDE_DETECTION_DIGESTS = {
+    "trace.csv": "2861c4c896035a58abf201cd11e13c46f5d248fc3547ab3f1a61f0ed645d2a2b",
+    "commands.csv": "aa607b8f1ec92f85c286e923f08a4191318240d5a62e830f6b467e4c9c0357f9",
 }
 
 
@@ -146,6 +155,17 @@ def test_toss_only_ticks_match_golden_digests(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
     for name, digest in TOSS_ONLY_DIGESTS.items():
+        assert sha256(out / name) == digest, name
+
+
+def test_detection_range_above_the_radius_matches_golden_digests(tmp_path):
+    demo = json.loads(data_path("demo_ring.json").read_text())
+    demo["control"] = dict(demo["control"], detection_range=150.0, radius=100.0)
+    scenario = tmp_path / "wide_detection.json"
+    scenario.write_text(json.dumps(demo))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
+    for name, digest in WIDE_DETECTION_DIGESTS.items():
         assert sha256(out / name) == digest, name
 
 

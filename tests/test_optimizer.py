@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ecofence.optimizer import (
     Assignment,
@@ -206,3 +206,69 @@ def test_thousand_seeded_instances_agree():
         greedy = solve(p)
         oracle = brute_force_solve(p)
         assert abs(greedy.objective_value - oracle.objective_value) <= 1e-9
+
+
+# -- the greedy fill against its earlier form ---------------------------------
+
+
+def keyed_greedy(p):
+    """The greedy fill as it was written before it sorted plain tuples:
+    a key function over (d*e, d, index), then ``min`` and ``max``."""
+    if p.limit <= 0.0:
+        return {entry.vehicle_id: 0.0 for entry in p.entries}, 0.0
+    values = {}
+    total = 0.0
+    costed = []
+    for index, entry in enumerate(p.entries):
+        if entry.emission_rate == 0.0:
+            values[entry.vehicle_id] = 1.0
+            total += 1.0 / entry.density
+        else:
+            key = entry.density * entry.emission_rate
+            costed.append((key, entry.density, index, entry))
+    costed.sort(key=lambda item: item[:3])
+    remaining = p.limit
+    for _, _, _, entry in costed:
+        x = min(1.0, remaining / entry.emission_rate)
+        if x < 0.0:
+            x = 0.0
+        values[entry.vehicle_id] = x
+        total += x / entry.density
+        remaining = max(0.0, remaining - x * entry.emission_rate)
+    return values, total
+
+
+# Few distinct values, so equal d*e with unequal d (4 x 1 = 2 x 2 = 1 x 4),
+# equal d, equal entries and zero rates all occur often; the extremes make
+# remaining / e overflow and the budget run out exactly.
+tie_densities = st.one_of(st.sampled_from([1.0, 2.0, 4.0, 1.5, 3.0]), st.floats(1.0, 1e6))
+tie_rates = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 4.0, 0.75, 5e-324]), st.floats(0.0, 1e6)
+)
+
+
+@st.composite
+def tied_problems(draw):
+    pairs = draw(st.lists(st.tuples(tie_densities, tie_rates), max_size=40))
+    ids = draw(st.permutations([f"v{i:02d}" for i in range(len(pairs))]))
+    rates = [e for _, e in pairs]
+    limit = draw(
+        st.one_of(
+            st.sampled_from([0.0, -1.0, 1.0, 2.0, 1e-300]),
+            st.floats(-10.0, 1e7),
+            # exactly the sum of a prefix of the rates
+            st.integers(0, len(rates)).map(lambda k: float(sum(rates[:k]))),
+        )
+    )
+    return problem([(vid, d, e) for vid, (d, e) in zip(ids, pairs)], limit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_problems())
+def test_solve_matches_the_keyed_greedy_bit_for_bit(p):
+    values, total = keyed_greedy(p)
+    assignment = solve(p)
+    assert [(vid, x.hex()) for vid, x in assignment.values.items()] == [
+        (vid, x.hex()) for vid, x in values.items()
+    ]
+    assert assignment.objective_value.hex() == total.hex()

@@ -76,7 +76,7 @@ def recording_coordinator(steps, as_snapshots):
     copies the engine's vehicle records into snapshots first."""
 
     class Recording(GeofenceCoordinator):
-        def step(self, now, snapshots, background_level):
+        def step(self, now, snapshots, background_level, grid=None):
             assert all(isinstance(v, VehicleState) for v in snapshots.values())
             if as_snapshots:
                 snapshots = {
@@ -86,7 +86,7 @@ def recording_coordinator(steps, as_snapshots):
                     )
                     for vid, v in snapshots.items()
                 }
-            commands = super().step(now, snapshots, background_level)
+            commands = super().step(now, snapshots, background_level, grid)
             steps.append(commands)
             return commands
 

@@ -4,14 +4,17 @@ The hash only prunes candidates, so hashed ``detect`` and hashed fence
 membership must give exactly what a scan over every vehicle gives.  The
 scans below are that oracle; the generated layouts put points on cell
 boundaries, at exactly the range or radius along an axis, and at negative
-coordinates.
+coordinates.  The engine builds one hash per step, with cells of the
+larger of the detection range and the fence radius, and passes it to both
+queries; so both must also be exact on a hash whose cell is not their own
+range or radius.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecofence.coordinator import (
     ControllerConfig,
@@ -21,7 +24,7 @@ from ecofence.coordinator import (
     euclidean,
     members,
 )
-from ecofence.engine import CyclistState, VehicleState, World, detect
+from ecofence.engine import CyclistState, VehicleState, World, _snapshot_vehicles, detect
 from ecofence.network import Edge, RoadNetwork, SpatialHash
 
 
@@ -35,6 +38,10 @@ def brute_detect(world, detection_range):
             if euclidean(cyclist_pos, vehicle_pos) <= detection_range:
                 events.append((cid, vid))
     return events
+
+
+def brute_members(center, radius, positions):
+    return tuple(sorted(vid for vid, pos in positions.items() if euclidean(pos, center) <= radius))
 
 
 ranges = st.one_of(st.sampled_from([0.5, 1.0, 3.0, 10.0, 100.0]), st.floats(0.05, 300.0))
@@ -110,6 +117,45 @@ def test_hashed_fence_membership_equals_brute_force(table, layout):
     positions = {vid: s.position for vid, s in snapshots.items()}
     for fence in coord.active_fences():
         assert fence.member_ids == tuple(sorted(members(fence, positions)))
+
+
+# The other size of the shared hash, drawn independently of the layout's
+# range or radius r: the shared cell max(r, R) is r when R is below it.
+other_sizes = st.one_of(st.sampled_from([0.01, 1.0, 10.0, 150.0, 1000.0]), st.floats(0.01, 1000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts(), other_sizes)
+@example((10.0, [(0.0, 0.0)], [(10.0, 0.0), (0.0, -10.0), (25.0, 0.0)]), 150.0)
+@example((150.0, [(0.0, 0.0)], [(150.0, 0.0), (0.0, -150.0), (150.0, 1.0)]), 100.0)
+def test_detect_on_a_shared_hash_equals_brute_force(table, layout, other):
+    r, centres, points = layout
+    world = world_at(table, centres, points)
+    _snapshot_vehicles(world)
+    grid = SpatialHash(max(r, other), ((vid, v.position) for vid, v in world.vehicles.items()))
+    assert detect(world, r, grid) == brute_detect(world, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts(), other_sizes)
+@example((100.0, [(0.0, 0.0)], [(100.0, 0.0), (0.0, -100.0), (100.0, 1.0)]), 150.0)
+@example((100.0, [(0.0, 0.0)], [(100.0, 0.0), (-100.0, 0.0), (0.0, 101.0)]), 10.0)
+def test_fence_membership_on_a_shared_hash_equals_brute_force(table, layout, other):
+    r, centres, points = layout
+    coord = GeofenceCoordinator(ControllerConfig(radius=r), table, random.Random(0), control_enabled=False)
+    for i, centre in enumerate(centres):
+        coord.on_detection(f"c{i}", centre, 0.0)
+    snapshots = {
+        f"v{i:02d}": VehicleSnapshot(f"v{i:02d}", p, 30.0, 4, Powertrain.HYBRID, 1.0)
+        for i, p in enumerate(points)
+    }
+    grid = SpatialHash(max(r, other), ((vid, s.position) for vid, s in snapshots.items()))
+    coord.step(0.0, snapshots, 0.0, grid)
+    positions = {vid: s.position for vid, s in snapshots.items()}
+    fences = coord.active_fences()
+    assert [fence.center for fence in fences] == centres
+    for fence, centre in zip(fences, centres):
+        assert fence.member_ids == brute_members(centre, r, positions)
 
 
 def test_exact_range_on_a_cell_boundary_is_detected(table):
