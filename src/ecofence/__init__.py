@@ -8,104 +8,37 @@ vehicle enacts it.  A background pollution reading closes the loop by
 setting the budget.
 """
 
-from .coordinator import (
-    CommandRecord,
-    ControllerConfig,
-    Geofence,
-    GeofenceCoordinator,
-    ModeCommand,
-    Powertrain,
-    VehicleMode,
-    VehicleSnapshot,
-    members,
-    toss_polluting,
-)
+from .coordinator import toss_polluting
 from .emissions import (
-    CoefficientTable,
-    ConfigurationError,
-    EmissionCoefficients,
-    EmissionModelError,
     emission_rate_g_per_km,
     load_default_table,
     to_g_per_min,
     vehicle_emission_rate,
 )
-from .engine import (
-    RunResult,
-    ScenarioTrace,
-    World,
-    detect,
-    run,
-    step,
-)
-from .network import Edge, RoadNetwork
+from .engine import run
 from .optimizer import (
-    Assignment,
     GeofenceProblem,
     ProblemEntry,
     brute_force_solve,
     budget_spend,
-    objective,
     solve,
 )
-from .reporting import (
-    CompareResult,
-    RunSummary,
-    emit_plot_data,
-    run_compare,
-    summarize,
-)
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    load_density_file,
-    load_scenario,
-    parse_scenario,
-    save_scenario,
-)
+from .reporting import run_compare
+from .scenario import load_scenario
 
+# The names the command line, the tests and the benchmark import from the
+# package; everything else is imported from its module.
 __all__ = [
-    "Assignment",
-    "CoefficientTable",
-    "CommandRecord",
-    "CompareResult",
-    "ConfigurationError",
-    "ControllerConfig",
-    "Edge",
-    "EmissionCoefficients",
-    "EmissionModelError",
-    "Geofence",
-    "GeofenceCoordinator",
     "GeofenceProblem",
-    "ModeCommand",
-    "Powertrain",
     "ProblemEntry",
-    "RoadNetwork",
-    "RunResult",
-    "RunSummary",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioTrace",
-    "VehicleMode",
-    "VehicleSnapshot",
-    "World",
     "brute_force_solve",
     "budget_spend",
-    "detect",
     "emission_rate_g_per_km",
-    "emit_plot_data",
     "load_default_table",
-    "load_density_file",
     "load_scenario",
-    "members",
-    "objective",
-    "parse_scenario",
     "run",
     "run_compare",
-    "save_scenario",
     "solve",
-    "step",
-    "summarize",
     "to_g_per_min",
     "toss_polluting",
     "vehicle_emission_rate",

@@ -70,14 +70,17 @@ class ControllerConfig:
     force_detector_electric: bool = False
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.expiry_timeout <= 0:
-            raise ValueError("expiry_timeout must be positive")
-        if self.actuation_latency < 0:
-            raise ValueError("actuation_latency must be non-negative")
-        if self.switch_interval is not None and self.switch_interval <= 0:
-            raise ValueError("switch_interval must be positive")
+        # written so that NaN fails every test
+        if not (self.tau > 0 and math.isfinite(self.tau)):
+            raise ValueError("tau must be positive and finite")
+        if not (self.expiry_timeout > 0 and math.isfinite(self.expiry_timeout)):
+            raise ValueError("expiry_timeout must be positive and finite")
+        if not (self.actuation_latency >= 0 and math.isfinite(self.actuation_latency)):
+            raise ValueError("actuation_latency must be non-negative and finite")
+        if self.switch_interval is not None and not (
+            self.switch_interval > 0 and math.isfinite(self.switch_interval)
+        ):
+            raise ValueError("switch_interval must be positive and finite")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         if not math.isfinite(self.allowable_limit):
@@ -296,22 +299,21 @@ class GeofenceCoordinator:
 
     # -- decisions ---------------------------------------------------------
 
-    def _controllable(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot]) -> list[VehicleSnapshot]:
-        """Fence members the coordinator may command, ascending vehicle id.
+    def _controllable(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot]) -> tuple[str, ...]:
+        """Ids of the fence members the coordinator may command, ascending.
 
         Pure-ICE vehicles cannot switch drivetrain and are left alone; the
         optional detector forcing removes the detecting vehicle from the
         problem as well (it is commanded electric directly).
+        :meth:`build_problem` applies the same rule in its own loop.
         """
-        out = []
-        for vid in fence.member_ids:
-            snap = snapshots[vid]
-            if snap.powertrain is Powertrain.PURE_ICE:
-                continue
-            if self.config.force_detector_electric and vid == fence.last_detector_id:
-                continue
-            out.append(snap)
-        return out
+        detector = fence.last_detector_id if self.config.force_detector_electric else None
+        pure_ice = Powertrain.PURE_ICE
+        return tuple(
+            vid
+            for vid in fence.member_ids
+            if snapshots[vid].powertrain is not pure_ice and vid != detector
+        )
 
     def build_problem(
         self,
@@ -321,21 +323,25 @@ class GeofenceCoordinator:
     ) -> GeofenceProblem:
         """Assemble the assignment problem for one fence under ``limit`` g/min.
 
+        The entries are the members :meth:`_controllable` names, in the
+        same order, filtered here in the same pass that builds them.
         Emission rates are computed from each member's current speed; pure
         EVs enter with a zero rate so the solver hands them probability 1
         at no budget cost.  A non-finite limit is rejected by
         :class:`GeofenceProblem`.
         """
+        detector = fence.last_detector_id if self.config.force_detector_electric else None
         rate_of = self.table.rate
-        pure_ev = Powertrain.PURE_EV
+        pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
         entries = []
         append = entries.append
-        for snap in self._controllable(fence, snapshots):
-            if snap.powertrain is pure_ev:
-                rate = 0.0
-            else:
-                rate = rate_of(snap.euro_class, snap.speed)
-            append(_record(ProblemEntry, (snap.vehicle_id, snap.density_weight, rate)))
+        for vid in fence.member_ids:
+            snap = snapshots[vid]
+            powertrain = snap.powertrain
+            if powertrain is pure_ice or vid == detector:
+                continue
+            rate = 0.0 if powertrain is pure_ev else rate_of(snap.euro_class, snap.speed)
+            append(_record(ProblemEntry, (vid, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
     def _toss_fence(
@@ -434,12 +440,13 @@ class GeofenceCoordinator:
             for fence in self.fences.values():
                 fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
                 in_any_fence.update(fence.member_ids)
-        for vid in sorted(self._controlled):
+        # only a controlled vehicle outside every fence can need a restore
+        controlled = self._controlled
+        for vid in sorted(controlled.keys() - in_any_fence):
             if vid not in snapshots:
-                del self._controlled[vid]  # vehicle left the network
+                del controlled[vid]  # vehicle left the network
                 continue
-            if vid not in in_any_fence:
-                commands.append(self._restore(vid, self._controlled[vid], now))
+            commands.append(self._restore(vid, controlled[vid], now))
         if not self.control_enabled:
             return commands
         limit = self.config.allowable_limit - background_level
@@ -449,7 +456,7 @@ class GeofenceCoordinator:
             toss_due = now >= fence.next_toss
             if toss_due and not solve_due:
                 solved = tuple(e.vehicle_id for e in fence.problem.entries)
-                solve_due = solved != tuple(s.vehicle_id for s in self._controllable(fence, snapshots))
+                solve_due = solved != self._controllable(fence, snapshots)
             if solve_due:
                 fence.problem = self.build_problem(fence, snapshots, limit)
                 fence.assignment = solve(fence.problem)

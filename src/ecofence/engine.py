@@ -12,17 +12,24 @@ arrived), detect, feed the coordinator, record one trace row.  Vehicles
 and cyclists follow their routes with one :class:`RouteCursor` each, which
 holds the current edge and looks an edge up only at spawn and when it
 moves onto the next one.  Each vehicle is one live record,
-:class:`VehicleState`: after movement ``step`` refreshes its position,
-speed and density weight once, and detection, the coordinator (which
-takes the records as its snapshots) and the trace row all read them.
+:class:`VehicleState`, and detection, the coordinator (which takes the
+records as its snapshots) and the trace row all read it.  What is read
+when:
+
+* per edge change (and at spawn): the edge, and the speed and density
+  weight that belong to it;
+* per step: the offset, and after movement the position, computed from
+  the segment constants the edge caches (``Edge.segments``).
+
 Both proximity questions of a step (which vehicles are near a cyclist,
 which are inside a fence) are answered from one uniform-grid
 :class:`~ecofence.network.SpatialHash` that ``run`` builds per step, with
 cells of the larger of the fence radius and the detection range, and only
-while a cyclist is on the road or a fence is active, so the step's work
-is linear in vehicles plus cyclists.  Everything is driven by two
-purpose-split seeded streams (spawn draws, coin tosses), so a run is
-fully determined by (scenario, seed).
+while a cyclist is on the road or a fence is active; a query scans only
+the cells under its disc's bounding square, widened by a rounding bound.
+So the step's work is linear in vehicles plus cyclists.  Everything is
+driven by two purpose-split seeded streams (spawn draws, coin tosses), so
+a run is fully determined by (scenario, seed).
 """
 
 from __future__ import annotations
@@ -68,8 +75,13 @@ class RouteCursor:
     def current_edge(self, network: RoadNetwork) -> Edge:
         edge = self.edge
         if edge is None:
-            edge = self.edge = network.edge(self.route[self.route_index])
+            edge = network.edge(self.route[self.route_index])
+            self._enter(edge)
         return edge
+
+    def _enter(self, edge: Edge) -> None:
+        """Make ``edge``, just looked up, the current edge."""
+        self.edge = edge
 
     def advance(self, metres: float, network: RoadNetwork) -> None:
         """Move ``metres`` along the route, parking at the end of its last edge.
@@ -90,7 +102,8 @@ class RouteCursor:
                 self.finished = True
                 return
             self.route_index += 1
-            edge = self.edge = network.edge(self.route[self.route_index])
+            edge = network.edge(self.route[self.route_index])
+            self._enter(edge)
             offset = 0.0
         self.edge_offset = offset
 
@@ -99,10 +112,13 @@ class RouteCursor:
 class VehicleState(RouteCursor):
     """One vehicle: its route cursor, drivetrain and mode, and where it is.
 
-    ``position``, ``speed`` (km/h) and ``density_weight`` are refreshed
-    from the cursor's edge by :meth:`refresh`, which ``step`` calls once per
-    vehicle after movement; ``position`` is None until the first refresh.
-    The record carries every attribute of a
+    ``speed`` (km/h) and ``density_weight`` belong to the current edge: they
+    are read when the record gets its edge (at spawn, on first use for a
+    record built without one) and again whenever the cursor moves onto the
+    next edge, and at no other time.  ``position`` is set from the edge
+    and offset by ``step`` once per vehicle after movement (or by
+    :meth:`refresh`), and is None until then.  The record
+    carries every attribute of a
     :class:`~ecofence.coordinator.VehicleSnapshot`, so detection, the
     coordinator and the trace all read it directly.
     """
@@ -116,11 +132,18 @@ class VehicleState(RouteCursor):
     speed: float = field(default=0.0, init=False)
     density_weight: float = field(default=1.0, init=False)
 
-    def refresh(self, network: RoadNetwork) -> None:
-        edge = self.current_edge(network)
-        self.position = edge.position_at(self.edge_offset)
+    def __post_init__(self) -> None:
+        if self.edge is not None:
+            self._enter(self.edge)
+
+    def _enter(self, edge: Edge) -> None:
+        self.edge = edge
         self.speed = self.speed_override if self.speed_override is not None else edge.speed_limit
         self.density_weight = edge.density_weight
+
+    def refresh(self, network: RoadNetwork) -> None:
+        """Place the record on its edge, looking the edge up if need be."""
+        self.position = self.current_edge(network).position_at(self.edge_offset)
 
 
 @dataclass(kw_only=True, slots=True)
@@ -146,55 +169,72 @@ def step(world: World, dt: float) -> World:
     """Advance the world by ``dt`` seconds.
 
     Moves every vehicle and cyclist along its route, removes vehicles that
-    arrived and refreshes the records of the others, then applies
-    scheduled mode commands whose effective time is due.  Command
+    arrived and places the records of the others, then applies scheduled
+    mode commands whose effective time is due.  A vehicle that stays on
+    its edge, the common case, only adds to its offset: its speed and
+    density weight were read when it entered the edge.  Command
     application respects powertrains: a pure EV never enters polluting
     mode and a pure ICE never goes electric.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     network = world.network
+    vehicles = world.vehicles
     arrived = []
-    for vid, vehicle in world.vehicles.items():
-        # a vehicle moves at the speed its last refresh read off its edge
-        if vehicle.position is None:
-            vehicle.refresh(network)
-        vehicle.advance(vehicle.speed / 3.6 * dt, network)
+    for vid, vehicle in vehicles.items():
+        edge = vehicle.edge
+        if edge is None:
+            edge = vehicle.current_edge(network)
+        metres = vehicle.speed / 3.6 * dt
+        offset = vehicle.edge_offset
+        # RouteCursor.advance's first test, inline
+        if 0.0 < metres < edge.length - offset:
+            vehicle.edge_offset = offset + metres
+            continue
+        vehicle.advance(metres, network)
         if vehicle.finished:
             arrived.append(vid)
     for cyclist in world.cyclists.values():
         if not cyclist.finished:
             cyclist.advance(cyclist.speed / 3.6 * dt, network)
     for vid in arrived:
-        del world.vehicles[vid]
+        del vehicles[vid]
     _snapshot_vehicles(world)
-    world.now += dt
+    now = world.now = world.now + dt
     remaining: list[ModeCommand] = []
+    pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
+    polluting, electric = VehicleMode.POLLUTING, VehicleMode.ELECTRIC
     for command in world.pending_commands:
-        if command.effective_time > world.now:
+        vehicle_id, mode, _, effective_time = command
+        if effective_time > now:
             remaining.append(command)
             continue
-        vehicle = world.vehicles.get(command.vehicle_id)
+        vehicle = vehicles.get(vehicle_id)
         if vehicle is None:
             continue
-        if vehicle.powertrain is Powertrain.PURE_EV and command.mode is VehicleMode.POLLUTING:
+        if mode is polluting and vehicle.powertrain is pure_ev:
             continue
-        if vehicle.powertrain is Powertrain.PURE_ICE and command.mode is VehicleMode.ELECTRIC:
+        if mode is electric and vehicle.powertrain is pure_ice:
             continue
-        vehicle.mode = command.mode
+        vehicle.mode = mode
     world.pending_commands = remaining
     return world
 
 
 def _snapshot_vehicles(world: World) -> None:
-    """Refresh every vehicle record from its cursor's edge.
+    """Place every vehicle record at its cursor's edge and offset.
 
-    The refreshed records are the step's vehicle snapshots: detection,
-    the coordinator and the trace row read them until the next ``step``.
+    Only the position is computed here; speed and density weight change
+    with the edge and were read when the cursor entered it.  The placed
+    records are the step's vehicle snapshots: detection, the coordinator
+    and the trace row read them until the next ``step``.
     """
     network = world.network
     for vehicle in world.vehicles.values():
-        vehicle.refresh(network)
+        edge = vehicle.edge
+        if edge is None:
+            edge = vehicle.current_edge(network)
+        vehicle.position = edge.position_at(vehicle.edge_offset)
 
 
 def _refresh_unplaced(world: World) -> None:
@@ -212,7 +252,7 @@ def detect(
     Sorted ascending so downstream fence updates are order-deterministic;
     when several vehicles detect the same cyclist in one step, the
     highest-sorting vehicle ends up centring the fence.  Vehicle positions
-    are read from the records as ``step`` last refreshed them.  Candidates
+    are read from the records as ``step`` last placed them.  Candidates
     come from ``grid``, a spatial hash of every vehicle at that position,
     of any cell size (``run`` passes its per-step hash); without one,
     ``detect`` refreshes unplaced records and builds a hash with cells of

@@ -55,20 +55,31 @@ class Edge:
     def end(self) -> Point:
         return self.points[-1]
 
+    @cached_property
+    def segments(self) -> tuple[tuple[float, float, float, float, float, float, float], ...]:
+        """Per-segment constants ``(end, start, seg_len, x0, y0, dx, dy)``.
+
+        ``start`` and ``end`` are the cumulative offsets of the segment's
+        ends, ``seg_len`` their difference and ``(dx, dy)`` the segment's
+        vector: the same values :meth:`position_at` interpolates with.
+        """
+        cum = self._cumulative
+        return tuple(
+            (cum[i + 1], cum[i], cum[i + 1] - cum[i], x0, y0, x1 - x0, y1 - y0)
+            for i, ((x0, y0), (x1, y1)) in enumerate(zip(self.points, self.points[1:]))
+        )
+
     def position_at(self, offset: float) -> Point:
         """Interpolated point at ``offset`` metres along the polyline."""
         if offset <= 0:
             return self.points[0]
         if offset >= self.length:
             return self.points[-1]
-        cum = self._cumulative
         # linear scan; desk-scale edges have a handful of segments
-        for i in range(len(cum) - 1):
-            if offset <= cum[i + 1]:
-                seg_len = cum[i + 1] - cum[i]
-                t = (offset - cum[i]) / seg_len
-                (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-                return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        for end, start, seg_len, x0, y0, dx, dy in self.segments:
+            if offset <= end:
+                t = (offset - start) / seg_len
+                return (x0 + t * dx, y0 + t * dy)
         return self.points[-1]
 
 
@@ -148,18 +159,31 @@ class SpatialHash:
     def near(self, center: Point, radius: float) -> dict[str, Point]:
         """Every point within ``radius`` of ``center``, plus some beyond it.
 
-        The cells scanned cover the disc's bounding square padded by one
-        cell on each side.  Rounding in ``coord / cell`` and in a caller's
-        distance test is far below one cell for any coordinate less than
-        2**50 cells from the origin, so the padding never drops a point at
-        exactly ``radius``.
+        The cells scanned are those under the disc's bounding square, with
+        each side pushed out by ``pad = (|cx| + |cy| + radius) * 2**-40``
+        to cover rounding.  With unit roundoff ``u = 2**-53``, a caller's
+        test ``hypot(x - cx, y - cy) <= radius`` (a subtraction off by at
+        most ``u`` relative, a ``hypot`` within one ulp) accepts only points
+        with ``|x - cx| <= radius * (1 + 4u)``, and computing
+        ``cx - (radius + pad)`` rounds it by at most
+        ``u * (|cx| + 2 * (radius + pad))``.  So the window's low edge lies
+        at or below every accepted point whenever
+        ``pad * (1 - 2u) >= u * (|cx| + 6 * radius)``, which the pad, about
+        8192u times ``|cx| + |cy| + radius``, meets with a wide margin; the
+        high edge and the y axis are alike.  ``coord / cell`` and ``floor``
+        are monotone, so no accepted point falls in an unscanned cell.
+        At 1 km from the origin the pad is under 1e-9 m, so the window is
+        one extra row or column only when a side lands that close to a
+        cell edge.
         """
         cell = self.cell
         cx, cy = center
-        x_lo = math.floor((cx - radius) / cell) - 1
-        x_hi = math.floor((cx + radius) / cell) + 1
-        y_lo = math.floor((cy - radius) / cell) - 1
-        y_hi = math.floor((cy + radius) / cell) + 1
+        reach = radius + (abs(cx) + abs(cy) + radius) * 2.0**-40
+        floor = math.floor
+        x_lo = floor((cx - reach) / cell)
+        x_hi = floor((cx + reach) / cell)
+        y_lo = floor((cy - reach) / cell)
+        y_hi = floor((cy + reach) / cell)
         buckets = self._buckets
         found: dict[str, Point] = {}
         for ix in range(x_lo, x_hi + 1):

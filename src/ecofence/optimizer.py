@@ -83,6 +83,10 @@ def solve(problem: GeofenceProblem) -> Assignment:
     they add objective without spending budget.  Positive-rate vehicles are
     filled in ascending d*e order (ties: lower d first, then input order)
     until the budget runs out, so at most one of them ends up fractional.
+    Once the remaining budget is exactly 0.0 every later vehicle would get
+    ``0.0 / e = 0.0`` and add ``0.0`` to the objective, so the fill stops
+    there and gives them x = 0.0 directly, with the same values, in the
+    same order, and the same objective.
     """
     if problem.limit <= 0.0:
         return Assignment(
@@ -103,20 +107,22 @@ def solve(problem: GeofenceProblem) -> Assignment:
     # The index is unique, so tuple order never reaches the entries.
     costed.sort()
     remaining = problem.limit
-    for _, density, _, entry in costed:
+    fill = iter(costed)
+    for _, density, _, entry in fill:
         rate = entry.emission_rate
-        # min(1.0, x) and max(0.0, remaining) as comparisons that pick
-        # the same value for every input
+        # min(1.0, x) as a comparison that picks the same value for every
+        # input; x is never negative, since the fill stops before
+        # remaining does
         x = remaining / rate
         if not x < 1.0:
             x = 1.0
-        elif x < 0.0:
-            x = 0.0
         values[entry.vehicle_id] = x
         objective += x / density
         remaining -= x * rate
         if not remaining > 0.0:
-            remaining = 0.0
+            break
+    for _, _, _, entry in fill:
+        values[entry.vehicle_id] = 0.0
     return Assignment(values=values, objective_value=objective)
 
 

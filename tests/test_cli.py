@@ -250,3 +250,18 @@ def test_solve_debug_invalid_problem(tmp_path):
     problem.write_text(json.dumps({"limit": 1.0, "entries": [{"vehicle_id": "A"}]}))
     code = main(["solve-debug", "--problem", str(problem)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tau", "nan"), ("--tau", "inf"), ("--tau", "-inf"), ("--radius", "nan"), ("--limit", "inf")],
+)
+def test_non_finite_control_override_exits_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--scenario", str(data_path("demo_ring.json")), "--seed", "42",
+         f"{flag}={value}", "--out", str(out)]
+    )
+    assert code == 1
+    assert "error: control override: " in capsys.readouterr().err
+    assert not (out / "commands.csv").exists()

@@ -333,6 +333,58 @@ def test_config_validation():
     assert ControllerConfig(tau=3.0).toss_interval == 3.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["tau", "switch_interval", "expiry_timeout", "actuation_latency"])
+def test_config_rejects_non_finite_timing(field, value):
+    # NaN passes every ordering test, and inf passes `> 0`: a fence would
+    # be solved and tossed once and never again
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        ControllerConfig(**{field: value})
+
+
+def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles(table):
+    coord = make_coordinator(table)
+    coord.on_detection("tag-a", (0.0, 0.0), 0.0)
+    coord.on_detection("tag-b", (1000.0, 0.0), 0.0)
+    # ids interleave across the two fences, so fence order is not id order
+    snapshots = {
+        "v1": snap("v1", pos=(1000.0, 0.0)),
+        "v2": snap("v2", pos=(0.0, 0.0)),
+        "v3": snap("v3", pos=(1001.0, 0.0)),
+        "v4": snap("v4", pos=(1.0, 0.0)),
+        "v5": snap("v5", pos=(2.0, 0.0)),
+        "v6": snap("v6", pos=(1002.0, 0.0)),
+    }
+    coord.step(0.0, snapshots, background_level=0.0)
+    assert set(coord._controlled) == set(snapshots)
+    logged = len(coord.command_log)
+    # v3 and v4 leave both fences, v1 and v2 move out of theirs, v5 leaves
+    # the network; v6 stays in its fence
+    moved = {
+        "v1": snap("v1", pos=(500.0, 0.0)),
+        "v2": snap("v2", pos=(0.0, 500.0)),
+        "v3": snap("v3", pos=(1000.0, 500.0)),
+        "v4": snap("v4", pos=(500.0, 500.0)),
+        "v6": snap("v6", pos=(1002.0, 0.0)),
+    }
+    commands = coord.step(1.0, moved, background_level=0.0)
+    restores = [c for c in commands if c.vehicle_id != "v6"]
+    assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
+    assert [(c.vehicle_id, c.mode) for c in restores] == [
+        (vid, VehicleMode.POLLUTING) for vid in ("v1", "v2", "v3", "v4")
+    ]
+    assert commands[: len(restores)] == restores  # restores precede decisions
+    rows = coord.command_log[logged : logged + 4]
+    assert [(r.vehicle_id, r.fence_id, r.assignment) for r in rows] == [
+        ("v1", "tag-b", None),
+        ("v2", "tag-a", None),
+        ("v3", "tag-b", None),
+        ("v4", "tag-a", None),
+    ]
+    assert "v5" not in {r.vehicle_id for r in coord.command_log[logged:]}
+    assert set(coord._controlled) == {"v6"}
+
+
 def test_budget_in_expectation_over_many_ticks(table):
     # long horizon, static membership: every tick's expected spend stays
     # within the budget

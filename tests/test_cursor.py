@@ -2,7 +2,9 @@
 
 The loop it replaced is kept below as the oracle: moving a cursor must
 give, bit for bit, the (index, offset, done) that loop gives, and the
-cursor may look an edge up only when it moves onto the next one.
+cursor may look an edge up only when it moves onto the next one.  The
+interpolation ``Edge.position_at`` did before it cached its segment
+constants is kept as the position oracle.
 """
 
 import math
@@ -26,6 +28,24 @@ def oracle_advance(route, index, offset, distance, network):
         index += 1
         offset = 0.0
     return index, offset, False
+
+
+def oracle_position(edge, offset):
+    """``Edge.position_at`` as it was written over the raw polyline."""
+    if offset <= 0:
+        return edge.points[0]
+    cum = [0.0]
+    for (x0, y0), (x1, y1) in zip(edge.points, edge.points[1:]):
+        cum.append(cum[-1] + math.hypot(x1 - x0, y1 - y0))
+    if offset >= cum[-1]:
+        return edge.points[-1]
+    for i in range(len(cum) - 1):
+        if offset <= cum[i + 1]:
+            seg_len = cum[i + 1] - cum[i]
+            t = (offset - cum[i]) / seg_len
+            (x0, y0), (x1, y1) = edge.points[i], edge.points[i + 1]
+            return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+    return edge.points[-1]
 
 
 class CountingNetwork(RoadNetwork):
@@ -97,9 +117,27 @@ def test_cursor_moves_exactly_like_the_loop_it_replaced(layout, data):
             assert cursor.edge_offset.hex() == offset.hex()
             assert cursor.finished is done
             assert cursor.edge is network.edges[route[index]]
-        assert vehicle.position == network.edges[route[index]].position_at(offset)
+        expected = oracle_position(network.edges[route[index]], offset)
+        assert [c.hex() for c in vehicle.position] == [c.hex() for c in expected]
         assert cyclist.position(counting) == vehicle.position
         # one lookup per edge change for each cursor, plus the cyclist's first
         assert counting.lookups == 2 * index + 1
         if done:
             break
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_networks(), st.data())
+def test_position_at_interpolates_like_the_raw_polyline(layout, data):
+    network, route = layout
+    edge = network.edges[route[0]]
+    cum = [end for end, *_ in edge.segments]
+    offset = data.draw(
+        st.one_of(
+            st.floats(-1.0, edge.length + 1.0),
+            st.sampled_from([0.0, edge.length, *cum]),
+            st.sampled_from(cum).map(lambda c: math.nextafter(c, math.inf)),
+        )
+    )
+    expected = oracle_position(edge, offset)
+    assert [c.hex() for c in edge.position_at(offset)] == [float(c).hex() for c in expected]

@@ -263,8 +263,33 @@ def tied_problems(draw):
     return problem([(vid, d, e) for vid, (d, e) in zip(ids, pairs)], limit)
 
 
+@st.composite
+def early_spend_problems(draw):
+    """Problems whose budget runs out a few entries into the fill order.
+
+    The limit is the rates of the first k entries in fill order, summed,
+    plus a residue: none, a tiny positive one (so the rest of the fill
+    keeps getting subnormal or tiny x instead of stopping), or a fraction
+    of the next rate.  With up to 150 entries the zero tail is long.
+    """
+    pairs = draw(st.lists(st.tuples(tie_densities, tie_rates), min_size=1, max_size=150))
+    ids = draw(st.permutations([f"v{i:03d}" for i in range(len(pairs))]))
+    fill = sorted((d * e, d, i) for i, (d, e) in enumerate(pairs) if e > 0.0)
+    k = draw(st.integers(0, min(len(fill), 4)))
+    spent = 0.0
+    for _, _, i in fill[:k]:
+        spent += pairs[i][1]
+    residue = draw(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-15, 1e-9, 0.5]))
+    if residue == 0.5 and k < len(fill):
+        residue = pairs[fill[k][2]][1] * draw(st.floats(0.0, 1.0))
+    limit = spent + residue
+    if limit <= 0.0:
+        limit = draw(st.sampled_from([5e-324, 1e-300]))
+    return problem([(vid, d, e) for vid, (d, e) in zip(ids, pairs)], limit)
+
+
 @settings(max_examples=500, deadline=None)
-@given(tied_problems())
+@given(st.one_of(tied_problems(), early_spend_problems()))
 def test_solve_matches_the_keyed_greedy_bit_for_bit(p):
     values, total = keyed_greedy(p)
     assignment = solve(p)

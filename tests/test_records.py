@@ -19,7 +19,8 @@ from ecofence.coordinator import (
     VehicleMode,
     VehicleSnapshot,
 )
-from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, run
+from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, World, run, step
+from ecofence.network import Edge, RoadNetwork
 from ecofence.optimizer import ProblemEntry
 
 RECORDS = {
@@ -115,3 +116,44 @@ def test_coordinator_decides_alike_on_records_and_snapshots(
     assert record_steps == snapshot_steps
     assert by_records.commands == by_snapshots.commands
     assert by_records == by_snapshots
+
+
+def test_record_reads_speed_and_density_only_from_the_edge_it_is_on(table):
+    # e1 is slow and cycled, e2 fast and uncycled; at 36 km/h a vehicle
+    # covers 10 m per 1 s step
+    network = RoadNetwork(
+        edges={
+            "e1": Edge("e1", ((0.0, 0.0), (100.0, 0.0)), 36.0, density_weight=3.0),
+            "e2": Edge("e2", ((100.0, 0.0), (200.0, 50.0)), 72.0, density_weight=1.5),
+        }
+    )
+    route = ("e1", "e2")
+    world = World(network=network, table=table)
+    specs = {
+        "crosses": dict(edge_offset=95.0),
+        "stays": dict(edge_offset=10.0),
+        "pinned": dict(edge_offset=95.0, speed_override=20.0),
+        "unplaced": dict(edge_offset=95.0),  # built without its edge
+    }
+    for vid, spec in specs.items():
+        edge = None if vid == "unplaced" else network.edge("e1")
+        world.vehicles[vid] = VehicleState(vehicle_id=vid, euro_class=4, route=route, edge=edge, **spec)
+    assert [(v.speed, v.density_weight) for v in world.vehicles.values()][:3] == [
+        (36.0, 3.0), (36.0, 3.0), (20.0, 3.0)
+    ]
+    step(world, 1.0)
+    read = {vid: (v.current_edge_id(), v.speed, v.density_weight) for vid, v in world.vehicles.items()}
+    assert read == {
+        "crosses": ("e2", 72.0, 1.5),
+        "stays": ("e1", 36.0, 3.0),
+        "pinned": ("e2", 20.0, 1.5),
+        "unplaced": ("e2", 72.0, 1.5),
+    }
+    crosses = world.vehicles["crosses"]
+    assert crosses.edge_offset == 5.0
+    assert crosses.position == network.edge("e2").position_at(5.0)
+    assert world.vehicles["stays"].edge_offset == 20.0
+    assert world.vehicles["stays"].position == (20.0, 0.0)
+    # the next step moves the crossed vehicle at the new edge's speed
+    step(world, 1.0)
+    assert crosses.edge_offset == 5.0 + 72.0 / 3.6

@@ -158,6 +158,58 @@ def test_fence_membership_on_a_shared_hash_equals_brute_force(table, layout, oth
         assert fence.member_ids == brute_members(centre, r, positions)
 
 
+# Cells from a twentieth of the query radius to a hundred times it, and
+# centres up to 1e9 m from the origin, where 0.1 m is under a million ulps.
+cell_ratios = st.one_of(st.sampled_from([0.05, 0.3, 1.0, 1.5, 10.0, 100.0]), st.floats(0.05, 100.0))
+far_coords = st.one_of(coords, st.sampled_from([1e6, -1e6, 1e9, -1e9 + 0.5]), st.floats(-1e9, 1e9))
+
+
+@st.composite
+def near_queries(draw):
+    """(cell, centre, radius, points): points on, inside and just outside the disc."""
+    r = draw(ranges)
+    cell = r * draw(cell_ratios)
+    cx, cy = draw(st.tuples(far_coords, far_coords))
+    points = {}
+    for i in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["axis", "ring", "close", "edge"]))
+        if kind == "axis":
+            dx, dy = draw(st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)]))
+        elif kind == "ring":
+            angle = draw(st.floats(0.0, 2 * math.pi))
+            dx, dy = r * math.cos(angle), r * math.sin(angle)
+        elif kind == "close":
+            dx, dy = draw(st.tuples(st.floats(-2 * r, 2 * r), st.floats(-2 * r, 2 * r)))
+        else:  # on a cell edge near the disc's side
+            k = math.floor((cx + draw(st.sampled_from([-r, r]))) / cell) + draw(st.integers(-1, 1))
+            dx, dy = k * cell - cx, draw(st.floats(-r, r))
+        points[f"p{i:02d}"] = (cx + dx, cy + dy)
+    return cell, (cx, cy), r, points
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_queries())
+# (c - r) / cell and (c + r) / cell land on a cell edge after rounding, and
+# the point one rounding below is still within r by the callers' test:
+# 0.8 - 0.5 rounds up to 0.30000000000000004, in cell 3, while 0.3 is in
+# cell 2 and hypot(0.8 - 0.3, 0.0) == 0.5.
+@example((0.1, (0.8, 0.0), 0.5, {"p": (0.3, 0.0)}))
+@example((0.1, (-0.8, 0.0), 0.5, {"p": (-0.3, 0.0)}))
+@example((0.1, (0.0, 0.8), 0.5, {"p": (0.0, 0.3)}))
+@example((0.1, (2.0, -0.8), 0.5, {"p": (2.0, -0.3)}))
+def test_near_returns_every_point_within_the_radius(query):
+    cell, centre, r, points = query
+    found = SpatialHash(cell, points.items()).near(centre, r)
+    assert set(found) >= set(brute_members(centre, r, points))
+    # detect() subtracts the other way round: both tests must be covered
+    cx, cy = centre
+    assert set(found) >= {k for k, (x, y) in points.items() if math.hypot(cx - x, cy - y) <= r}
+    assert all(points[k] == p for k, p in found.items())
+    # the window is the disc's bounding square to the cell, not a cell wider
+    slack = cell + r + (abs(cx) + abs(cy) + r + cell) * 1e-9
+    assert all(abs(x - cx) <= slack and abs(y - cy) <= slack for x, y in found.values())
+
+
 def test_exact_range_on_a_cell_boundary_is_detected(table):
     world = world_at(table, [(-10.0, 0.0)], [(0.0, 0.0), (-20.0, 0.0), (-10.0, -10.0), (-10.0, 10.0000001)])
     assert detect(world, 10.0) == [("c0", "v00"), ("c0", "v01"), ("c0", "v02")]
