@@ -12,6 +12,8 @@ Each fence keeps its own decision state: its next solve and toss times
 (every ``tau`` and every ``switch_interval``) and the problem it last
 solved with the assignment solved for it.  ``step`` has one path per
 fence: solve if due, then toss against the stored solve if due.
+Single-vehicle mode, in which only the detecting vehicle switches, is
+:class:`SingleVehicleController`, a coordinator that keeps no fence.
 
 All state mutation happens through a serialized sequence of
 ``on_detection`` / ``step`` calls made by the simulation loop; the object
@@ -193,16 +195,6 @@ def toss_polluting(x: float, rng: random.Random) -> tuple[bool, float]:
     return u < x, u
 
 
-def single_vehicle_mode(last_detection_at: float | None, now: float, config: ControllerConfig) -> VehicleMode:
-    """Mode rule for single-vehicle operation: electric while a detection
-    is fresher than the expiry timeout, polluting otherwise."""
-    if last_detection_at is None:
-        return VehicleMode.POLLUTING
-    if now - last_detection_at <= config.expiry_timeout:
-        return VehicleMode.ELECTRIC
-    return VehicleMode.POLLUTING
-
-
 class GeofenceCoordinator:
     """Serialized decision authority over fences, budgets and mode commands.
 
@@ -210,8 +202,7 @@ class GeofenceCoordinator:
     step; it returns the mode commands to schedule.  With
     ``control_enabled=False`` it still tracks fence lifecycle (so baseline
     runs record comparable fence state) but never solves, never draws from
-    the toss stream and never issues commands; ``single_vehicle`` is a mode
-    of control, so it is ignored there and a baseline stays silent.
+    the toss stream and never issues commands.
     """
 
     def __init__(
@@ -220,18 +211,14 @@ class GeofenceCoordinator:
         table: CoefficientTable,
         rng: random.Random,
         control_enabled: bool = True,
-        single_vehicle: bool = False,
     ) -> None:
         self.config = config
         self.table = table
         self.rng = rng
         self.control_enabled = control_enabled
-        self.single_vehicle = single_vehicle and control_enabled
         self.fences: dict[str, Geofence] = {}
         self.command_log: list[CommandRecord] = []
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
-        self._single_seen: dict[str, tuple[float, str]] = {}  # vehicle -> (time, cyclist)
-        self._single_electric: set[str] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -245,13 +232,8 @@ class GeofenceCoordinator:
         """Register a detection: create or re-centre the cyclist's fence.
 
         The fence centre is the detecting vehicle's location, the only
-        cyclist-position proxy the system has.  In single-vehicle mode no
-        fence is kept; the detecting vehicle's own timer is refreshed.
+        cyclist-position proxy the system has.
         """
-        if self.single_vehicle:
-            if detecting_vehicle_id is not None:
-                self._single_seen[detecting_vehicle_id] = (now, cyclist_id)
-            return None
         fence = self.fences.get(cyclist_id)
         if fence is None:
             fence = Geofence(
@@ -428,8 +410,6 @@ class GeofenceCoordinator:
         ``density_weight`` are read; the objects are never mutated and no
         reference to them is kept once ``step`` returns.
         """
-        if self.single_vehicle:
-            return self._single_step(now, snapshots)
         commands = self.expire(now)
         in_any_fence: set[str] = set()
         if self.fences:
@@ -466,30 +446,52 @@ class GeofenceCoordinator:
                 commands.extend(self._toss_fence(fence, snapshots, now))
         return commands
 
-    def _single_step(self, now: float, snapshots: Mapping[str, VehicleSnapshot]) -> list[ModeCommand]:
-        """Single-vehicle operation: each detector goes electric for the
-        timeout window after its own detections, then reverts."""
+    def active_fences(self) -> list[Geofence]:
+        return [self.fences[fid] for fid in sorted(self.fences)]
+
+
+class SingleVehicleController(GeofenceCoordinator):
+    """Single-vehicle mode: each detector goes electric until its latest
+    detection expires.  No fence is kept (``fences`` stays empty), nothing
+    is solved or tossed, and a command's ``fence_id`` is the cyclist's id."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._seen: dict[str, tuple[float, str]] = {}  # vehicle -> (time, cyclist)
+        self._electric: set[str] = set()
+
+    def on_detection(
+        self, cyclist_id: str, position: Position, now: float, detecting_vehicle_id: str | None = None
+    ) -> None:
+        """Refresh the detecting vehicle's timer."""
+        if detecting_vehicle_id is not None:
+            self._seen[detecting_vehicle_id] = (now, cyclist_id)
+
+    def step(
+        self, now: float, snapshots: Mapping[str, VehicleSnapshot], background_level: float, grid=None
+    ) -> list[ModeCommand]:
+        """Command each detector electric while ``now - last <= expiry_timeout``
+        and polluting after; pure ICE vehicles and pure EV reverts are skipped."""
         commands: list[ModeCommand] = []
-        for vid in sorted(self._single_seen):
-            last, cyclist_id = self._single_seen[vid]
+        for vid in sorted(self._seen):
+            last, cyclist_id = self._seen[vid]
             if vid not in snapshots:
-                del self._single_seen[vid]
-                self._single_electric.discard(vid)
+                del self._seen[vid]
+                self._electric.discard(vid)
                 continue
             if snapshots[vid].powertrain is Powertrain.PURE_ICE:
                 continue
-            mode = single_vehicle_mode(last, now, self.config)
-            if mode is VehicleMode.ELECTRIC and vid not in self._single_electric:
-                self._single_electric.add(vid)
-            elif mode is VehicleMode.POLLUTING and vid in self._single_electric:
-                self._single_electric.discard(vid)
-                del self._single_seen[vid]
+            fresh = now - last <= self.config.expiry_timeout
+            if fresh and vid not in self._electric:
+                self._electric.add(vid)
+                mode = VehicleMode.ELECTRIC
+            elif not fresh and vid in self._electric:
+                self._electric.discard(vid)
+                del self._seen[vid]
                 if snapshots[vid].powertrain is Powertrain.PURE_EV:
                     continue
+                mode = VehicleMode.POLLUTING
             else:
                 continue
             commands.append(self._command(now, cyclist_id, vid, mode))
         return commands
-
-    def active_fences(self) -> list[Geofence]:
-        return [self.fences[fid] for fid in sorted(self.fences)]

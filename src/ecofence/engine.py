@@ -43,6 +43,7 @@ from .coordinator import (
     GeofenceCoordinator,
     ModeCommand,
     Powertrain,
+    SingleVehicleController,
     VehicleMode,
 )
 from .emissions import CoefficientTable, load_default_table
@@ -404,20 +405,17 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     The spawn stream and the coin-toss stream are seeded separately so a
     control run and a baseline run of the same seed see identical traffic.
     Baseline runs (control disabled) still track fence lifecycle for the
-    trace but never touch the toss stream.
+    trace but never touch the toss stream, even in single-vehicle mode,
+    which otherwise runs a :class:`SingleVehicleController`.
     """
     if table is None:
         table = load_default_table()
     world = World(network=scenario.network, table=table)
     rng_spawn = random.Random(f"{seed}:spawn")
     rng_toss = random.Random(f"{seed}:toss")
-    coordinator = GeofenceCoordinator(
-        scenario.controller,
-        table,
-        rng_toss,
-        control_enabled=scenario.control_enabled,
-        single_vehicle=scenario.single_vehicle,
-    )
+    single = scenario.single_vehicle and scenario.control_enabled
+    controller = SingleVehicleController if single else GeofenceCoordinator
+    coordinator = controller(scenario.controller, table, rng_toss, control_enabled=scenario.control_enabled)
     cell = max(scenario.controller.radius, scenario.detection_range)
     fleet_cursor = 0
     cyclist_cursor = 0

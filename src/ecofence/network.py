@@ -93,9 +93,6 @@ class RoadNetwork:
         except KeyError:
             raise KeyError(f"unknown edge {edge_id!r}") from None
 
-    def route_length(self, route: tuple[str, ...]) -> float:
-        return sum(self.edge(eid).length for eid in route)
-
     def route_problems(self, route: tuple[str, ...], where: str) -> list[str]:
         """Validation diagnostics for a route: unknown edges, broken chaining."""
         problems = []

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .coordinator import CommandRecord
 from .emissions import load_default_table
-from .engine import RunResult, ScenarioTrace, run
+from .engine import RunResult, ScenarioTrace, TraceRow, run
 from .optimizer import BUDGET_TOL
 from .scenario import Scenario
 
@@ -51,12 +51,12 @@ class CompareResult:
     summary: RunSummary
 
 
-def _fence_rows(trace: ScenarioTrace):
+def _fence_rows(trace: ScenarioTrace) -> list[TraceRow]:
     return [row for row in trace.rows if row.fences]
 
 
-def _mean_max_in_fence(trace: ScenarioTrace) -> tuple[float, float]:
-    rows = _fence_rows(trace)
+def _mean_max_in_fence(rows: list[TraceRow]) -> tuple[float, float]:
+    """Mean and max in-fence rate over rows that have a fence."""
     if not rows:
         return 0.0, 0.0
     rates = [row.in_fence_rate for row in rows]
@@ -77,8 +77,8 @@ def _dwell_fractions(trace: ScenarioTrace) -> dict[str, float]:
 def summarize(control: RunResult, baseline: RunResult | None = None) -> RunSummary:
     rows = control.trace.rows
     budget = sum(row.budget for row in rows) / len(rows) if rows else 0.0
-    mean_rate, max_rate = _mean_max_in_fence(control.trace)
     fence_rows = _fence_rows(control.trace)
+    mean_rate, max_rate = _mean_max_in_fence(fence_rows)
     if fence_rows:
         within = sum(1 for r in fence_rows if r.in_fence_rate <= r.budget + BUDGET_TOL)
         within_fraction = within / len(fence_rows)
@@ -86,7 +86,7 @@ def summarize(control: RunResult, baseline: RunResult | None = None) -> RunSumma
         within_fraction = 1.0
     base_mean = base_max = None
     if baseline is not None:
-        base_mean, base_max = _mean_max_in_fence(baseline.trace)
+        base_mean, base_max = _mean_max_in_fence(_fence_rows(baseline.trace))
     return RunSummary(
         budget=budget,
         control_mean_in_fence=mean_rate,

@@ -182,7 +182,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         problems.append("scenario.horizon: must be a positive number")
         horizon = 1.0
     dt = _number(data, "dt", problems, "scenario", default=1.0)
-    if dt is None or dt <= 0:
+    if dt <= 0:
         problems.append("scenario.dt: must be a positive number")
         dt = 1.0
 
@@ -221,7 +221,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
                 edge_id=eid,
                 points=tuple(points),
                 speed_limit=speed_limit if speed_limit is not None else 0.0,
-                density_weight=weight if weight is not None else 1.0,
+                density_weight=weight,
             )
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
@@ -259,7 +259,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}.vehicle_id: duplicate vehicle {vid!r}")
         seen_vehicles.add(vid)
         spawn_time = _number(raw, "spawn_time", problems, where, default=0.0)
-        if spawn_time is None or spawn_time < 0:
+        if spawn_time < 0:
             problems.append(f"{where}.spawn_time: must be >= 0")
             spawn_time = 0.0
         euro_class = raw.get("euro_class")
@@ -310,7 +310,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}.speed: must be a positive number")
             speed = 1.0
         spawn_time = _number(raw, "spawn_time", problems, where, default=0.0)
-        if spawn_time is None or spawn_time < 0:
+        if spawn_time < 0:
             problems.append(f"{where}.spawn_time: must be >= 0")
             spawn_time = 0.0
         cyclists.append(
@@ -338,22 +338,21 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
     detection_range = _number(control, "detection_range", problems, where, default=10.0)
     latency = _number(control, "actuation_latency", problems, where, default=0.0)
     background = _parse_background(control.get("background"), problems, f"{where}.background")
-    if detection_range is None or detection_range <= 0:
+    if detection_range <= 0:
         problems.append(f"{where}.detection_range: must be positive")
         detection_range = 10.0
     try:
         controller = ControllerConfig(
-            tau=tau if tau is not None else 1.0,
-            expiry_timeout=timeout if timeout is not None else 20.0,
-            allowable_limit=limit if limit is not None else 1.0,
-            actuation_latency=latency if latency is not None else 0.0,
+            tau=tau,
+            expiry_timeout=timeout,
+            allowable_limit=limit,
+            actuation_latency=latency,
             switch_interval=switch_interval,
-            radius=radius if radius is not None else 100.0,
+            radius=radius,
             force_detector_electric=bool(force_detector),
         )
     except ValueError as exc:
         problems.append(f"{where}: {exc}")
-        controller = ControllerConfig()
 
     if problems:
         raise ScenarioError(problems)

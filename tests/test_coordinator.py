@@ -8,10 +8,10 @@ from ecofence.coordinator import (
     Geofence,
     GeofenceCoordinator,
     Powertrain,
+    SingleVehicleController,
     VehicleMode,
     VehicleSnapshot,
     members,
-    single_vehicle_mode,
     toss_polluting,
 )
 
@@ -297,16 +297,8 @@ def test_toss_frequency_near_half():
 # -- single-vehicle mode ---------------------------------------------------------
 
 
-def test_single_vehicle_mode_rule():
-    config = ControllerConfig()
-    assert single_vehicle_mode(0.0, 0.0, config) == VehicleMode.ELECTRIC
-    assert single_vehicle_mode(0.0, 20.0, config) == VehicleMode.ELECTRIC
-    assert single_vehicle_mode(0.0, 20.1, config) == VehicleMode.POLLUTING
-    assert single_vehicle_mode(None, 5.0, config) == VehicleMode.POLLUTING
-
-
 def test_single_vehicle_step_cycle(table):
-    coord = make_coordinator(table, single_vehicle=True)
+    coord = SingleVehicleController(ControllerConfig(), table, random.Random("test:toss"))
     snapshots = {"v1": snap("v1")}
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     assert coord.fences == {}  # no fences in this mode

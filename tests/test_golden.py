@@ -1,15 +1,16 @@
 """Byte-identity gate: the CLI's output files for the bundled demos.
 
 The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` and the
-output files of ``compare``, seed 42, plus single-vehicle mode, a
-two-fence run with actuation latency, tau above 1 and a background
-series, a run that tosses more often than it solves, a run whose
-detection range exceeds its fence radius, and the merged summary of
-``sweep`` on one and on two workers.
+output files of ``compare``, seed 42, plus single-vehicle mode (also
+with pure EVs and pure ICE vehicles), a two-fence run with actuation
+latency, tau above 1 and a background series, a run that tosses more
+often than it solves, a run whose detection range exceeds its fence
+radius, and the merged summary of ``sweep`` on one and on two workers.
 A refactor or optimisation must leave them unchanged; a deliberate
 behaviour change updates them and says which bytes changed and why.
 """
 
+import csv
 import hashlib
 import json
 
@@ -57,6 +58,12 @@ def test_compare_outputs_match_golden_digests(tmp_path):
 SINGLE_VEHICLE_DIGESTS = {
     "trace.csv": "70f5485e383906d08666b5a35d989ee762806f3b7be54e2093acabb9e26b89a4",
     "commands.csv": "3393af3c0276058b04eb1f3c67c07ab97a62e8caaaf2b0d6cbc4a7d9c5c403ea",
+}
+
+# demo_ring in single-vehicle mode with pure EVs and pure ICE vehicles
+MIXED_POWERTRAIN_DIGESTS = {
+    "trace.csv": "a6b74506772699cc47d25a2b4c348fd99c2fdcb9d730d4acb0f3eaf3cb50d27f",
+    "commands.csv": "fe0fb20d76dfef7eec41911c8449b2e22996c73d298705a211c4271cda770a76",
 }
 
 TWO_TILE_DIGESTS = {
@@ -135,6 +142,40 @@ def test_single_vehicle_run_matches_golden_digests(tmp_path):
     assert cli.main(argv) == 0
     for name, digest in SINGLE_VEHICLE_DIGESTS.items():
         assert sha256(tmp_path / name) == digest, name
+
+
+def mixed_powertrain_scenario(path):
+    """demo_ring in single-vehicle mode with a 5 s actuation latency, where
+    v01 and v02 are pure EVs and v03 and v04 pure ICE vehicles."""
+    demo = json.loads(data_path("demo_ring.json").read_text())
+    powertrains = {"v01": "pure_ev", "v02": "pure_ev", "v03": "pure_ice", "v04": "pure_ice"}
+    for entry in demo["fleet"]:
+        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
+    demo["control"] = dict(demo["control"], single_vehicle=True, actuation_latency=5.0)
+    path.write_text(json.dumps(demo))
+    return path
+
+
+def test_single_vehicle_run_with_mixed_powertrains_matches_golden_digests(tmp_path):
+    scenario = mixed_powertrain_scenario(tmp_path / "mixed.json")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
+    for name, digest in MIXED_POWERTRAIN_DIGESTS.items():
+        assert sha256(out / name) == digest, name
+    with open(out / "commands.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 172
+    cyclist_ids = {json.loads(scenario.read_text())["cyclist"]["cyclist_id"]}
+    modes: dict[str, list[str]] = {}
+    for row in rows:
+        assert row["fence_id"] in cyclist_ids
+        assert float(row["effective_time"]) == float(row["sim_time"]) + 5.0
+        modes.setdefault(row["vehicle_id"], []).append(row["commanded_mode"])
+    # a pure EV is only ever switched on, a pure ICE vehicle never commanded
+    assert modes.pop("v01") == modes.pop("v02") == ["electric"] * 10
+    assert "v03" not in modes and "v04" not in modes
+    for vid, sequence in modes.items():
+        assert sequence == ["electric", "polluting"] * (len(sequence) // 2) + ["electric"] * (len(sequence) % 2), vid
 
 
 def test_two_tile_run_with_latency_and_background_matches_golden_digests(tmp_path):

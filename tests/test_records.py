@@ -10,10 +10,9 @@ import dataclasses
 
 import pytest
 
-from ecofence import engine
+from ecofence import coordinator, engine
 from ecofence.coordinator import (
     CommandRecord,
-    GeofenceCoordinator,
     ModeCommand,
     Powertrain,
     VehicleMode,
@@ -72,11 +71,11 @@ def test_snapshot_mode_defaults_to_polluting():
     assert snapshot.mode is VehicleMode.POLLUTING
 
 
-def recording_coordinator(steps, as_snapshots):
-    """A coordinator class that logs every ``step`` result; optionally it
-    copies the engine's vehicle records into snapshots first."""
+def recording_controller(controller, steps, as_snapshots):
+    """A subclass of ``controller`` that logs every ``step`` result;
+    optionally it copies the engine's vehicle records into snapshots first."""
 
-    class Recording(GeofenceCoordinator):
+    class Recording(controller):
         def step(self, now, snapshots, background_level, grid=None):
             assert all(isinstance(v, VehicleState) for v in snapshots.values())
             if as_snapshots:
@@ -109,7 +108,10 @@ def test_coordinator_decides_alike_on_records_and_snapshots(
     outcomes = []
     for as_snapshots in (False, True):
         steps = []
-        monkeypatch.setattr(engine, "GeofenceCoordinator", recording_coordinator(steps, as_snapshots))
+        # wrap both controllers, so the one run builds is the one recorded
+        for name in ("GeofenceCoordinator", "SingleVehicleController"):
+            recording = recording_controller(getattr(coordinator, name), steps, as_snapshots)
+            monkeypatch.setattr(engine, name, recording)
         outcomes.append((steps, run(scenario, 42)))
     (record_steps, by_records), (snapshot_steps, by_snapshots) = outcomes
     assert any(record_steps)

@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from ecofence.coordinator import ControllerConfig
 from ecofence.scenario import (
     ScenarioError,
     load_density_file,
@@ -24,6 +25,23 @@ def test_missing_density_weight_defaults_to_one(demo_ring_dict):
         edge.pop("density_weight", None)
     scenario = parse_scenario(doc)
     assert all(e.density_weight == 1.0 for e in scenario.network.edges.values())
+
+
+@pytest.mark.parametrize("control", ["absent", "nulls"])
+def test_missing_control_parses_to_the_controller_defaults(control, demo_ring_dict):
+    # the parser's defaults must not drift from ControllerConfig's
+    doc = copy.deepcopy(demo_ring_dict)
+    if control == "absent":
+        del doc["control"]
+    else:
+        doc["control"] = dict.fromkeys(
+            ["radius", "limit", "tau", "switch_interval", "expiry_timeout", "detection_range", "actuation_latency"]
+        )
+    scenario = parse_scenario(doc)
+    assert scenario.controller == ControllerConfig()
+    assert scenario.detection_range == 10.0
+    assert scenario.control_enabled is True
+    assert scenario.single_vehicle is False
 
 
 def test_violations_are_collected_not_fail_first(demo_ring_dict):
