@@ -184,11 +184,8 @@ def _parse_seed_range(text: str) -> list[int]:
 
 
 def _sweep_one(payload):
-    scenario_dict, seed = payload
-    from .scenario import parse_scenario
-
-    compared = run_compare(parse_scenario(scenario_dict), seed)
-    return seed, compared.summary
+    scenario, seed = payload
+    return seed, run_compare(scenario, seed).summary
 
 
 def _cmd_sweep(args) -> int:
@@ -196,7 +193,7 @@ def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(scenario.to_dict(), seed) for seed in seeds]
+    payloads = [(scenario, seed) for seed in seeds]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_one, payloads))

@@ -380,7 +380,7 @@ class GeofenceCoordinator:
         now: float,
         snapshots: Mapping[str, VehicleSnapshot],
         background_level: float,
-        grid: SpatialHash | None = None,
+        grid: SpatialHash,
     ) -> list[ModeCommand]:
         """Advance the coordinator one simulation step.
 
@@ -400,8 +400,6 @@ class GeofenceCoordinator:
         ``snapshots`` keyed by vehicle id at its ``position``; any cell
         size works, since the hash only prunes and ``members`` keeps the
         exact test.  The engine passes the one hash it builds per step.
-        Without a grid, ``step`` builds its own with cells of the fence
-        radius, and only when a fence is active.
 
         ``snapshots`` maps every vehicle on the road to a
         :class:`VehicleSnapshot` or any object with its attributes (the
@@ -412,14 +410,9 @@ class GeofenceCoordinator:
         """
         commands = self.expire(now)
         in_any_fence: set[str] = set()
-        if self.fences:
-            if grid is None:
-                grid = SpatialHash(
-                    self.config.radius, ((vid, snap.position) for vid, snap in snapshots.items())
-                )
-            for fence in self.fences.values():
-                fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
-                in_any_fence.update(fence.member_ids)
+        for fence in self.fences.values():
+            fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
+            in_any_fence.update(fence.member_ids)
         # only a controlled vehicle outside every fence can need a restore
         controlled = self._controlled
         for vid in sorted(controlled.keys() - in_any_fence):
@@ -468,10 +461,16 @@ class SingleVehicleController(GeofenceCoordinator):
             self._seen[detecting_vehicle_id] = (now, cyclist_id)
 
     def step(
-        self, now: float, snapshots: Mapping[str, VehicleSnapshot], background_level: float, grid=None
+        self,
+        now: float,
+        snapshots: Mapping[str, VehicleSnapshot],
+        background_level: float,
+        grid: SpatialHash,
     ) -> list[ModeCommand]:
         """Command each detector electric while ``now - last <= expiry_timeout``
-        and polluting after; pure ICE vehicles and pure EV reverts are skipped."""
+        and polluting after; pure EV reverts are skipped.  A pure ICE
+        detector is never commanded, so its entry is dropped at once.
+        ``grid`` goes unread: no fence is kept to query it for."""
         commands: list[ModeCommand] = []
         for vid in sorted(self._seen):
             last, cyclist_id = self._seen[vid]
@@ -480,6 +479,7 @@ class SingleVehicleController(GeofenceCoordinator):
                 self._electric.discard(vid)
                 continue
             if snapshots[vid].powertrain is Powertrain.PURE_ICE:
+                del self._seen[vid]
                 continue
             fresh = now - last <= self.config.expiry_timeout
             if fresh and vid not in self._electric:

@@ -11,7 +11,8 @@ by ``dt`` (which also applies mode commands whose effective time has
 arrived), detect, feed the coordinator, record one trace row.  Vehicles
 and cyclists follow their routes with one :class:`RouteCursor` each, which
 holds the current edge and looks an edge up only at spawn and when it
-moves onto the next one.  Each vehicle is one live record,
+moves onto the next one.  A record is built on its first edge, and a
+vehicle record is placed there at once.  Each vehicle is one live record,
 :class:`VehicleState`, and detection, the coordinator (which takes the
 records as its snapshots) and the trace row all read it.  What is read
 when:
@@ -23,10 +24,10 @@ when:
 
 Both proximity questions of a step (which vehicles are near a cyclist,
 which are inside a fence) are answered from one uniform-grid
-:class:`~ecofence.network.SpatialHash` that ``run`` builds per step, with
-cells of the larger of the fence radius and the detection range, and only
-while a cyclist is on the road or a fence is active; a query scans only
-the cells under its disc's bounding square, widened by a rounding bound.
+:class:`~ecofence.network.SpatialHash` that ``run`` builds on every step,
+with cells of the larger of the fence radius and the detection range, and
+passes to ``detect`` and the coordinator; a query scans only the cells
+under its disc's bounding square, widened by a rounding bound.
 So the step's work is linear in vehicles plus cyclists.  Everything is
 driven by two purpose-split seeded streams (spawn draws, coin tosses), so
 a run is fully determined by (scenario, seed).
@@ -59,26 +60,15 @@ class RouteCursor:
     """Where a road user is along its fixed route.
 
     ``edge`` is the :class:`~ecofence.network.Edge` at
-    ``route[route_index]``.  It is looked up through the network when the
-    cursor is created by the engine (or, for a cursor built without one, on
-    first use) and again only when the cursor moves onto the next edge.
+    ``route[route_index]``.  The engine looks it up when it creates the
+    cursor, and again only when the cursor moves onto the next edge.
     """
 
     route: tuple[str, ...]
     route_index: int = 0
     edge_offset: float = 0.0
-    edge: Edge | None = None
+    edge: Edge
     finished: bool = False
-
-    def current_edge_id(self) -> str:
-        return self.route[self.route_index]
-
-    def current_edge(self, network: RoadNetwork) -> Edge:
-        edge = self.edge
-        if edge is None:
-            edge = network.edge(self.route[self.route_index])
-            self._enter(edge)
-        return edge
 
     def _enter(self, edge: Edge) -> None:
         """Make ``edge``, just looked up, the current edge."""
@@ -90,7 +80,7 @@ class RouteCursor:
         Staying on the current edge, the common case, needs no lookup.
         ``finished`` is set once the end of the route is reached.
         """
-        edge = self.current_edge(network)
+        edge = self.edge
         offset = self.edge_offset
         while metres > 0:
             room = edge.length - offset
@@ -114,14 +104,12 @@ class VehicleState(RouteCursor):
     """One vehicle: its route cursor, drivetrain and mode, and where it is.
 
     ``speed`` (km/h) and ``density_weight`` belong to the current edge: they
-    are read when the record gets its edge (at spawn, on first use for a
-    record built without one) and again whenever the cursor moves onto the
-    next edge, and at no other time.  ``position`` is set from the edge
-    and offset by ``step`` once per vehicle after movement (or by
-    :meth:`refresh`), and is None until then.  The record
-    carries every attribute of a
-    :class:`~ecofence.coordinator.VehicleSnapshot`, so detection, the
-    coordinator and the trace all read it directly.
+    are read when the record is built on its edge and again whenever the
+    cursor moves onto the next edge, and at no other time.  ``position`` is
+    set from the edge and offset when the record is built, and again by
+    ``step`` once per vehicle after movement.  The record carries every
+    attribute of a :class:`~ecofence.coordinator.VehicleSnapshot`, so
+    detection, the coordinator and the trace all read it directly.
     """
 
     vehicle_id: str
@@ -129,22 +117,18 @@ class VehicleState(RouteCursor):
     speed_override: float | None = None
     mode: VehicleMode = VehicleMode.POLLUTING
     powertrain: Powertrain = Powertrain.HYBRID
-    position: Point | None = field(default=None, init=False)
+    position: Point = field(init=False)
     speed: float = field(default=0.0, init=False)
     density_weight: float = field(default=1.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.edge is not None:
-            self._enter(self.edge)
+        self._enter(self.edge)
+        self.position = self.edge.position_at(self.edge_offset)
 
     def _enter(self, edge: Edge) -> None:
         self.edge = edge
         self.speed = self.speed_override if self.speed_override is not None else edge.speed_limit
         self.density_weight = edge.density_weight
-
-    def refresh(self, network: RoadNetwork) -> None:
-        """Place the record on its edge, looking the edge up if need be."""
-        self.position = self.current_edge(network).position_at(self.edge_offset)
 
 
 @dataclass(kw_only=True, slots=True)
@@ -152,8 +136,8 @@ class CyclistState(RouteCursor):
     cyclist_id: str
     speed: float
 
-    def position(self, network: RoadNetwork) -> Point:
-        return self.current_edge(network).position_at(self.edge_offset)
+    def position(self) -> Point:
+        return self.edge.position_at(self.edge_offset)
 
 
 @dataclass
@@ -184,8 +168,6 @@ def step(world: World, dt: float) -> World:
     arrived = []
     for vid, vehicle in vehicles.items():
         edge = vehicle.edge
-        if edge is None:
-            edge = vehicle.current_edge(network)
         metres = vehicle.speed / 3.6 * dt
         offset = vehicle.edge_offset
         # RouteCursor.advance's first test, inline
@@ -230,48 +212,25 @@ def _snapshot_vehicles(world: World) -> None:
     records are the step's vehicle snapshots: detection, the coordinator
     and the trace row read them until the next ``step``.
     """
-    network = world.network
     for vehicle in world.vehicles.values():
-        edge = vehicle.edge
-        if edge is None:
-            edge = vehicle.current_edge(network)
-        vehicle.position = edge.position_at(vehicle.edge_offset)
+        vehicle.position = vehicle.edge.position_at(vehicle.edge_offset)
 
 
-def _refresh_unplaced(world: World) -> None:
-    """Refresh the records of vehicles that no ``step`` has moved yet."""
-    for vehicle in world.vehicles.values():
-        if vehicle.position is None:
-            vehicle.refresh(world.network)
-
-
-def detect(
-    world: World, detection_range: float, grid: SpatialHash | None = None
-) -> list[tuple[str, str]]:
+def detect(world: World, detection_range: float, grid: SpatialHash) -> list[tuple[str, str]]:
     """(cyclist_id, vehicle_id) pairs within straight-line detection range.
 
     Sorted ascending so downstream fence updates are order-deterministic;
     when several vehicles detect the same cyclist in one step, the
-    highest-sorting vehicle ends up centring the fence.  Vehicle positions
-    are read from the records as ``step`` last placed them.  Candidates
-    come from ``grid``, a spatial hash of every vehicle at that position,
-    of any cell size (``run`` passes its per-step hash); without one,
-    ``detect`` refreshes unplaced records and builds a hash with cells of
-    the detection range.
+    highest-sorting vehicle ends up centring the fence.  Candidates come
+    from ``grid``, the step's spatial hash of every vehicle at its placed
+    position, of any cell size (``run`` passes the one it builds per step).
     """
     if detection_range <= 0:
         raise ValueError("detection_range must be positive")
-    if not world.cyclists:
-        return []
-    if grid is None:
-        _refresh_unplaced(world)
-        grid = SpatialHash(
-            detection_range, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items())
-        )
     hypot = math.hypot
     events = []
     for cid in sorted(world.cyclists):
-        cyclist_pos = world.cyclists[cid].position(world.network)
+        cyclist_pos = world.cyclists[cid].position()
         cx, cy = cyclist_pos
         near = grid.near(cyclist_pos, detection_range)
         hits = [vid for vid, (x, y) in near.items() if hypot(cx - x, cy - y) <= detection_range]
@@ -425,9 +384,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
         cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
         step(world, scenario.dt)
         # one hash answers both proximity questions of the step
-        grid = None
-        if world.cyclists or coordinator.fences:
-            grid = SpatialHash(cell, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items()))
+        grid = SpatialHash(cell, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items()))
         for cyclist_id, vehicle_id in detect(world, scenario.detection_range, grid):
             coordinator.on_detection(
                 cyclist_id,

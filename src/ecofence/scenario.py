@@ -140,6 +140,15 @@ def _number(data: dict, key: str, problems: list[str], where: str, default=None)
     return float(value)
 
 
+def _shaped(value: Any, kind: type, problems: list[str], where: str) -> Any:
+    """``value`` if it is absent or a ``kind`` (dict or list); otherwise
+    None, with the problem noted."""
+    if value is None or isinstance(value, kind):
+        return value
+    problems.append(f"{where}: must be {'an object' if kind is dict else 'a list'}")
+    return None
+
+
 def _parse_background(raw: Any, problems: list[str], where: str) -> BackgroundSeries:
     if raw is None:
         return ((0.0, 0.0),)
@@ -187,11 +196,15 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         dt = 1.0
 
     edges: dict[str, Edge] = {}
-    raw_edges = data.get("network", {}).get("edges", [])
+    raw_network = _shaped(data.get("network"), dict, problems, "network") or {}
+    raw_edges = _shaped(raw_network.get("edges"), list, problems, "network.edges") or []
     if not raw_edges:
         problems.append("network.edges: must not be empty")
     for i, raw in enumerate(raw_edges):
         where = f"network.edges[{i}]"
+        if not isinstance(raw, dict):
+            problems.append(f"{where}: must be an object")
+            continue
         eid = raw.get("edge_id")
         if not isinstance(eid, str) or not eid:
             problems.append(f"{where}.edge_id: must be a non-empty string")
@@ -199,7 +212,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         if eid in edges:
             problems.append(f"{where}.edge_id: duplicate edge {eid!r}")
             continue
-        points_raw = raw.get("points", [])
+        points_raw = _shaped(raw.get("points"), list, problems, f"{where}.points") or []
         points = []
         ok = True
         for j, pt in enumerate(points_raw):
@@ -249,8 +262,11 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
 
     fleet: list[FleetEntry] = []
     seen_vehicles: set[str] = set()
-    for i, raw in enumerate(data.get("fleet", [])):
+    for i, raw in enumerate(_shaped(data.get("fleet"), list, problems, "fleet") or []):
         where = f"fleet[{i}]"
+        if not isinstance(raw, dict):
+            problems.append(f"{where}: must be an object")
+            continue
         vid = raw.get("vehicle_id")
         if not isinstance(vid, str) or not vid:
             problems.append(f"{where}.vehicle_id: must be a non-empty string")
@@ -291,13 +307,16 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
     fleet.sort(key=lambda f: (f.spawn_time, f.vehicle_id))
 
     cyclists: list[CyclistSpec] = []
-    raw_cyclists = data.get("cyclists")
+    raw_cyclists = _shaped(data.get("cyclists"), list, problems, "cyclists")
     if raw_cyclists is None:
-        single = data.get("cyclist")
+        single = _shaped(data.get("cyclist"), dict, problems, "cyclist")
         raw_cyclists = [single] if single is not None else []
     seen_cyclists: set[str] = set()
     for i, raw in enumerate(raw_cyclists):
         where = f"cyclists[{i}]"
+        if not isinstance(raw, dict):
+            problems.append(f"{where}: must be an object")
+            continue
         cid = raw.get("cyclist_id")
         if not isinstance(cid, str) or not cid:
             problems.append(f"{where}.cyclist_id: must be a non-empty string")
@@ -318,7 +337,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         )
     cyclists.sort(key=lambda c: (c.spawn_time, c.cyclist_id))
 
-    control = data.get("control", {})
+    control = _shaped(data.get("control"), dict, problems, "control") or {}
     where = "control"
     enabled = control.get("enabled", True)
     single_vehicle = control.get("single_vehicle", False)

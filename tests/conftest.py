@@ -5,10 +5,17 @@ from pathlib import Path
 import pytest
 
 from ecofence import load_default_table, load_scenario, run_compare
+from ecofence.network import SpatialHash
 
 
 def data_path(name: str) -> Path:
     return Path(str(resources.files("ecofence") / "data" / name))
+
+
+def grid_of(records, cell: float = 100.0) -> SpatialHash:
+    """The proximity index ``engine.run`` builds per step, over ``records``
+    at their positions; any cell size serves, since the hash only prunes."""
+    return SpatialHash(cell, ((vid, record.position) for vid, record in records.items()))
 
 
 @pytest.fixture(scope="session")

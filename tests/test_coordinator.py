@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ecofence import engine
 from ecofence.coordinator import (
     ControllerConfig,
     Geofence,
@@ -14,6 +15,9 @@ from ecofence.coordinator import (
     members,
     toss_polluting,
 )
+from ecofence.scenario import load_scenario
+from tests.conftest import grid_of
+from tests.test_golden import mixed_powertrain_scenario
 
 
 def snap(vid, pos=(0.0, 0.0), speed=30.0, euro=4, powertrain=Powertrain.HYBRID, density=1.0):
@@ -75,9 +79,9 @@ def test_expiry_restores_controlled_members(table):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
-    commands = coord.step(0.0, snapshots, background_level=0.0)
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert commands  # both commanded at the first tick
-    restect = coord.step(21.0, snapshots, background_level=0.0)
+    restect = coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
     restored = {c.vehicle_id: c.mode for c in restect}
     assert restored == {"v1": VehicleMode.POLLUTING, "v2": VehicleMode.POLLUTING}
@@ -110,7 +114,8 @@ def test_compute_limit_examples(table):
     for level, limit in ((0.0, 1.0), (1.5, -0.5), (0.4, pytest.approx(0.6))):
         coord = make_coordinator(table, config=ControllerConfig(allowable_limit=1.0))
         fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-        coord.step(0.0, {"v1": snap("v1")}, background_level=level)
+        snapshots = {"v1": snap("v1")}
+        coord.step(0.0, snapshots, level, grid_of(snapshots))
         assert fence.problem.limit == limit
 
 
@@ -118,8 +123,9 @@ def test_compute_limit_examples(table):
 def test_non_finite_background_is_rejected(table, level):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    snapshots = {"v1": snap("v1")}
     with pytest.raises(ValueError):
-        coord.step(0.0, {"v1": snap("v1")}, background_level=level)
+        coord.step(0.0, snapshots, level, grid_of(snapshots))
 
 
 # -- decisions -----------------------------------------------------------------
@@ -133,7 +139,7 @@ def test_decision_tick_extremes_ignore_draw(table):
     snapshots = {"a": snap("a", speed=10.0), "b": snap("b", speed=10.0)}
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
-        coord.step(float(t), snapshots, background_level=0.0)
+        coord.step(float(t), snapshots, 0.0, grid_of(snapshots))
     rows = [r for r in coord.command_log if r.assignment is not None]
     assert len(rows) == 100
     assert all(r.assignment == 1.0 and r.commanded_mode == "polluting" for r in rows)
@@ -142,7 +148,7 @@ def test_decision_tick_extremes_ignore_draw(table):
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
-        coord.step(float(t), snapshots, background_level=2.0)
+        coord.step(float(t), snapshots, 2.0, grid_of(snapshots))
     rows = [r for r in coord.command_log if r.assignment is not None]
     assert len(rows) == 100
     assert all(r.assignment == 0.0 and r.commanded_mode == "electric" for r in rows)
@@ -152,7 +158,7 @@ def test_decision_tick_negative_budget_all_electric(table):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {f"v{i}": snap(f"v{i}", pos=(float(i), 0.0)) for i in range(4)}
-    commands = coord.step(0.0, snapshots, background_level=1.5)
+    commands = coord.step(0.0, snapshots, 1.5, grid_of(snapshots))
     assert {c.mode for c in commands} == {VehicleMode.ELECTRIC}
     assert len(commands) == 4
 
@@ -164,7 +170,7 @@ def test_decision_tick_expected_spend_within_budget(table):
         f"v{i}": snap(f"v{i}", pos=(float(i), 0.0), euro=1 + i % 4, density=1.0 + i % 3)
         for i in range(10)
     }
-    coord.step(0.0, snapshots, background_level=0.0)
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     spend = sum(
         r.assignment * r.emission_rate for r in coord.command_log if r.assignment is not None
     )
@@ -175,7 +181,7 @@ def test_pure_ev_member_always_electric(table):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
-    commands = coord.step(0.0, snapshots, background_level=0.0)
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     ev_commands = [c for c in commands if c.vehicle_id == "ev"]
     assert [c.mode for c in ev_commands] == [VehicleMode.ELECTRIC]
     ev_row = next(r for r in coord.command_log if r.vehicle_id == "ev")
@@ -187,7 +193,7 @@ def test_pure_ice_member_never_commanded(table):
     coord = make_coordinator(table)
     fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ice": snap("ice", powertrain=Powertrain.PURE_ICE), "hv": snap("hv")}
-    commands = coord.step(0.0, snapshots, background_level=0.0)
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert all(c.vehicle_id != "ice" for c in commands)
     assert all(r.vehicle_id != "ice" for r in coord.command_log)
     assert "ice" in fence.member_ids  # geometrically still a member
@@ -197,15 +203,17 @@ def test_members_outside_are_never_commanded(table):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"in": snap("in"), "far": snap("far", pos=(500.0, 0.0))}
-    commands = coord.step(0.0, snapshots, background_level=0.0)
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert {c.vehicle_id for c in commands} == {"in"}
 
 
 def test_vehicle_leaving_fence_reverts_next_step(table):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-    coord.step(0.0, {"v1": snap("v1")}, background_level=0.0)
-    commands = coord.step(1.0, {"v1": snap("v1", pos=(300.0, 0.0))}, background_level=0.0)
+    snapshots = {"v1": snap("v1")}
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    moved = {"v1": snap("v1", pos=(300.0, 0.0))}
+    commands = coord.step(1.0, moved, 0.0, grid_of(moved))
     assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.POLLUTING)]
     restored_row = coord.command_log[-1]
     assert restored_row.assignment is None
@@ -217,7 +225,8 @@ def test_actuation_latency_delays_effect(table):
     assert config.tau == 5.0 and config.actuation_latency == 5.0
     coord = make_coordinator(table, config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-    commands = coord.step(0.0, {"v1": snap("v1")}, background_level=0.0)
+    snapshots = {"v1": snap("v1")}
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert commands[0].effective_time == 5.0
 
 
@@ -225,10 +234,11 @@ def test_fresh_solve_when_membership_changes_between_solves(table):
     config = ControllerConfig(tau=10.0, switch_interval=1.0)
     coord = make_coordinator(table, config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-    coord.step(0.0, {"v1": snap("v1")}, background_level=0.0)
+    first = {"v1": snap("v1")}
+    coord.step(0.0, first, 0.0, grid_of(first))
     # new member appears before the next scheduled solve; it must be re-solved
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(5.0, 0.0))}
-    commands = coord.step(1.0, snapshots, background_level=0.0)
+    commands = coord.step(1.0, snapshots, 0.0, grid_of(snapshots))
     assert {c.vehicle_id for c in commands} == {"v1", "v2"}
 
 
@@ -240,8 +250,9 @@ def test_toss_only_tick_logs_the_solved_problem(table):
     config = ControllerConfig(tau=10.0, switch_interval=1.0)
     coord = make_coordinator(table, config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-    coord.step(0.0, {"v1": snap("v1", euro=1, speed=10.0, density=1.0)}, background_level=0.0)
-    coord.step(1.0, {"v1": snap("v1", euro=1, speed=30.0, density=3.0)}, background_level=0.0)
+    for now, speed, density in ((0.0, 10.0, 1.0), (1.0, 30.0, 3.0)):
+        snapshots = {"v1": snap("v1", euro=1, speed=speed, density=density)}
+        coord.step(now, snapshots, 0.0, grid_of(snapshots))
     first, second = coord.command_log
     assert (first.density, first.emission_rate) == (1.0, table.rate(1, 10.0))
     assert (second.density, second.emission_rate) == (first.density, first.emission_rate)
@@ -256,11 +267,11 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick(table):
     coord = make_coordinator(table, config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
-    coord.step(0.0, snapshots, background_level=0.0)
-    coord.step(21.0, snapshots, background_level=0.0)
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
     fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
-    commands = coord.step(22.0, snapshots, background_level=1.5)
+    commands = coord.step(22.0, snapshots, 1.5, grid_of(snapshots))
     assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.ELECTRIC)]
     assert fence.problem.limit == -0.5
     assert (fence.next_solve, fence.next_toss) == (52.0, 52.0)
@@ -272,7 +283,7 @@ def test_force_detector_electric(table):
     coord = make_coordinator(table, config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(3.0, 0.0))}
-    commands = coord.step(0.0, snapshots, background_level=0.0)
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     modes = {c.vehicle_id: c.mode for c in commands}
     assert modes["v1"] == VehicleMode.ELECTRIC
     detector_rows = [r for r in coord.command_log if r.vehicle_id == "v1"]
@@ -302,14 +313,36 @@ def test_single_vehicle_step_cycle(table):
     snapshots = {"v1": snap("v1")}
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     assert coord.fences == {}  # no fences in this mode
-    commands = coord.step(0.0, snapshots, background_level=0.0)
+    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.ELECTRIC)]
     # refreshed detections keep it electric with no re-issued command
     coord.on_detection("tag-1", (0.0, 0.0), 5.0, detecting_vehicle_id="v1")
-    assert coord.step(6.0, snapshots, background_level=0.0) == []
-    assert coord.step(25.0, snapshots, background_level=0.0) == []  # 25 - 5 <= 20
-    commands = coord.step(25.1, snapshots, background_level=0.0)
+    assert coord.step(6.0, snapshots, 0.0, grid_of(snapshots)) == []
+    assert coord.step(25.0, snapshots, 0.0, grid_of(snapshots)) == []  # 25 - 5 <= 20
+    commands = coord.step(25.1, snapshots, 0.0, grid_of(snapshots))
     assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.POLLUTING)]
+
+
+def test_single_vehicle_controller_drops_pure_ice_detectors(tmp_path, monkeypatch):
+    # the mixed-powertrain golden run, where v03 and v04 are pure ICE
+    scenario = load_scenario(mixed_powertrain_scenario(tmp_path / "mixed.json"))
+    detectors, seen_after_step = set(), []
+
+    class Watched(SingleVehicleController):
+        def on_detection(self, cyclist_id, position, now, detecting_vehicle_id=None):
+            detectors.add(detecting_vehicle_id)
+            return super().on_detection(cyclist_id, position, now, detecting_vehicle_id)
+
+        def step(self, now, snapshots, background_level, grid):
+            commands = super().step(now, snapshots, background_level, grid)
+            seen_after_step.append(set(self._seen))
+            return commands
+
+    monkeypatch.setattr(engine, "SingleVehicleController", Watched)
+    engine.run(scenario, 42)
+    assert len(seen_after_step) == scenario.steps()
+    assert "v03" in detectors
+    assert all(seen.isdisjoint({"v03", "v04"}) for seen in seen_after_step)
 
 
 def test_config_validation():
@@ -347,7 +380,7 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles(table):
         "v5": snap("v5", pos=(2.0, 0.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    coord.step(0.0, snapshots, background_level=0.0)
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert set(coord._controlled) == set(snapshots)
     logged = len(coord.command_log)
     # v3 and v4 leave both fences, v1 and v2 move out of theirs, v5 leaves
@@ -359,7 +392,7 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles(table):
         "v4": snap("v4", pos=(500.0, 500.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    commands = coord.step(1.0, moved, background_level=0.0)
+    commands = coord.step(1.0, moved, 0.0, grid_of(moved))
     restores = [c for c in commands if c.vehicle_id != "v6"]
     assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
     assert [(c.vehicle_id, c.mode) for c in restores] == [
@@ -387,7 +420,7 @@ def test_budget_in_expectation_over_many_ticks(table):
     }
     for t in range(400):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
-        coord.step(float(t), snapshots, background_level=0.0)
+        coord.step(float(t), snapshots, 0.0, grid_of(snapshots))
     spend_by_tick = {}
     for row in coord.command_log:
         if row.assignment is not None:

@@ -8,13 +8,13 @@ from ecofence.engine import (
     CyclistState,
     VehicleState,
     World,
-    _snapshot_vehicles,
     _trace_row,
     detect,
     run,
     step,
 )
 from ecofence.network import Edge, RoadNetwork
+from tests.conftest import grid_of
 
 
 def straight_network(length=1000.0, speed=36.0, weight=1.0):
@@ -45,27 +45,34 @@ def world_with(network, table, vehicles=(), cyclists=()):
     return world
 
 
-def vehicle(vid="v1", route=("e1",), **kwargs):
-    return VehicleState(vehicle_id=vid, euro_class=4, route=route, **kwargs)
+def vehicle(network, vid="v1", route=("e1",), **kwargs):
+    return VehicleState(vehicle_id=vid, euro_class=4, route=route, edge=network.edge(route[0]), **kwargs)
+
+
+def cyclist_on(network, offset=0.0, speed=15.0):
+    edge = network.edge("e1")
+    return CyclistState(cyclist_id="c1", route=("e1",), speed=speed, edge=edge, edge_offset=offset)
 
 
 def test_step_advances_ten_metres(table):
-    world = world_with(straight_network(), table, [vehicle()])
+    network = straight_network()
+    world = world_with(network, table, [vehicle(network)])
     step(world, 1.0)
     assert world.vehicles["v1"].edge_offset == pytest.approx(10.0)
     assert world.now == 1.0
 
 
 def test_step_crosses_edges(table):
-    world = world_with(two_edge_network(), table, [vehicle(route=("e1", "e2"))])
-    world.vehicles["v1"].edge_offset = 95.0
+    network = two_edge_network()
+    world = world_with(network, table, [vehicle(network, route=("e1", "e2"), edge_offset=95.0)])
     step(world, 1.0)
-    assert world.vehicles["v1"].current_edge_id() == "e2"
+    assert world.vehicles["v1"].edge is network.edge("e2")
     assert world.vehicles["v1"].edge_offset == pytest.approx(5.0)
 
 
 def test_step_removes_arrived_vehicle(table):
-    world = world_with(straight_network(length=5.0), table, [vehicle()])
+    network = straight_network(length=5.0)
+    world = world_with(network, table, [vehicle(network)])
     step(world, 1.0)
     assert world.vehicles == {}
 
@@ -79,7 +86,8 @@ def test_step_rejects_nonpositive_dt(table):
 
 
 def test_step_applies_due_commands_only(table):
-    world = world_with(straight_network(), table, [vehicle()])
+    network = straight_network()
+    world = world_with(network, table, [vehicle(network)])
     world.pending_commands = [
         ModeCommand("v1", VehicleMode.ELECTRIC, issued_at=0.0, effective_time=2.0)
     ]
@@ -91,9 +99,10 @@ def test_step_applies_due_commands_only(table):
 
 
 def test_step_guards_powertrains(table):
-    ev = vehicle("ev", powertrain=Powertrain.PURE_EV, mode=VehicleMode.ELECTRIC)
-    ice = vehicle("ice", powertrain=Powertrain.PURE_ICE)
-    world = world_with(straight_network(), table, [ev, ice])
+    network = straight_network()
+    ev = vehicle(network, "ev", powertrain=Powertrain.PURE_EV, mode=VehicleMode.ELECTRIC)
+    ice = vehicle(network, "ice", powertrain=Powertrain.PURE_ICE)
+    world = world_with(network, table, [ev, ice])
     world.pending_commands = [
         ModeCommand("ev", VehicleMode.POLLUTING, 0.0, 0.0),
         ModeCommand("ice", VehicleMode.ELECTRIC, 0.0, 0.0),
@@ -104,66 +113,63 @@ def test_step_guards_powertrains(table):
 
 
 def test_cyclist_parks_at_route_end(table):
-    cyclist = CyclistState(cyclist_id="c1", route=("e1",), speed=36.0)
-    world = world_with(straight_network(length=5.0), table, cyclists=[cyclist])
+    network = straight_network(length=5.0)
+    world = world_with(network, table, cyclists=[cyclist_on(network, speed=36.0)])
     step(world, 1.0)
     assert world.cyclists["c1"].finished
-    assert world.cyclists["c1"].position(world.network) == (5.0, 0.0)
+    assert world.cyclists["c1"].position() == (5.0, 0.0)
     step(world, 1.0)  # stays parked
     assert world.cyclists["c1"].edge_offset == 5.0
 
 
 def test_detect_within_range(table):
-    cyclist = CyclistState(cyclist_id="c1", route=("e1",), speed=15.0, edge_offset=50.0)
-    near = vehicle("near")
-    near.edge_offset = 45.0
-    far = vehicle("far")
-    far.edge_offset = 500.0
-    world = world_with(straight_network(), table, [near, far], [cyclist])
-    assert detect(world, 10.0) == [("c1", "near")]
-    assert detect(world, 1.0) == []
+    network = straight_network()
+    near = vehicle(network, "near", edge_offset=45.0)
+    far = vehicle(network, "far", edge_offset=500.0)
+    world = world_with(network, table, [near, far], [cyclist_on(network, offset=50.0)])
+    grid = grid_of(world.vehicles)
+    assert detect(world, 10.0, grid) == [("c1", "near")]
+    assert detect(world, 1.0, grid) == []
     with pytest.raises(ValueError):
-        detect(world, 0.0)
+        detect(world, 0.0, grid)
 
 
 def test_detect_orders_by_vehicle_id(table):
-    cyclist = CyclistState(cyclist_id="c1", route=("e1",), speed=15.0, edge_offset=50.0)
-    a = vehicle("a")
-    a.edge_offset = 48.0
-    b = vehicle("b")
-    b.edge_offset = 52.0
-    world = world_with(straight_network(), table, [b, a], [cyclist])
-    assert detect(world, 10.0) == [("c1", "a"), ("c1", "b")]
+    network = straight_network()
+    a = vehicle(network, "a", edge_offset=48.0)
+    b = vehicle(network, "b", edge_offset=52.0)
+    world = world_with(network, table, [b, a], [cyclist_on(network, offset=50.0)])
+    assert detect(world, 10.0, grid_of(world.vehicles)) == [("c1", "a"), ("c1", "b")]
 
 
 def trace_rates(world, fence_center=None):
     """(total_rate, in_fence_rate) of the trace row for a hand-built world,
     with one fence at ``fence_center`` if given."""
-    _snapshot_vehicles(world)
     coordinator = GeofenceCoordinator(
         ControllerConfig(), world.table, random.Random(0), control_enabled=False
     )
     if fence_center is not None:
         coordinator.on_detection("f", fence_center, world.now)
-    coordinator.step(world.now, world.vehicles, 0.0)
+    coordinator.step(world.now, world.vehicles, 0.0, grid_of(world.vehicles))
     row = _trace_row(world, coordinator, 0.0)
     return row.total_rate, row.in_fence_rate
 
 
 def test_aggregate_all_electric_is_zero(table):
-    v1 = vehicle("v1", mode=VehicleMode.ELECTRIC)
-    v2 = vehicle("v2", mode=VehicleMode.ELECTRIC)
-    world = world_with(straight_network(), table, [v1, v2])
+    network = straight_network()
+    v1 = vehicle(network, "v1", mode=VehicleMode.ELECTRIC)
+    v2 = vehicle(network, "v2", mode=VehicleMode.ELECTRIC)
+    world = world_with(network, table, [v1, v2])
     assert trace_rates(world, (0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_aggregate_restricted_to_fence(table):
-    inside = vehicle("in")
-    outside = vehicle("out")
-    outside.edge_offset = 500.0
-    world = world_with(straight_network(), table, [inside, outside])
+    network = straight_network()
+    inside = vehicle(network, "in")
+    outside = vehicle(network, "out", edge_offset=500.0)
+    world = world_with(network, table, [inside, outside])
     total, in_fence = trace_rates(world, (0.0, 0.0))
-    single, _ = trace_rates(world_with(straight_network(), table, [vehicle("only")]))
+    single, _ = trace_rates(world_with(network, table, [vehicle(network, "only")]))
     assert total == pytest.approx(2 * single)
     assert in_fence == pytest.approx(single)
 
@@ -171,9 +177,10 @@ def test_aggregate_restricted_to_fence(table):
 def test_aggregate_mixed_modes_recompute(table):
     from ecofence.emissions import vehicle_emission_rate
 
-    polluting = vehicle("p", mode=VehicleMode.POLLUTING)
-    electric = vehicle("e", mode=VehicleMode.ELECTRIC)
-    world = world_with(straight_network(speed=30.0), table, [polluting, electric])
+    network = straight_network(speed=30.0)
+    polluting = vehicle(network, "p", mode=VehicleMode.POLLUTING)
+    electric = vehicle(network, "e", mode=VehicleMode.ELECTRIC)
+    world = world_with(network, table, [polluting, electric])
     expected = vehicle_emission_rate(4, table, 30.0)
     total, in_fence = trace_rates(world, (0.0, 0.0))
     assert total == pytest.approx(expected)

@@ -76,7 +76,7 @@ def recording_controller(controller, steps, as_snapshots):
     optionally it copies the engine's vehicle records into snapshots first."""
 
     class Recording(controller):
-        def step(self, now, snapshots, background_level, grid=None):
+        def step(self, now, snapshots, background_level, grid):
             assert all(isinstance(v, VehicleState) for v in snapshots.values())
             if as_snapshots:
                 snapshots = {
@@ -135,21 +135,20 @@ def test_record_reads_speed_and_density_only_from_the_edge_it_is_on(table):
         "crosses": dict(edge_offset=95.0),
         "stays": dict(edge_offset=10.0),
         "pinned": dict(edge_offset=95.0, speed_override=20.0),
-        "unplaced": dict(edge_offset=95.0),  # built without its edge
     }
     for vid, spec in specs.items():
-        edge = None if vid == "unplaced" else network.edge("e1")
-        world.vehicles[vid] = VehicleState(vehicle_id=vid, euro_class=4, route=route, edge=edge, **spec)
-    assert [(v.speed, v.density_weight) for v in world.vehicles.values()][:3] == [
+        world.vehicles[vid] = VehicleState(
+            vehicle_id=vid, euro_class=4, route=route, edge=network.edge("e1"), **spec
+        )
+    assert [(v.speed, v.density_weight) for v in world.vehicles.values()] == [
         (36.0, 3.0), (36.0, 3.0), (20.0, 3.0)
     ]
     step(world, 1.0)
-    read = {vid: (v.current_edge_id(), v.speed, v.density_weight) for vid, v in world.vehicles.items()}
+    read = {vid: (v.edge.edge_id, v.speed, v.density_weight) for vid, v in world.vehicles.items()}
     assert read == {
         "crosses": ("e2", 72.0, 1.5),
         "stays": ("e1", 36.0, 3.0),
         "pinned": ("e2", 20.0, 1.5),
-        "unplaced": ("e2", 72.0, 1.5),
     }
     crosses = world.vehicles["crosses"]
     assert crosses.edge_offset == 5.0

@@ -1,7 +1,9 @@
 import copy
+import json
 
 import pytest
 
+from ecofence.cli import main
 from ecofence.coordinator import ControllerConfig
 from ecofence.scenario import (
     ScenarioError,
@@ -111,6 +113,35 @@ def test_load_scenario_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("network",), [], "network: must be an object"),
+        (("control",), [], "control: must be an object"),
+        (("fleet",), {}, "fleet: must be a list"),
+        (("fleet", 0), "v01", "fleet[0]: must be an object"),
+        (("network", "edges", 0), 3, "network.edges[0]: must be an object"),
+        (("cyclist",), "c1", "cyclist: must be an object"),
+    ],
+    ids=["network", "control", "fleet", "fleet-entry", "edge-entry", "cyclist"],
+)
+def test_wrong_shaped_section_is_a_validation_failure(path, value, problem, demo_ring_dict, tmp_path):
+    doc = demo_ring_dict
+    doc["horizon"] = -5  # a second problem, to be collected alongside
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    scenario = tmp_path / "bent.json"
+    scenario.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(scenario)
+    assert problem in excinfo.value.problems
+    assert "scenario.horizon: must be a positive number" in excinfo.value.problems
+    # a validation failure, not a runtime one
+    assert main(["run", "--scenario", str(scenario), "--seed", "1", "--out", str(tmp_path / "out")]) == 1
 
 
 def test_density_file_applies(demo_ring, tmp_path):

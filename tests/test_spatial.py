@@ -6,12 +6,13 @@ scans below are that oracle; the generated layouts put points on cell
 boundaries, at exactly the range or radius along an axis, and at negative
 coordinates.  The engine builds one hash per step, with cells of the
 larger of the detection range and the fence radius, and passes it to both
-queries; so both must also be exact on a hash whose cell is not their own
-range or radius.
+queries; so both must be exact on a hash whose cell is their own range or
+radius and on one whose cell is larger.
 """
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,19 +23,20 @@ from ecofence.coordinator import (
     Powertrain,
     VehicleSnapshot,
     euclidean,
-    members,
 )
-from ecofence.engine import CyclistState, VehicleState, World, _snapshot_vehicles, detect
+from ecofence.engine import CyclistState, VehicleState, World, detect, run
 from ecofence.network import Edge, RoadNetwork, SpatialHash
+from tests.conftest import grid_of
 
 
 def brute_detect(world, detection_range):
     events = []
     for cid in sorted(world.cyclists):
-        cyclist_pos = world.cyclists[cid].position(world.network)
+        cyclist_pos = world.cyclists[cid].position()
         for vid in sorted(world.vehicles):
             vehicle = world.vehicles[vid]
-            vehicle_pos = world.network.edge(vehicle.current_edge_id()).position_at(vehicle.edge_offset)
+            edge = world.network.edge(vehicle.route[vehicle.route_index])
+            vehicle_pos = edge.position_at(vehicle.edge_offset)
             if euclidean(cyclist_pos, vehicle_pos) <= detection_range:
                 events.append((cid, vid))
     return events
@@ -86,41 +88,18 @@ def world_at(table, centres, points):
     """Cyclists at the centres and vehicles at the points, each on its own edge."""
     cyclist_pos = {f"c{i}": p for i, p in enumerate(centres)}
     vehicle_pos = {f"v{i:02d}": p for i, p in enumerate(points)}
-    world = World(network=stub_network({**cyclist_pos, **vehicle_pos}), table=table)
+    network = stub_network({**cyclist_pos, **vehicle_pos})
+    world = World(network=network, table=table)
     for cid in cyclist_pos:
-        world.cyclists[cid] = CyclistState(cyclist_id=cid, route=(cid,), speed=15.0)
+        world.cyclists[cid] = CyclistState(cyclist_id=cid, route=(cid,), speed=15.0, edge=network.edge(cid))
     for vid in vehicle_pos:
-        world.vehicles[vid] = VehicleState(vehicle_id=vid, euro_class=4, route=(vid,))
+        world.vehicles[vid] = VehicleState(vehicle_id=vid, euro_class=4, route=(vid,), edge=network.edge(vid))
     return world
 
 
-@settings(max_examples=300, deadline=None)
-@given(layouts())
-def test_hashed_detect_equals_brute_force(table, layout):
-    r, centres, points = layout
-    world = world_at(table, centres, points)
-    assert detect(world, r) == brute_detect(world, r)
-
-
-@settings(max_examples=300, deadline=None)
-@given(layouts())
-def test_hashed_fence_membership_equals_brute_force(table, layout):
-    r, centres, points = layout
-    coord = GeofenceCoordinator(ControllerConfig(radius=r), table, random.Random(0), control_enabled=False)
-    for i, centre in enumerate(centres):
-        coord.on_detection(f"c{i}", centre, 0.0)
-    snapshots = {
-        f"v{i:02d}": VehicleSnapshot(f"v{i:02d}", p, 30.0, 4, Powertrain.HYBRID, 1.0)
-        for i, p in enumerate(points)
-    }
-    coord.step(0.0, snapshots, 0.0)
-    positions = {vid: s.position for vid, s in snapshots.items()}
-    for fence in coord.active_fences():
-        assert fence.member_ids == tuple(sorted(members(fence, positions)))
-
-
 # The other size of the shared hash, drawn independently of the layout's
-# range or radius r: the shared cell max(r, R) is r when R is below it.
+# range or radius r: the shared cell max(r, R) is r when R is below it,
+# as it is whenever R is 0.01.
 other_sizes = st.one_of(st.sampled_from([0.01, 1.0, 10.0, 150.0, 1000.0]), st.floats(0.01, 1000.0))
 
 
@@ -131,9 +110,7 @@ other_sizes = st.one_of(st.sampled_from([0.01, 1.0, 10.0, 150.0, 1000.0]), st.fl
 def test_detect_on_a_shared_hash_equals_brute_force(table, layout, other):
     r, centres, points = layout
     world = world_at(table, centres, points)
-    _snapshot_vehicles(world)
-    grid = SpatialHash(max(r, other), ((vid, v.position) for vid, v in world.vehicles.items()))
-    assert detect(world, r, grid) == brute_detect(world, r)
+    assert detect(world, r, grid_of(world.vehicles, max(r, other))) == brute_detect(world, r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,8 +126,7 @@ def test_fence_membership_on_a_shared_hash_equals_brute_force(table, layout, oth
         f"v{i:02d}": VehicleSnapshot(f"v{i:02d}", p, 30.0, 4, Powertrain.HYBRID, 1.0)
         for i, p in enumerate(points)
     }
-    grid = SpatialHash(max(r, other), ((vid, s.position) for vid, s in snapshots.items()))
-    coord.step(0.0, snapshots, 0.0, grid)
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots, max(r, other)))
     positions = {vid: s.position for vid, s in snapshots.items()}
     fences = coord.active_fences()
     assert [fence.center for fence in fences] == centres
@@ -212,14 +188,30 @@ def test_near_returns_every_point_within_the_radius(query):
 
 def test_exact_range_on_a_cell_boundary_is_detected(table):
     world = world_at(table, [(-10.0, 0.0)], [(0.0, 0.0), (-20.0, 0.0), (-10.0, -10.0), (-10.0, 10.0000001)])
-    assert detect(world, 10.0) == [("c0", "v00"), ("c0", "v01"), ("c0", "v02")]
+    assert detect(world, 10.0, grid_of(world.vehicles, 10.0)) == [("c0", "v00"), ("c0", "v01"), ("c0", "v02")]
 
 
 def test_empty_world_detects_nothing(table):
-    world = World(network=RoadNetwork(edges={}), table=table)
-    assert detect(world, 10.0) == []
-    assert detect(world_at(table, [(0.0, 0.0)], []), 10.0) == []
-    assert detect(world_at(table, [], [(0.0, 0.0)]), 10.0) == []
+    for world in (
+        World(network=RoadNetwork(edges={}), table=table),
+        world_at(table, [(0.0, 0.0)], []),
+        world_at(table, [], [(0.0, 0.0)]),
+    ):
+        assert detect(world, 10.0, grid_of(world.vehicles)) == []
+
+
+def test_run_builds_one_hash_per_step_and_nowhere_else(demo_ring, monkeypatch):
+    callers = []
+    build = SpatialHash.__init__
+
+    def counted(self, cell, points):
+        callers.append(sys._getframe(1).f_code)
+        build(self, cell, points)
+
+    monkeypatch.setattr(SpatialHash, "__init__", counted)
+    run(demo_ring, 42)
+    assert len(callers) == demo_ring.steps() == 640
+    assert set(callers) == {run.__code__}
 
 
 def test_near_keeps_keys_and_points():
