@@ -189,6 +189,8 @@ def _sweep_one(payload):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError([f"--jobs {args.jobs}: must be at least 1"])
     scenario = _load(args)
     seeds = _parse_seed_range(args.seeds)
     out = Path(args.out)
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="compare across a seed range")
     add_common(p_sweep, with_control_flags=False)
     p_sweep.add_argument("--seeds", required=True, help="seed range a..b (inclusive) or one seed")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (at least 1)")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep, no_control=False, single_vehicle=False)
 

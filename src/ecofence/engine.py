@@ -31,10 +31,23 @@ under its disc's bounding square, widened by a rounding bound.
 So the step's work is linear in vehicles plus cyclists.  Everything is
 driven by two purpose-split seeded streams (spawn draws, coin tosses), so
 a run is fully determined by (scenario, seed).
+
+The clock is a step count: step ``k`` (from 1) runs at ``k * dt``, which is
+never summed, so with ``dt=0.1`` step 10 runs at exactly 1.0.
+
+``run`` pauses CPython's cyclic garbage collector for its step loop and
+puts back the caller's setting afterwards, also when the loop raises: the
+collector is turned on again only if it was on.  A run makes no reference
+cycles (a test checks that ``gc.collect()`` finds nothing after each kind
+of run), so a collection inside the loop could free nothing, yet every
+one walked the trace entries and command rows the run keeps, which are
+tuples and stay tracked.  The pause is process-wide; the engine is
+single-threaded, and ``sweep`` runs in parallel by processes.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass, field
@@ -146,13 +159,15 @@ class World:
     table: CoefficientTable
     vehicles: dict[str, VehicleState] = field(default_factory=dict)
     cyclists: dict[str, CyclistState] = field(default_factory=dict)
+    tick: int = 0
     now: float = 0.0
     pending_commands: list[ModeCommand] = field(default_factory=list)
 
 
 def step(world: World, dt: float) -> World:
-    """Advance the world by ``dt`` seconds.
+    """Advance the world by one step of ``dt`` seconds.
 
+    ``world.tick`` counts the steps and ``world.now`` becomes ``tick * dt``.
     Moves every vehicle and cyclist along its route, removes vehicles that
     arrived and places the records of the others, then applies scheduled
     mode commands whose effective time is due.  A vehicle that stays on
@@ -183,7 +198,8 @@ def step(world: World, dt: float) -> World:
     for vid in arrived:
         del vehicles[vid]
     _snapshot_vehicles(world)
-    now = world.now = world.now + dt
+    world.tick += 1
+    now = world.now = world.tick * dt
     remaining: list[ModeCommand] = []
     pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
     polluting, electric = VehicleMode.POLLUTING, VehicleMode.ELECTRIC
@@ -366,6 +382,10 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     Baseline runs (control disabled) still track fence lifecycle for the
     trace but never touch the toss stream, even in single-vehicle mode,
     which otherwise runs a :class:`SingleVehicleController`.
+
+    Automatic garbage collection is paused while the steps run, for the
+    whole process (see the module docstring); a caller's setting is put
+    back when ``run`` returns or raises.
     """
     if table is None:
         table = load_default_table()
@@ -379,23 +399,29 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     fleet_cursor = 0
     cyclist_cursor = 0
     rows = []
-    for _ in range(scenario.steps()):
-        fleet_cursor = _spawn_due(world, scenario.fleet, fleet_cursor, rng_spawn)
-        cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
-        step(world, scenario.dt)
-        # one hash answers both proximity questions of the step
-        grid = SpatialHash(cell, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items()))
-        for cyclist_id, vehicle_id in detect(world, scenario.detection_range, grid):
-            coordinator.on_detection(
-                cyclist_id,
-                world.vehicles[vehicle_id].position,
-                world.now,
-                detecting_vehicle_id=vehicle_id,
-            )
-        background_level = scenario.background_at(world.now)
-        commands = coordinator.step(world.now, world.vehicles, background_level, grid)
-        world.pending_commands.extend(commands)
-        rows.append(_trace_row(world, coordinator, background_level))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(scenario.steps()):
+            fleet_cursor = _spawn_due(world, scenario.fleet, fleet_cursor, rng_spawn)
+            cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
+            step(world, scenario.dt)
+            # one hash answers both proximity questions of the step
+            grid = SpatialHash(cell, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items()))
+            for cyclist_id, vehicle_id in detect(world, scenario.detection_range, grid):
+                coordinator.on_detection(
+                    cyclist_id,
+                    world.vehicles[vehicle_id].position,
+                    world.now,
+                    detecting_vehicle_id=vehicle_id,
+                )
+            background_level = scenario.background_at(world.now)
+            commands = coordinator.step(world.now, world.vehicles, background_level, grid)
+            world.pending_commands.extend(commands)
+            rows.append(_trace_row(world, coordinator, background_level))
+    finally:
+        if collecting:
+            gc.enable()
     return RunResult(
         scenario_name=scenario.name,
         seed=seed,

@@ -1,3 +1,4 @@
+import gc
 import json
 from importlib import resources
 from pathlib import Path
@@ -16,6 +17,18 @@ def grid_of(records, cell: float = 100.0) -> SpatialHash:
     """The proximity index ``engine.run`` builds per step, over ``records``
     at their positions; any cell size serves, since the hash only prunes."""
     return SpatialHash(cell, ((vid, record.position) for vid, record in records.items()))
+
+
+@pytest.fixture(autouse=True)
+def collector_setting_kept():
+    """Fail a test that leaves automatic garbage collection switched
+    differently from how it found it, after switching it back, so that a
+    paused collector cannot leak into later tests."""
+    was_on = gc.isenabled()
+    yield
+    if gc.isenabled() is not was_on:
+        gc.enable() if was_on else gc.disable()
+        pytest.fail(f"the test left automatic garbage collection {'off' if was_on else 'on'}")
 
 
 @pytest.fixture(scope="session")

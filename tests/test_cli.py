@@ -224,6 +224,17 @@ def test_sweep_bad_range(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    code = main(
+        ["sweep", "--scenario", scenario_arg(), "--seeds", "1..2", "--jobs", jobs, "--out", str(out)]
+    )
+    assert code == 1
+    assert f"error: --jobs {jobs}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_debug_prints_table(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(

@@ -14,6 +14,7 @@ from ecofence.engine import (
     step,
 )
 from ecofence.network import Edge, RoadNetwork
+from ecofence.scenario import parse_scenario
 from tests.conftest import grid_of
 
 
@@ -259,3 +260,24 @@ def test_no_electric_vehicle_contributes(demo_ring):
             if e.mode == "polluting" and e.vehicle_id in member_union
         )
         assert row.in_fence_rate == pytest.approx(recomputed, abs=1e-12)
+
+
+def tenth_second_ring(demo_ring_dict):
+    """demo_ring stepped at dt = 0.1 s for 200 steps, with v02 spawning at 1.0 s."""
+    demo_ring_dict.update(dt=0.1, horizon=20.0)
+    demo_ring_dict["fleet"][1]["spawn_time"] = 1.0
+    return parse_scenario(demo_ring_dict)
+
+
+def test_step_time_is_the_step_count_times_dt(demo_ring_dict):
+    rows = run(tenth_second_ring(demo_ring_dict), 42).trace.rows
+    assert len(rows) == 200
+    assert rows[9].sim_time == 1.0  # summed, ten steps of 0.1 read 0.9999999999999999
+    assert rows[-1].sim_time == 20.0
+    assert [row.sim_time for row in rows] == [k * 0.1 for k in range(1, 201)]
+
+
+def test_spawn_at_one_second_enters_on_the_step_after_one_second(demo_ring_dict):
+    rows = run(tenth_second_ring(demo_ring_dict), 42).trace.rows
+    first = next(i for i, row in enumerate(rows) if any(e.vehicle_id == "v02" for e in row.vehicles))
+    assert first == 10
