@@ -13,6 +13,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+# concurrent.futures imports its process pool, and multiprocessing with it,
+# only when sweep first reads ProcessPoolExecutor
 import concurrent.futures
 import dataclasses
 import json
@@ -196,8 +198,11 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payloads = [(scenario, seed) for seed in seeds]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first submit, so ask for no
+    # more than there are seeds
+    jobs = min(args.jobs, len(seeds))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, payloads))
     else:
         results = [_sweep_one(p) for p in payloads]

@@ -67,10 +67,10 @@ def _dwell_fractions(trace: ScenarioTrace) -> dict[str, float]:
     seen: dict[str, int] = {}
     polluting: dict[str, int] = {}
     for row in trace.rows:
-        for entry in row.vehicles:
-            seen[entry.vehicle_id] = seen.get(entry.vehicle_id, 0) + 1
-            if entry.mode == "polluting":
-                polluting[entry.vehicle_id] = polluting.get(entry.vehicle_id, 0) + 1
+        for vid, mode in zip(row.vehicle_ids, row.modes):
+            seen[vid] = seen.get(vid, 0) + 1
+            if mode == "polluting":
+                polluting[vid] = polluting.get(vid, 0) + 1
     return {vid: polluting.get(vid, 0) / count for vid, count in sorted(seen.items())}
 
 
@@ -232,9 +232,10 @@ def _encode_fences(row) -> str:
 
 
 def _encode_vehicles(row) -> str:
+    columns = zip(row.vehicle_ids, row.euro_classes, row.edge_ids, row.edge_offsets, row.speeds, row.modes)
     return "|".join(
-        f"{v.vehicle_id}~{v.euro_class}~{v.edge_id}~{v.edge_offset!r}~{v.speed!r}~{v.mode}"
-        for v in row.vehicles
+        f"{vid}~{euro_class}~{edge_id}~{offset!r}~{speed!r}~{mode}"
+        for vid, euro_class, edge_id, offset, speed, mode in columns
     )
 
 

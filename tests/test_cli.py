@@ -235,6 +235,40 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "seeds, jobs, pools",
+    [("1..2", "500", [2]), ("1..3", "2", [2]), ("4", "8", []), ("1..2", "1", [])],
+)
+def test_sweep_asks_for_no_more_workers_than_seeds(tmp_path, monkeypatch, seeds, jobs, pools):
+    import ecofence.cli as cli_module
+
+    asked = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    code = main(
+        ["sweep", "--scenario", scenario_arg(), "--seeds", seeds, "--jobs", jobs, "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert asked == pools
+    merged = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert [row["seed"] for row in merged] == cli_module._parse_seed_range(seeds)
+
+
 def test_solve_debug_prints_table(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(

@@ -7,6 +7,7 @@ from ecofence.coordinator import ControllerConfig, GeofenceCoordinator, Powertra
 from ecofence.engine import (
     CyclistState,
     VehicleState,
+    VehicleTraceEntry,
     World,
     _trace_row,
     detect,
@@ -281,3 +282,17 @@ def test_spawn_at_one_second_enters_on_the_step_after_one_second(demo_ring_dict)
     rows = run(tenth_second_ring(demo_ring_dict), 42).trace.rows
     first = next(i for i, row in enumerate(rows) if any(e.vehicle_id == "v02" for e in row.vehicles))
     assert first == 10
+
+
+TRACE_COLUMNS = ("vehicle_ids", "euro_classes", "edge_ids", "edge_offsets", "speeds", "modes")
+
+
+def test_trace_row_keeps_its_vehicles_as_columns(demo_ring):
+    rows = run(demo_ring, 42).trace.rows
+    assert any(row.n_vehicles for row in rows)
+    for row in rows:
+        columns = [getattr(row, name) for name in TRACE_COLUMNS]
+        assert [type(column) for column in columns] == [tuple] * len(TRACE_COLUMNS)
+        assert [len(column) for column in columns] == [row.n_vehicles] * len(TRACE_COLUMNS)
+        assert row.vehicles == tuple(VehicleTraceEntry(*entry) for entry in zip(*columns))
+        assert all(type(entry) is VehicleTraceEntry for entry in row.vehicles)

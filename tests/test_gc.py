@@ -5,7 +5,8 @@ check that on every kind of run, check that the caller's setting comes
 back, and check that no collection starts inside the loop.  They call
 the library, not ``cli.main``: each CLI call leaves a fixed number of
 cyclic objects from argparse's parser, which would hide the engine's own
-count.
+count.  The last two check that a kept trace holds no per-vehicle records
+and that the collector stops tracking its columns.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from ecofence import engine, load_scenario, run, run_compare
 from ecofence.coordinator import GeofenceCoordinator
 from ecofence.scenario import parse_scenario
 from tests.conftest import data_path
+from tests.test_engine import TRACE_COLUMNS
 from tests.test_golden import mixed_powertrain_scenario, two_tile_scenario
 
 
@@ -117,3 +119,20 @@ def test_no_collection_starts_inside_the_step_loop(demo_ring, table, monkeypatch
             gc.callbacks.remove(hook)
     assert rows_built[0] == demo_ring.steps()
     assert [n for n in starts if n < demo_ring.steps()] == []
+
+
+def test_a_kept_trace_holds_no_vehicle_records(demo_ring, table):
+    with collector(on=False):
+        result = run(demo_ring, 42, table)
+        assert result.trace.rows[-1].n_vehicles
+        kept = [obj for obj in gc.get_objects() if type(obj) is engine.VehicleTraceEntry]
+        assert kept == []
+
+
+def test_the_collector_stops_tracking_the_trace_columns(demo_ring, table):
+    with collector(on=False):
+        rows = run(demo_ring, 42, table).trace.rows
+        gc.collect()
+        columns = [getattr(row, name) for row in rows for name in TRACE_COLUMNS]
+        assert any(columns)
+        assert [column for column in columns if gc.is_tracked(column)] == []
