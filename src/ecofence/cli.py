@@ -89,9 +89,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         except ValueError as exc:
             raise ScenarioError([f"control override: {exc}"]) from None
         scenario = dataclasses.replace(scenario, controller=controller)
-    if getattr(args, "no_control", False):
+    if args.no_control:
         scenario = dataclasses.replace(scenario, control_enabled=False)
-    if getattr(args, "single_vehicle", False):
+    if args.single_vehicle:
         scenario = dataclasses.replace(scenario, single_vehicle=True)
     if args.background is not None:
         problems: list[str] = []
@@ -111,17 +111,13 @@ def _load(args) -> Scenario:
     return _apply_overrides(scenario, args)
 
 
-def _write_run_outputs(result, out: Path, prefix: str = "") -> None:
-    write_trace_csv(result.trace, out / f"{prefix}trace.csv")
-    write_commands_csv(result.commands, out / f"{prefix}commands.csv")
-
-
 def _cmd_run(args) -> int:
     scenario = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run(scenario, args.seed)
-    _write_run_outputs(result, out)
+    write_trace_csv(result.trace, out / "trace.csv")
+    write_commands_csv(result.commands, out / "commands.csv")
     write_summary_json(summarize(result), out / "summary.json")
     table = emit_plot_data("total_emissions_vs_time", trace=result.trace)
     write_table_csv(table, out / "plot_total_emissions.csv")
@@ -142,8 +138,7 @@ def _write_compare_outputs(compared: CompareResult, out: Path) -> None:
         ),
         out / "plot_before_after.csv",
     )
-    decided = [r for r in compared.control.commands if r.assignment is not None]
-    if decided:
+    if any(r.assignment is not None for r in compared.control.commands):
         write_table_csv(
             emit_plot_data("per_vehicle_assignment_snapshot", commands=compared.control.commands),
             out / "plot_assignment_snapshot.csv",

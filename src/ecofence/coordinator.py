@@ -15,6 +15,10 @@ fence: solve if due, then toss against the stored solve if due.
 Single-vehicle mode, in which only the detecting vehicle switches, is
 :class:`SingleVehicleController`, a coordinator that keeps no fence.
 
+A command is written once, as a :class:`CommandRecord` appended to
+``command_log``; both controllers' ``step`` returns the rows it appended,
+and the engine queues and applies those same rows.
+
 All state mutation happens through a serialized sequence of
 ``on_detection`` / ``step`` calls made by the simulation loop; the object
 holds no threads or global state and can be moved wholesale between
@@ -144,20 +148,14 @@ class VehicleSnapshot(NamedTuple):
     mode: VehicleMode = VehicleMode.POLLUTING
 
 
-class ModeCommand(NamedTuple):
-    """An instruction to a vehicle, effective after the actuation latency."""
-
-    vehicle_id: str
-    mode: VehicleMode
-    issued_at: float
-    effective_time: float
-
-
 class CommandRecord(NamedTuple):
-    """One append-only audit row per issued command.
+    """One issued command: the audit row, and the row the engine applies.
 
-    Assignment fields are None for restore commands (fence expiry or a
-    vehicle leaving the fence) and for single-vehicle-mode commands.
+    At ``effective_time`` (``sim_time`` plus the actuation latency) the
+    engine sets the vehicle's mode to ``commanded_mode``, a
+    :class:`VehicleMode` value.  Assignment fields are None for restore
+    commands (fence expiry or a vehicle leaving the fence) and for
+    single-vehicle-mode commands.
     """
 
     sim_time: float
@@ -199,10 +197,10 @@ class GeofenceCoordinator:
     """Serialized decision authority over fences, budgets and mode commands.
 
     The simulation loop feeds it detections and one ``step`` call per time
-    step; it returns the mode commands to schedule.  With
-    ``control_enabled=False`` it still tracks fence lifecycle (so baseline
-    runs record comparable fence state) but never solves, never draws from
-    the toss stream and never issues commands.
+    step; it returns the command rows it logged, for the engine to queue.
+    With ``control_enabled=False`` it still tracks fence lifecycle (so
+    baseline runs record comparable fence state) but never solves, never
+    draws from the toss stream and never issues commands.
     """
 
     def __init__(
@@ -251,33 +249,29 @@ class GeofenceCoordinator:
             fence.last_detector_id = detecting_vehicle_id
         return fence
 
-    def expire(self, now: float) -> list[ModeCommand]:
+    def expire(self, now: float) -> None:
         """Drop fences whose last detection is stale and restore their members.
 
         A fence is retained at exactly the timeout boundary and removed
         strictly after it.
         """
-        commands: list[ModeCommand] = []
         for fence_id in list(self.fences):
             fence = self.fences[fence_id]
             if not fence.is_active(now, self.config.expiry_timeout):
                 del self.fences[fence_id]
                 for vid in sorted(v for v, f in self._controlled.items() if f == fence_id):
-                    commands.append(self._restore(vid, fence_id, now))
-        return commands
+                    self._restore(vid, fence_id, now)
 
-    def _restore(self, vehicle_id: str, fence_id: str, now: float) -> ModeCommand:
+    def _restore(self, vehicle_id: str, fence_id: str, now: float) -> None:
         del self._controlled[vehicle_id]
-        return self._command(now, fence_id, vehicle_id, VehicleMode.POLLUTING)
+        self._command(now, fence_id, vehicle_id, "polluting")
 
-    def _command(self, now: float, fence_id: str, vehicle_id: str, mode: VehicleMode) -> ModeCommand:
-        """Log and return a command that enacts no assignment."""
+    def _command(self, now: float, fence_id: str, vehicle_id: str, mode: str) -> None:
+        """Log a command that enacts no assignment."""
         effective = now + self.config.actuation_latency
-        name = "polluting" if mode is VehicleMode.POLLUTING else "electric"
         self.command_log.append(
-            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, name, effective))
+            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode, effective))
         )
-        return _record(ModeCommand, (vehicle_id, mode, now, effective))
 
     # -- decisions ---------------------------------------------------------
 
@@ -326,10 +320,8 @@ class GeofenceCoordinator:
             append(_record(ProblemEntry, (vid, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
-    def _toss_fence(
-        self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot], now: float
-    ) -> list[ModeCommand]:
-        """Enact the fence's last solved assignment by one coin toss per vehicle.
+    def _toss_fence(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot], now: float) -> None:
+        """Enact the fence's last solved assignment by logging one coin toss per vehicle.
 
         Each command row carries the density and emission rate the
         assignment was solved with.  One uniform draw is consumed per
@@ -337,7 +329,6 @@ class GeofenceCoordinator:
         draw for stream stability but are always commanded electric; they
         have no engine to pollute with.
         """
-        commands: list[ModeCommand] = []
         effective = now + self.config.actuation_latency
         forced_detector: str | None = None
         if self.config.force_detector_electric and fence.last_detector_id in fence.member_ids:
@@ -350,10 +341,7 @@ class GeofenceCoordinator:
         rng = self.rng
         controlled = self._controlled
         log = self.command_log.append
-        append = commands.append
         pure_ev = Powertrain.PURE_EV
-        polluting_mode = VehicleMode.POLLUTING
-        electric_mode = VehicleMode.ELECTRIC
         for entry in fence.problem.entries:
             vehicle_id, density, rate = entry
             x = values[vehicle_id]
@@ -362,16 +350,11 @@ class GeofenceCoordinator:
                 polluting = False
             else:
                 controlled[vehicle_id] = fence_id
-            if polluting:
-                mode, name = polluting_mode, "polluting"
-            else:
-                mode, name = electric_mode, "electric"
-            append(_record(ModeCommand, (vehicle_id, mode, now, effective)))
-            log(_record(CommandRecord, (now, fence_id, vehicle_id, density, rate, x, draw, name, effective)))
+            mode = "polluting" if polluting else "electric"
+            log(_record(CommandRecord, (now, fence_id, vehicle_id, density, rate, x, draw, mode, effective)))
         if forced_detector is not None:
             controlled[forced_detector] = fence_id
-            append(self._command(now, fence_id, forced_detector, electric_mode))
-        return commands
+            self._command(now, fence_id, forced_detector, "electric")
 
     # -- per-step driver -----------------------------------------------------
 
@@ -381,8 +364,8 @@ class GeofenceCoordinator:
         snapshots: Mapping[str, VehicleSnapshot],
         background_level: float,
         grid: SpatialHash,
-    ) -> list[ModeCommand]:
-        """Advance the coordinator one simulation step.
+    ) -> list[CommandRecord]:
+        """Advance the coordinator one simulation step; return the rows it logged.
 
         Order: expire stale fences, recompute memberships, restore vehicles
         that left every fence, then decide each fence in ascending id order.
@@ -393,7 +376,9 @@ class GeofenceCoordinator:
         rates and densities the assignment was solved for.  A toss over a
         different set of controllable vehicles than the stored problem's
         forces a fresh solve first, so the expected-rate budget always
-        covers the vehicles actually being tossed.
+        covers the vehicles actually being tossed.  Every command is
+        appended to ``command_log``, and the return value is the list of
+        rows appended during this call, in log order.
 
         Membership candidates come from ``grid``, a
         :class:`~ecofence.network.SpatialHash` of every vehicle in
@@ -408,7 +393,9 @@ class GeofenceCoordinator:
         ``density_weight`` are read; the objects are never mutated and no
         reference to them is kept once ``step`` returns.
         """
-        commands = self.expire(now)
+        log = self.command_log
+        start = len(log)
+        self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
             fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
@@ -419,9 +406,9 @@ class GeofenceCoordinator:
             if vid not in snapshots:
                 del controlled[vid]  # vehicle left the network
                 continue
-            commands.append(self._restore(vid, controlled[vid], now))
+            self._restore(vid, controlled[vid], now)
         if not self.control_enabled:
-            return commands
+            return log[start:]
         limit = self.config.allowable_limit - background_level
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
@@ -436,8 +423,8 @@ class GeofenceCoordinator:
                 fence.next_solve = now + self.config.tau
             if toss_due:
                 fence.next_toss = now + self.config.toss_interval
-                commands.extend(self._toss_fence(fence, snapshots, now))
-        return commands
+                self._toss_fence(fence, snapshots, now)
+        return log[start:]
 
     def active_fences(self) -> list[Geofence]:
         return [self.fences[fid] for fid in sorted(self.fences)]
@@ -466,12 +453,14 @@ class SingleVehicleController(GeofenceCoordinator):
         snapshots: Mapping[str, VehicleSnapshot],
         background_level: float,
         grid: SpatialHash,
-    ) -> list[ModeCommand]:
+    ) -> list[CommandRecord]:
         """Command each detector electric while ``now - last <= expiry_timeout``
         and polluting after; pure EV reverts are skipped.  A pure ICE
         detector is never commanded, so its entry is dropped at once.
+        Return the rows logged during this call, in log order.
         ``grid`` goes unread: no fence is kept to query it for."""
-        commands: list[ModeCommand] = []
+        log = self.command_log
+        start = len(log)
         for vid in sorted(self._seen):
             last, cyclist_id = self._seen[vid]
             if vid not in snapshots:
@@ -484,14 +473,14 @@ class SingleVehicleController(GeofenceCoordinator):
             fresh = now - last <= self.config.expiry_timeout
             if fresh and vid not in self._electric:
                 self._electric.add(vid)
-                mode = VehicleMode.ELECTRIC
+                mode = "electric"
             elif not fresh and vid in self._electric:
                 self._electric.discard(vid)
                 del self._seen[vid]
                 if snapshots[vid].powertrain is Powertrain.PURE_EV:
                     continue
-                mode = VehicleMode.POLLUTING
+                mode = "polluting"
             else:
                 continue
-            commands.append(self._command(now, cyclist_id, vid, mode))
-        return commands
+            self._command(now, cyclist_id, vid, mode)
+        return log[start:]

@@ -8,14 +8,16 @@ cyclist raises a detection event.
 
 Each simulation step runs, in order: spawn due vehicles, advance movement
 by ``dt`` (which also applies mode commands whose effective time has
-arrived), detect, feed the coordinator, record one trace row.  Vehicles
-and cyclists follow their routes with one :class:`RouteCursor` each, which
-holds the current edge and looks an edge up only at spawn and when it
-moves onto the next one.  A record is built on its first edge, and a
-vehicle record is placed there at once.  Each vehicle is one live record,
-:class:`VehicleState`, and detection, the coordinator (which takes the
-records as its snapshots) and the trace row all read it.  What is read
-when:
+arrived), detect, feed the coordinator, record one trace row.  A command
+is the coordinator's logged :class:`CommandRecord` row, which its ``step``
+returns and the engine queues in ``World.pending_commands`` until it is
+due.  Vehicles and cyclists follow their routes with one
+:class:`RouteCursor` each, which holds the current edge and looks an edge
+up only at spawn and when it moves onto the next one.  A record is built
+on its first edge, and a vehicle record is placed there at once.  Each
+vehicle is one live record, :class:`VehicleState`, and detection, the
+coordinator (which takes the records as its snapshots) and the trace row
+all read it.  What is read when:
 
 * per edge change (and at spawn): the edge, and the speed and density
   weight that belong to it;
@@ -64,8 +66,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .coordinator import (
+    CommandRecord,
     GeofenceCoordinator,
-    ModeCommand,
     Powertrain,
     SingleVehicleController,
     VehicleMode,
@@ -161,13 +163,16 @@ class CyclistState(RouteCursor):
 
 @dataclass
 class World:
+    """Everything a step reads and changes.  ``pending_commands`` holds the
+    coordinator's logged command rows that are not yet due, in log order."""
+
     network: RoadNetwork
     table: CoefficientTable
     vehicles: dict[str, VehicleState] = field(default_factory=dict)
     cyclists: dict[str, CyclistState] = field(default_factory=dict)
     tick: int = 0
     now: float = 0.0
-    pending_commands: list[ModeCommand] = field(default_factory=list)
+    pending_commands: list[CommandRecord] = field(default_factory=list)
 
 
 def step(world: World, dt: float) -> World:
@@ -175,12 +180,13 @@ def step(world: World, dt: float) -> World:
 
     ``world.tick`` counts the steps and ``world.now`` becomes ``tick * dt``.
     Moves every vehicle and cyclist along its route, removes vehicles that
-    arrived and places the records of the others, then applies scheduled
-    mode commands whose effective time is due.  A vehicle that stays on
-    its edge, the common case, only adds to its offset: its speed and
-    density weight were read when it entered the edge.  Command
-    application respects powertrains: a pure EV never enters polluting
-    mode and a pure ICE never goes electric.
+    arrived and places the records of the others, then applies the queued
+    command rows whose effective time is due: each sets its vehicle's mode
+    to its ``commanded_mode``.  A vehicle that stays on its edge, the
+    common case, only adds to its offset: its speed and density weight
+    were read when it entered the edge.  Command application respects
+    powertrains: a pure EV never enters polluting mode and a pure ICE
+    never goes electric.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -206,17 +212,17 @@ def step(world: World, dt: float) -> World:
     _snapshot_vehicles(world)
     world.tick += 1
     now = world.now = world.tick * dt
-    remaining: list[ModeCommand] = []
+    remaining: list[CommandRecord] = []
     pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
     polluting, electric = VehicleMode.POLLUTING, VehicleMode.ELECTRIC
     for command in world.pending_commands:
-        vehicle_id, mode, _, effective_time = command
-        if effective_time > now:
+        if command.effective_time > now:
             remaining.append(command)
             continue
-        vehicle = vehicles.get(vehicle_id)
+        vehicle = vehicles.get(command.vehicle_id)
         if vehicle is None:
             continue
+        mode = polluting if command.commanded_mode == "polluting" else electric
         if mode is polluting and vehicle.powertrain is pure_ev:
             continue
         if mode is electric and vehicle.powertrain is pure_ice:

@@ -279,7 +279,8 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}.spawn_time: must be >= 0")
             spawn_time = 0.0
         euro_class = raw.get("euro_class")
-        if euro_class is not None and euro_class not in EURO_CLASSES:
+        # a JSON true or 2.0 compares equal to a class, so test the type first
+        if euro_class is not None and (type(euro_class) is not int or euro_class not in EURO_CLASSES):
             problems.append(f"{where}.euro_class: must be 1..4 or null, got {euro_class!r}")
             euro_class = None
         speed = _number(raw, "speed", problems, where)

@@ -10,7 +10,6 @@ from ecofence.coordinator import (
     GeofenceCoordinator,
     Powertrain,
     SingleVehicleController,
-    VehicleMode,
     VehicleSnapshot,
     members,
     toss_polluting,
@@ -69,10 +68,11 @@ def test_two_cyclists_two_fences(table):
 def test_expiry_boundary_is_inclusive(table):
     coord = make_coordinator(table)
     coord.on_detection("tag-1", (0.0, 0.0), 10.0)
-    assert coord.expire(30.0) == []
+    coord.expire(30.0)
     assert "tag-1" in coord.fences
     coord.expire(30.1)
     assert coord.fences == {}
+    assert coord.command_log == []  # no member was controlled
 
 
 def test_expiry_restores_controlled_members(table):
@@ -83,13 +83,15 @@ def test_expiry_restores_controlled_members(table):
     assert commands  # both commanded at the first tick
     restect = coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
-    restored = {c.vehicle_id: c.mode for c in restect}
-    assert restored == {"v1": VehicleMode.POLLUTING, "v2": VehicleMode.POLLUTING}
+    restored = {c.vehicle_id: c.commanded_mode for c in restect}
+    assert restored == {"v1": "polluting", "v2": "polluting"}
 
 
 def test_expiry_no_fences_is_noop(table):
     coord = make_coordinator(table)
-    assert coord.expire(100.0) == []
+    coord.expire(100.0)
+    assert coord.fences == {}
+    assert coord.command_log == []
 
 
 # -- membership ----------------------------------------------------------------
@@ -159,7 +161,7 @@ def test_decision_tick_negative_budget_all_electric(table):
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {f"v{i}": snap(f"v{i}", pos=(float(i), 0.0)) for i in range(4)}
     commands = coord.step(0.0, snapshots, 1.5, grid_of(snapshots))
-    assert {c.mode for c in commands} == {VehicleMode.ELECTRIC}
+    assert {c.commanded_mode for c in commands} == {"electric"}
     assert len(commands) == 4
 
 
@@ -183,7 +185,7 @@ def test_pure_ev_member_always_electric(table):
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     ev_commands = [c for c in commands if c.vehicle_id == "ev"]
-    assert [c.mode for c in ev_commands] == [VehicleMode.ELECTRIC]
+    assert [c.commanded_mode for c in ev_commands] == ["electric"]
     ev_row = next(r for r in coord.command_log if r.vehicle_id == "ev")
     assert ev_row.assignment == 1.0  # zero-rate vehicles enter the problem at x=1
     assert ev_row.emission_rate == 0.0
@@ -214,7 +216,7 @@ def test_vehicle_leaving_fence_reverts_next_step(table):
     coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     moved = {"v1": snap("v1", pos=(300.0, 0.0))}
     commands = coord.step(1.0, moved, 0.0, grid_of(moved))
-    assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.POLLUTING)]
+    assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "polluting")]
     restored_row = coord.command_log[-1]
     assert restored_row.assignment is None
     assert restored_row.commanded_mode == "polluting"
@@ -272,7 +274,7 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick(table):
     assert coord.fences == {}
     fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
     commands = coord.step(22.0, snapshots, 1.5, grid_of(snapshots))
-    assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.ELECTRIC)]
+    assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "electric")]
     assert fence.problem.limit == -0.5
     assert (fence.next_solve, fence.next_toss) == (52.0, 52.0)
     assert coord.command_log[-1].assignment == 0.0
@@ -284,8 +286,8 @@ def test_force_detector_electric(table):
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(3.0, 0.0))}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    modes = {c.vehicle_id: c.mode for c in commands}
-    assert modes["v1"] == VehicleMode.ELECTRIC
+    modes = {c.vehicle_id: c.commanded_mode for c in commands}
+    assert modes["v1"] == "electric"
     detector_rows = [r for r in coord.command_log if r.vehicle_id == "v1"]
     assert all(r.assignment is None for r in detector_rows)
 
@@ -314,13 +316,13 @@ def test_single_vehicle_step_cycle(table):
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     assert coord.fences == {}  # no fences in this mode
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.ELECTRIC)]
+    assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "electric")]
     # refreshed detections keep it electric with no re-issued command
     coord.on_detection("tag-1", (0.0, 0.0), 5.0, detecting_vehicle_id="v1")
     assert coord.step(6.0, snapshots, 0.0, grid_of(snapshots)) == []
     assert coord.step(25.0, snapshots, 0.0, grid_of(snapshots)) == []  # 25 - 5 <= 20
     commands = coord.step(25.1, snapshots, 0.0, grid_of(snapshots))
-    assert [(c.vehicle_id, c.mode) for c in commands] == [("v1", VehicleMode.POLLUTING)]
+    assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "polluting")]
 
 
 def test_single_vehicle_controller_drops_pure_ice_detectors(tmp_path, monkeypatch):
@@ -395,8 +397,8 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles(table):
     commands = coord.step(1.0, moved, 0.0, grid_of(moved))
     restores = [c for c in commands if c.vehicle_id != "v6"]
     assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
-    assert [(c.vehicle_id, c.mode) for c in restores] == [
-        (vid, VehicleMode.POLLUTING) for vid in ("v1", "v2", "v3", "v4")
+    assert [(c.vehicle_id, c.commanded_mode) for c in restores] == [
+        (vid, "polluting") for vid in ("v1", "v2", "v3", "v4")
     ]
     assert commands[: len(restores)] == restores  # restores precede decisions
     rows = coord.command_log[logged : logged + 4]

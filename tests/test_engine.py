@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ecofence.coordinator import ControllerConfig, GeofenceCoordinator, Powertrain, VehicleMode, ModeCommand
+from ecofence import engine
+from ecofence.coordinator import CommandRecord, ControllerConfig, GeofenceCoordinator, Powertrain, VehicleMode
 from ecofence.engine import (
     CyclistState,
     VehicleState,
@@ -87,12 +88,17 @@ def test_step_rejects_nonpositive_dt(table):
         step(world, -1.0)
 
 
+def command(vehicle_id, commanded_mode, sim_time, effective_time):
+    """A command row that enacts no assignment, as a restore logs it."""
+    return CommandRecord(
+        sim_time, "c1", vehicle_id, None, None, None, None, commanded_mode, effective_time
+    )
+
+
 def test_step_applies_due_commands_only(table):
     network = straight_network()
     world = world_with(network, table, [vehicle(network)])
-    world.pending_commands = [
-        ModeCommand("v1", VehicleMode.ELECTRIC, issued_at=0.0, effective_time=2.0)
-    ]
+    world.pending_commands = [command("v1", "electric", sim_time=0.0, effective_time=2.0)]
     step(world, 1.0)
     assert world.vehicles["v1"].mode is VehicleMode.POLLUTING
     step(world, 1.0)
@@ -106,12 +112,54 @@ def test_step_guards_powertrains(table):
     ice = vehicle(network, "ice", powertrain=Powertrain.PURE_ICE)
     world = world_with(network, table, [ev, ice])
     world.pending_commands = [
-        ModeCommand("ev", VehicleMode.POLLUTING, 0.0, 0.0),
-        ModeCommand("ice", VehicleMode.ELECTRIC, 0.0, 0.0),
+        command("ev", "polluting", 0.0, 0.0),
+        command("ice", "electric", 0.0, 0.0),
     ]
     step(world, 1.0)
     assert world.vehicles["ev"].mode is VehicleMode.ELECTRIC
     assert world.vehicles["ice"].mode is VehicleMode.POLLUTING
+
+
+@pytest.mark.parametrize("single_vehicle", [False, True], ids=["fences", "single_vehicle"])
+def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring, monkeypatch):
+    # a 5 s latency on 1 s steps keeps commands queued for several steps
+    controller = dataclasses.replace(demo_ring.controller, actuation_latency=5.0)
+    scenario = dataclasses.replace(demo_ring, controller=controller, single_vehicle=single_vehicle)
+    returned_rows = []
+    queue_lengths = []
+
+    def logging_step(original):
+        def step(self, now, snapshots, background_level, grid):
+            start = len(self.command_log)
+            rows = original(self, now, snapshots, background_level, grid)
+            appended = self.command_log[start:]
+            assert len(rows) == len(appended)
+            assert all(row is logged for row, logged in zip(rows, appended))
+            returned_rows.extend(rows)
+            return rows
+
+        return step
+
+    for name in ("GeofenceCoordinator", "SingleVehicleController"):
+        cls = getattr(engine, name)
+        monkeypatch.setattr(cls, "step", logging_step(cls.step))
+
+    original_trace_row = engine._trace_row
+
+    def checked_trace_row(world, coordinator, background_level):
+        # called once per step, after the step's commands were queued
+        logged = {id(row) for row in coordinator.command_log}
+        assert all(id(command) in logged for command in world.pending_commands)
+        queue_lengths.append(len(world.pending_commands))
+        return original_trace_row(world, coordinator, background_level)
+
+    monkeypatch.setattr(engine, "_trace_row", checked_trace_row)
+    result = run(scenario, 42)
+    assert len(queue_lengths) == scenario.steps()
+    assert max(queue_lengths) > 0
+    assert result.commands
+    assert list(result.commands) == returned_rows
+    assert all(row is logged for row, logged in zip(returned_rows, result.commands))
 
 
 def test_cyclist_parks_at_route_end(table):

@@ -1,7 +1,8 @@
 """Byte-identity gate: the CLI's output files for the bundled demos.
 
-The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` and the
-output files of ``compare``, seed 42, plus single-vehicle mode (also
+The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` (and, for
+demo_ring, its ``plot_total_emissions.csv``) and the output files of
+``compare``, plot tables included, seed 42, plus single-vehicle mode (also
 with pure EVs and pure ICE vehicles), a two-fence run with actuation
 latency, tau above 1 and a background series, a run that tosses more
 often than it solves, a run whose detection range exceeds its fence
@@ -22,6 +23,7 @@ from tests.conftest import data_path
 RUN_DIGESTS = {
     ("demo_ring", "trace.csv"): "2ff0c4b7cafeb61eb4837ef207ccbecf1bc8e728f4a19e1d6294cebc278f6a33",
     ("demo_ring", "commands.csv"): "98d509309486f1c8cd8d1c7cbb75a8be43c35a362bf70f76f7e29669ec1ad288",
+    ("demo_ring", "plot_total_emissions.csv"): "c2836a77f3b7a2c14f1dbf623bd26b13ffd21245d88f7c7f8a27be71af794d7a",
     ("demo_slack", "trace.csv"): "b51af7c0ba8891fd2d29777f1b79b341f65fe98a4c9896fa9989a6b18bcbe7e4",
     ("demo_slack", "commands.csv"): "df79d8b3edd136be80190cd0d1c04ba22b731eb60b01e6d37f9b32fc74b215a7",
     ("demo_lifecycle", "trace.csv"): "a73d905e557fcb17701d427927e440df2b927d162b6eb3c9b56bbe654833fac4",
@@ -33,6 +35,9 @@ COMPARE_DIGESTS = {
     "control_trace.csv": "2ff0c4b7cafeb61eb4837ef207ccbecf1bc8e728f4a19e1d6294cebc278f6a33",
     "control_commands.csv": "98d509309486f1c8cd8d1c7cbb75a8be43c35a362bf70f76f7e29669ec1ad288",
     "summary.json": "d9297bbd6f8a59a66d930c89eb8f04cecaecb081c27b7427dcec532715249218",
+    "plot_before_after.csv": "5dc074cadf0614e1bd72dada4aa2ced9fa63f794d2903c623b072e2bda9c48f8",
+    "plot_assignment_snapshot.csv": "0fb8cb5cb58eeea457eb1143bebe049d3eec08f451f6dfc3cc3ea8cc36aa557a",
+    "plot_fleet_size.csv": "8aa9caaaed34853948e8291806b9abacc95f362abd373dea3cd77f838a9982bc",
 }
 
 
@@ -44,8 +49,10 @@ def sha256(path) -> str:
 def test_run_outputs_match_golden_digests(demo, tmp_path):
     argv = ["run", "--scenario", str(data_path(f"{demo}.json")), "--seed", "42", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    for name in ("trace.csv", "commands.csv"):
-        assert sha256(tmp_path / name) == RUN_DIGESTS[(demo, name)], name
+    pinned = {name: digest for (pinned_demo, name), digest in RUN_DIGESTS.items() if pinned_demo == demo}
+    assert {"trace.csv", "commands.csv"} <= pinned.keys()
+    for name, digest in pinned.items():
+        assert sha256(tmp_path / name) == digest, name
 
 
 def test_compare_outputs_match_golden_digests(tmp_path):

@@ -13,7 +13,6 @@ import pytest
 from ecofence import coordinator, engine
 from ecofence.coordinator import (
     CommandRecord,
-    ModeCommand,
     Powertrain,
     VehicleMode,
     VehicleSnapshot,
@@ -23,10 +22,6 @@ from ecofence.network import Edge, RoadNetwork
 from ecofence.optimizer import ProblemEntry
 
 RECORDS = {
-    ModeCommand: (
-        ("vehicle_id", "mode", "issued_at", "effective_time"),
-        ("v1", VehicleMode.ELECTRIC, 1.0, 2.0),
-    ),
     CommandRecord: (
         (
             "sim_time", "fence_id", "vehicle_id", "density", "emission_rate",

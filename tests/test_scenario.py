@@ -144,6 +144,20 @@ def test_wrong_shaped_section_is_a_validation_failure(path, value, problem, demo
     assert main(["run", "--scenario", str(scenario), "--seed", "1", "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("euro_class", [True, False, 2.0], ids=repr)
+def test_euro_class_must_be_an_integer_class(euro_class, demo_ring_dict, tmp_path):
+    doc = demo_ring_dict
+    doc["fleet"][0]["euro_class"] = euro_class
+    scenario = tmp_path / "classed.json"
+    scenario.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(scenario)
+    assert excinfo.value.problems == [f"fleet[0].euro_class: must be 1..4 or null, got {euro_class!r}"]
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 1
+    assert not (out / "trace.csv").exists()
+
+
 def test_density_file_applies(demo_ring, tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text("edge_id,weight\nring_s,2.5\nring_w,1.0\n")
