@@ -224,7 +224,7 @@ def _cmd_solve_debug(args) -> int:
     with open(args.problem, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError([f"{args.problem}: not valid JSON ({exc})"]) from None
     try:
         entries = tuple(

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .emissions import CoefficientTable
 from .network import SpatialHash
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
 
@@ -42,11 +41,6 @@ Position = tuple[float, float]
 # The per-vehicle loops build their NamedTuple records straight from a
 # tuple: the generated constructor costs several times the tuple itself.
 _record = tuple.__new__
-
-
-class VehicleMode(Enum):
-    POLLUTING = "polluting"
-    ELECTRIC = "electric"
 
 
 class Powertrain(Enum):
@@ -133,27 +127,26 @@ class Geofence:
 class VehicleSnapshot(NamedTuple):
     """What the coordinator is told about one vehicle at a decision instant.
 
-    ``density_weight`` is the cyclist-density weight of the road edge the
-    vehicle currently occupies; ``speed`` is its current speed in km/h.
-    The simulation engine passes its live vehicle records instead, which
-    carry the same attributes; this record is for every other caller.
+    ``emission_rate`` is the vehicle's rate in polluting mode (g/min) at
+    its current speed, and ``density_weight`` the cyclist-density weight of
+    the road edge it currently occupies.  The simulation engine passes its
+    live vehicle records instead, which carry the same attributes; this
+    record is for every other caller.
     """
 
     vehicle_id: str
     position: Position
-    speed: float
-    euro_class: int
+    emission_rate: float
     powertrain: Powertrain
     density_weight: float
-    mode: VehicleMode = VehicleMode.POLLUTING
 
 
 class CommandRecord(NamedTuple):
     """One issued command: the audit row, and the row the engine applies.
 
     At ``effective_time`` (``sim_time`` plus the actuation latency) the
-    engine sets the vehicle's mode to ``commanded_mode``, a
-    :class:`VehicleMode` value.  Assignment fields are None for restore
+    engine sets the vehicle's mode to ``commanded_mode``, ``"polluting"``
+    or ``"electric"``.  Assignment fields are None for restore
     commands (fence expiry or a vehicle leaving the fence) and for
     single-vehicle-mode commands.
     """
@@ -206,12 +199,10 @@ class GeofenceCoordinator:
     def __init__(
         self,
         config: ControllerConfig,
-        table: CoefficientTable,
         rng: random.Random,
         control_enabled: bool = True,
     ) -> None:
         self.config = config
-        self.table = table
         self.rng = rng
         self.control_enabled = control_enabled
         self.fences: dict[str, Geofence] = {}
@@ -301,13 +292,12 @@ class GeofenceCoordinator:
 
         The entries are the members :meth:`_controllable` names, in the
         same order, filtered here in the same pass that builds them.
-        Emission rates are computed from each member's current speed; pure
+        Each member enters with its snapshot's ``emission_rate``; pure
         EVs enter with a zero rate so the solver hands them probability 1
         at no budget cost.  A non-finite limit is rejected by
         :class:`GeofenceProblem`.
         """
         detector = fence.last_detector_id if self.config.force_detector_electric else None
-        rate_of = self.table.rate
         pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
         entries = []
         append = entries.append
@@ -316,7 +306,7 @@ class GeofenceCoordinator:
             powertrain = snap.powertrain
             if powertrain is pure_ice or vid == detector:
                 continue
-            rate = 0.0 if powertrain is pure_ev else rate_of(snap.euro_class, snap.speed)
+            rate = 0.0 if powertrain is pure_ev else snap.emission_rate
             append(_record(ProblemEntry, (vid, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
@@ -388,9 +378,9 @@ class GeofenceCoordinator:
 
         ``snapshots`` maps every vehicle on the road to a
         :class:`VehicleSnapshot` or any object with its attributes (the
-        engine passes its live vehicle records).  Only ``vehicle_id``,
-        ``position``, ``speed``, ``euro_class``, ``powertrain`` and
-        ``density_weight`` are read; the objects are never mutated and no
+        engine passes its live vehicle records).  Only ``emission_rate``,
+        ``powertrain`` and ``density_weight`` are read, besides which ids
+        are in ``snapshots``; the objects are never mutated and no
         reference to them is kept once ``step`` returns.
         """
         log = self.command_log

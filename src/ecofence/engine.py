@@ -19,8 +19,8 @@ vehicle is one live record, :class:`VehicleState`, and detection, the
 coordinator (which takes the records as its snapshots) and the trace row
 all read it.  What is read when:
 
-* per edge change (and at spawn): the edge, and the speed and density
-  weight that belong to it;
+* per edge change (and at spawn): the edge, and the speed, density
+  weight and emission rate that belong to it;
 * per step: the offset, and after movement the position, computed from
   the segment constants the edge caches (``Edge.segments``).
 
@@ -70,7 +70,6 @@ from .coordinator import (
     GeofenceCoordinator,
     Powertrain,
     SingleVehicleController,
-    VehicleMode,
 )
 from .emissions import CoefficientTable, load_default_table
 from .network import Edge, Point, RoadNetwork, SpatialHash
@@ -124,9 +123,12 @@ class RouteCursor:
 class VehicleState(RouteCursor):
     """One vehicle: its route cursor, drivetrain and mode, and where it is.
 
-    ``speed`` (km/h) and ``density_weight`` belong to the current edge: they
-    are read when the record is built on its edge and again whenever the
-    cursor moves onto the next edge, and at no other time.  ``position`` is
+    ``mode`` is ``"polluting"`` or ``"electric"``, the strings the command
+    rows and the trace carry.  ``speed`` (km/h), ``density_weight`` and
+    ``emission_rate`` (g/min in polluting mode, ``table.rate`` at that
+    class and speed) belong to the current edge: they are read when the
+    record is built on its edge and again whenever the cursor moves onto
+    the next edge, and at no other time.  ``position`` is
     set from the edge and offset when the record is built, and again by
     ``step`` once per vehicle after movement.  The record carries every
     attribute of a :class:`~ecofence.coordinator.VehicleSnapshot`, so
@@ -135,12 +137,14 @@ class VehicleState(RouteCursor):
 
     vehicle_id: str
     euro_class: int
+    table: CoefficientTable
     speed_override: float | None = None
-    mode: VehicleMode = VehicleMode.POLLUTING
+    mode: str = "polluting"
     powertrain: Powertrain = Powertrain.HYBRID
     position: Point = field(init=False)
     speed: float = field(default=0.0, init=False)
     density_weight: float = field(default=1.0, init=False)
+    emission_rate: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self._enter(self.edge)
@@ -150,6 +154,7 @@ class VehicleState(RouteCursor):
         self.edge = edge
         self.speed = self.speed_override if self.speed_override is not None else edge.speed_limit
         self.density_weight = edge.density_weight
+        self.emission_rate = self.table.rate(self.euro_class, self.speed)
 
 
 @dataclass(kw_only=True, slots=True)
@@ -183,10 +188,10 @@ def step(world: World, dt: float) -> World:
     arrived and places the records of the others, then applies the queued
     command rows whose effective time is due: each sets its vehicle's mode
     to its ``commanded_mode``.  A vehicle that stays on its edge, the
-    common case, only adds to its offset: its speed and density weight
-    were read when it entered the edge.  Command application respects
-    powertrains: a pure EV never enters polluting mode and a pure ICE
-    never goes electric.
+    common case, only adds to its offset: its speed, density weight and
+    emission rate were read when it entered the edge.  Command
+    application respects powertrains: a pure EV never enters polluting
+    mode and a pure ICE never goes electric.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -214,7 +219,6 @@ def step(world: World, dt: float) -> World:
     now = world.now = world.tick * dt
     remaining: list[CommandRecord] = []
     pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
-    polluting, electric = VehicleMode.POLLUTING, VehicleMode.ELECTRIC
     for command in world.pending_commands:
         if command.effective_time > now:
             remaining.append(command)
@@ -222,10 +226,10 @@ def step(world: World, dt: float) -> World:
         vehicle = vehicles.get(command.vehicle_id)
         if vehicle is None:
             continue
-        mode = polluting if command.commanded_mode == "polluting" else electric
-        if mode is polluting and vehicle.powertrain is pure_ev:
+        mode = command.commanded_mode
+        if mode == "polluting" and vehicle.powertrain is pure_ev:
             continue
-        if mode is electric and vehicle.powertrain is pure_ice:
+        if mode == "electric" and vehicle.powertrain is pure_ice:
             continue
         vehicle.mode = mode
     world.pending_commands = remaining
@@ -235,10 +239,11 @@ def step(world: World, dt: float) -> World:
 def _snapshot_vehicles(world: World) -> None:
     """Place every vehicle record at its cursor's edge and offset.
 
-    Only the position is computed here; speed and density weight change
-    with the edge and were read when the cursor entered it.  The placed
-    records are the step's vehicle snapshots: detection, the coordinator
-    and the trace row read them until the next ``step``.
+    Only the position is computed here; speed, density weight and
+    emission rate change with the edge and were read when the cursor
+    entered it.  The placed records are the step's vehicle snapshots:
+    detection, the coordinator and the trace row read them until the next
+    ``step``.
     """
     for vehicle in world.vehicles.values():
         vehicle.position = vehicle.edge.position_at(vehicle.edge_offset)
@@ -344,10 +349,11 @@ def _spawn_due(world: World, fleet: tuple[FleetEntry, ...], cursor: int, rng: ra
         euro_class = entry.euro_class
         if euro_class is None:
             euro_class = rng.randint(1, 4)
-        mode = VehicleMode.ELECTRIC if entry.powertrain is Powertrain.PURE_EV else VehicleMode.POLLUTING
+        mode = "electric" if entry.powertrain is Powertrain.PURE_EV else "polluting"
         world.vehicles[entry.vehicle_id] = VehicleState(
             vehicle_id=entry.vehicle_id,
             euro_class=euro_class,
+            table=world.table,
             route=entry.route,
             edge=world.network.edge(entry.route[0]),
             speed_override=entry.speed,
@@ -381,27 +387,22 @@ def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level:
     member_union: set[str] = set()
     for fence in fences:
         member_union.update(fence.member_ids)
-    rate = world.table.rate
-    polluting = VehicleMode.POLLUTING
     in_fence = 0.0
     total = 0.0
     vehicle_ids, euro_classes, edge_ids, edge_offsets, speeds, modes = [], [], [], [], [], []
     for vid, vehicle in world.vehicles.items():
-        euro_class = vehicle.euro_class
-        speed = vehicle.speed
-        if vehicle.mode is polluting:
-            modes.append("polluting")
-            vehicle_rate = rate(euro_class, speed)
+        mode = vehicle.mode
+        if mode == "polluting":
+            vehicle_rate = vehicle.emission_rate
             total += vehicle_rate
             if vid in member_union:
                 in_fence += vehicle_rate
-        else:
-            modes.append("electric")
         vehicle_ids.append(vid)
-        euro_classes.append(euro_class)
+        euro_classes.append(vehicle.euro_class)
         edge_ids.append(vehicle.route[vehicle.route_index])
         edge_offsets.append(vehicle.edge_offset)
-        speeds.append(speed)
+        speeds.append(vehicle.speed)
+        modes.append(mode)
     return TraceRow(
         sim_time=world.now,
         budget=budget,
@@ -438,7 +439,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     rng_toss = random.Random(f"{seed}:toss")
     single = scenario.single_vehicle and scenario.control_enabled
     controller = SingleVehicleController if single else GeofenceCoordinator
-    coordinator = controller(scenario.controller, table, rng_toss, control_enabled=scenario.control_enabled)
+    coordinator = controller(scenario.controller, rng_toss, control_enabled=scenario.control_enabled)
     cell = max(scenario.controller.radius, scenario.detection_range)
     fleet_cursor = 0
     cyclist_cursor = 0

@@ -194,6 +194,10 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
     if dt <= 0:
         problems.append("scenario.dt: must be a positive number")
         dt = 1.0
+    # with both valid (no problem yet): steps() rounds horizon / dt to 0 iff
+    # it is <= 0.5, tested so because round() fails on an inf ratio
+    if not problems and horizon / dt <= 0.5:
+        problems.append("scenario.horizon: must cover at least one step of dt")
 
     edges: dict[str, Edge] = {}
     raw_network = _shaped(data.get("network"), dict, problems, "network") or {}
@@ -288,7 +292,8 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}.speed: must be positive when given")
             speed = None
         pt_raw = raw.get("powertrain", "hybrid")
-        powertrain = _POWERTRAINS.get(pt_raw)
+        # a list or an object cannot be a dict key, so test the type first
+        powertrain = _POWERTRAINS.get(pt_raw) if isinstance(pt_raw, str) else None
         if powertrain is None:
             problems.append(
                 f"{where}.powertrain: must be one of {sorted(_POWERTRAINS)}, got {pt_raw!r}"
@@ -396,7 +401,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from None
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be an object"])

@@ -290,6 +290,27 @@ def test_solve_debug_prints_table(tmp_path, capsys):
     assert "objective 1.250000" in out
 
 
+def test_solve_debug_problem_not_utf8(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_bytes(b'{"limit": 1.0, "entries": [{"vehicle_id": "caf\xe9"}]}')
+    code = main(["solve-debug", "--problem", str(problem)])
+    assert code == 1
+    assert "problem.json: not valid JSON ('utf-8' codec" in capsys.readouterr().err
+
+
+def test_zero_step_scenario_exits_one_and_writes_nothing(tmp_path, capsys):
+    doc = json.loads(data_path("demo_ring.json").read_text())
+    doc["horizon"] = 0.4
+    scenario = tmp_path / "instant.json"
+    scenario.write_text(json.dumps(doc))
+    for command in ("run", "compare"):
+        out = tmp_path / command
+        code = main([command, "--scenario", str(scenario), "--seed", "42", "--out", str(out)])
+        assert code == 1
+        assert "error: scenario.horizon: must cover at least one step of dt" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_solve_debug_invalid_problem(tmp_path):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({"limit": 1.0, "entries": [{"vehicle_id": "A"}]}))

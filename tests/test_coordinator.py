@@ -14,33 +14,36 @@ from ecofence.coordinator import (
     members,
     toss_polluting,
 )
+from ecofence.emissions import load_default_table
 from ecofence.scenario import load_scenario
 from tests.conftest import grid_of
 from tests.test_golden import mixed_powertrain_scenario
 
+TABLE = load_default_table()
+
 
 def snap(vid, pos=(0.0, 0.0), speed=30.0, euro=4, powertrain=Powertrain.HYBRID, density=1.0):
+    """A vehicle of class ``euro`` at ``speed`` km/h, rated as the engine rates it."""
     return VehicleSnapshot(
         vehicle_id=vid,
         position=pos,
-        speed=speed,
-        euro_class=euro,
+        emission_rate=TABLE.rate(euro, speed),
         powertrain=powertrain,
         density_weight=density,
     )
 
 
-def make_coordinator(table, **kwargs):
+def make_coordinator(**kwargs):
     config = kwargs.pop("config", ControllerConfig())
     rng = kwargs.pop("rng", random.Random("test:toss"))
-    return GeofenceCoordinator(config, table, rng, **kwargs)
+    return GeofenceCoordinator(config, rng, **kwargs)
 
 
 # -- lifecycle -----------------------------------------------------------------
 
 
-def test_detection_creates_fence(table):
-    coord = make_coordinator(table)
+def test_detection_creates_fence():
+    coord = make_coordinator()
     fence = coord.on_detection("tag-1", (0.0, 0.0), 5.0, detecting_vehicle_id="v1")
     assert fence.center == (0.0, 0.0)
     assert fence.created_at == 5.0
@@ -48,8 +51,8 @@ def test_detection_creates_fence(table):
     assert fence.radius == 100.0
 
 
-def test_detection_recenters_existing_fence(table):
-    coord = make_coordinator(table)
+def test_detection_recenters_existing_fence():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 5.0)
     fence = coord.on_detection("tag-1", (30.0, 0.0), 8.0)
     assert len(coord.fences) == 1
@@ -58,15 +61,15 @@ def test_detection_recenters_existing_fence(table):
     assert fence.last_detection_at == 8.0
 
 
-def test_two_cyclists_two_fences(table):
-    coord = make_coordinator(table)
+def test_two_cyclists_two_fences():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 1.0)
     coord.on_detection("tag-2", (500.0, 0.0), 1.0)
     assert sorted(coord.fences) == ["tag-1", "tag-2"]
 
 
-def test_expiry_boundary_is_inclusive(table):
-    coord = make_coordinator(table)
+def test_expiry_boundary_is_inclusive():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 10.0)
     coord.expire(30.0)
     assert "tag-1" in coord.fences
@@ -75,8 +78,8 @@ def test_expiry_boundary_is_inclusive(table):
     assert coord.command_log == []  # no member was controlled
 
 
-def test_expiry_restores_controlled_members(table):
-    coord = make_coordinator(table)
+def test_expiry_restores_controlled_members():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
@@ -87,8 +90,8 @@ def test_expiry_restores_controlled_members(table):
     assert restored == {"v1": "polluting", "v2": "polluting"}
 
 
-def test_expiry_no_fences_is_noop(table):
-    coord = make_coordinator(table)
+def test_expiry_no_fences_is_noop():
+    coord = make_coordinator()
     coord.expire(100.0)
     assert coord.fences == {}
     assert coord.command_log == []
@@ -111,10 +114,10 @@ def test_members_empty_fleet():
 # -- budget --------------------------------------------------------------------
 
 
-def test_compute_limit_examples(table):
+def test_compute_limit_examples():
     # the budget a fence is solved under is the allowance minus the background
     for level, limit in ((0.0, 1.0), (1.5, -0.5), (0.4, pytest.approx(0.6))):
-        coord = make_coordinator(table, config=ControllerConfig(allowable_limit=1.0))
+        coord = make_coordinator(config=ControllerConfig(allowable_limit=1.0))
         fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
         snapshots = {"v1": snap("v1")}
         coord.step(0.0, snapshots, level, grid_of(snapshots))
@@ -122,8 +125,8 @@ def test_compute_limit_examples(table):
 
 
 @pytest.mark.parametrize("level", [math.inf, math.nan])
-def test_non_finite_background_is_rejected(table, level):
-    coord = make_coordinator(table)
+def test_non_finite_background_is_rejected(level):
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
     with pytest.raises(ValueError):
@@ -133,10 +136,10 @@ def test_non_finite_background_is_rejected(table, level):
 # -- decisions -----------------------------------------------------------------
 
 
-def test_decision_tick_extremes_ignore_draw(table):
+def test_decision_tick_extremes_ignore_draw():
     # x=1 (slack budget) commands polluting on every tick and x=0 (negative
     # budget) commands electric on every tick, whatever the draws say
-    coord = make_coordinator(table)
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"a": snap("a", speed=10.0), "b": snap("b", speed=10.0)}
     for t in range(50):
@@ -146,7 +149,7 @@ def test_decision_tick_extremes_ignore_draw(table):
     assert len(rows) == 100
     assert all(r.assignment == 1.0 and r.commanded_mode == "polluting" for r in rows)
 
-    coord = make_coordinator(table)
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
@@ -156,8 +159,8 @@ def test_decision_tick_extremes_ignore_draw(table):
     assert all(r.assignment == 0.0 and r.commanded_mode == "electric" for r in rows)
 
 
-def test_decision_tick_negative_budget_all_electric(table):
-    coord = make_coordinator(table)
+def test_decision_tick_negative_budget_all_electric():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {f"v{i}": snap(f"v{i}", pos=(float(i), 0.0)) for i in range(4)}
     commands = coord.step(0.0, snapshots, 1.5, grid_of(snapshots))
@@ -165,8 +168,8 @@ def test_decision_tick_negative_budget_all_electric(table):
     assert len(commands) == 4
 
 
-def test_decision_tick_expected_spend_within_budget(table):
-    coord = make_coordinator(table)
+def test_decision_tick_expected_spend_within_budget():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {
         f"v{i}": snap(f"v{i}", pos=(float(i), 0.0), euro=1 + i % 4, density=1.0 + i % 3)
@@ -179,8 +182,8 @@ def test_decision_tick_expected_spend_within_budget(table):
     assert spend <= 1.0 + 1e-9
 
 
-def test_pure_ev_member_always_electric(table):
-    coord = make_coordinator(table)
+def test_pure_ev_member_always_electric():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
@@ -191,8 +194,8 @@ def test_pure_ev_member_always_electric(table):
     assert ev_row.emission_rate == 0.0
 
 
-def test_pure_ice_member_never_commanded(table):
-    coord = make_coordinator(table)
+def test_pure_ice_member_never_commanded():
+    coord = make_coordinator()
     fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ice": snap("ice", powertrain=Powertrain.PURE_ICE), "hv": snap("hv")}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
@@ -201,16 +204,16 @@ def test_pure_ice_member_never_commanded(table):
     assert "ice" in fence.member_ids  # geometrically still a member
 
 
-def test_members_outside_are_never_commanded(table):
-    coord = make_coordinator(table)
+def test_members_outside_are_never_commanded():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"in": snap("in"), "far": snap("far", pos=(500.0, 0.0))}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert {c.vehicle_id for c in commands} == {"in"}
 
 
-def test_vehicle_leaving_fence_reverts_next_step(table):
-    coord = make_coordinator(table)
+def test_vehicle_leaving_fence_reverts_next_step():
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
     coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
@@ -222,19 +225,19 @@ def test_vehicle_leaving_fence_reverts_next_step(table):
     assert restored_row.commanded_mode == "polluting"
 
 
-def test_actuation_latency_delays_effect(table):
+def test_actuation_latency_delays_effect():
     config = ControllerConfig.hil_emulation()
     assert config.tau == 5.0 and config.actuation_latency == 5.0
-    coord = make_coordinator(table, config=config)
+    coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert commands[0].effective_time == 5.0
 
 
-def test_fresh_solve_when_membership_changes_between_solves(table):
+def test_fresh_solve_when_membership_changes_between_solves():
     config = ControllerConfig(tau=10.0, switch_interval=1.0)
-    coord = make_coordinator(table, config=config)
+    coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     first = {"v1": snap("v1")}
     coord.step(0.0, first, 0.0, grid_of(first))
@@ -250,7 +253,7 @@ def test_toss_only_tick_logs_the_solved_problem(table):
     # carries the t=0 density and rate, and each tick's expected spend
     # stays within the budget the assignment was solved for
     config = ControllerConfig(tau=10.0, switch_interval=1.0)
-    coord = make_coordinator(table, config=config)
+    coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     for now, speed, density in ((0.0, 10.0, 1.0), (1.0, 30.0, 3.0)):
         snapshots = {"v1": snap("v1", euro=1, speed=speed, density=density)}
@@ -264,9 +267,9 @@ def test_toss_only_tick_logs_the_solved_problem(table):
         assert row.assignment * row.emission_rate <= 1.0 + 1e-9
 
 
-def test_recreated_fence_solves_and_tosses_on_its_first_tick(table):
+def test_recreated_fence_solves_and_tosses_on_its_first_tick():
     config = ControllerConfig(tau=30.0)
-    coord = make_coordinator(table, config=config)
+    coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
     coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
@@ -280,9 +283,9 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick(table):
     assert coord.command_log[-1].assignment == 0.0
 
 
-def test_force_detector_electric(table):
+def test_force_detector_electric():
     config = ControllerConfig(force_detector_electric=True)
-    coord = make_coordinator(table, config=config)
+    coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(3.0, 0.0))}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
@@ -310,8 +313,8 @@ def test_toss_frequency_near_half():
 # -- single-vehicle mode ---------------------------------------------------------
 
 
-def test_single_vehicle_step_cycle(table):
-    coord = SingleVehicleController(ControllerConfig(), table, random.Random("test:toss"))
+def test_single_vehicle_step_cycle():
+    coord = SingleVehicleController(ControllerConfig(), random.Random("test:toss"))
     snapshots = {"v1": snap("v1")}
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     assert coord.fences == {}  # no fences in this mode
@@ -369,8 +372,8 @@ def test_config_rejects_non_finite_timing(field, value):
         ControllerConfig(**{field: value})
 
 
-def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles(table):
-    coord = make_coordinator(table)
+def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
+    coord = make_coordinator()
     coord.on_detection("tag-a", (0.0, 0.0), 0.0)
     coord.on_detection("tag-b", (1000.0, 0.0), 0.0)
     # ids interleave across the two fences, so fence order is not id order
@@ -412,10 +415,10 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles(table):
     assert set(coord._controlled) == {"v6"}
 
 
-def test_budget_in_expectation_over_many_ticks(table):
+def test_budget_in_expectation_over_many_ticks():
     # long horizon, static membership: every tick's expected spend stays
     # within the budget
-    coord = make_coordinator(table)
+    coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {
         f"v{i}": snap(f"v{i}", pos=(float(i), 0.0), euro=1 + i % 4) for i in range(8)

@@ -11,8 +11,11 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from ecofence.emissions import load_default_table
 from ecofence.engine import CyclistState, VehicleState
 from ecofence.network import Edge, RoadNetwork
+
+TABLE = load_default_table()
 
 
 def oracle_advance(route, index, offset, distance, network):
@@ -104,7 +107,7 @@ def test_cursor_moves_exactly_like_the_loop_it_replaced(layout, data):
     network, route = layout
     counting = CountingNetwork(edges=network.edges)
     first = network.edge(route[0])
-    vehicle = VehicleState(vehicle_id="v", euro_class=4, route=route, edge=first)
+    vehicle = VehicleState(vehicle_id="v", euro_class=4, table=TABLE, route=route, edge=first)
     cyclist = CyclistState(cyclist_id="c", route=route, speed=15.0, edge=first)
     assert vehicle.position == cyclist.position() == oracle_position(first, 0.0)  # placed when built
     index, offset, done = 0, 0.0, False
@@ -120,6 +123,7 @@ def test_cursor_moves_exactly_like_the_loop_it_replaced(layout, data):
             assert cursor.edge is network.edges[route[index]]
         expected = oracle_position(network.edges[route[index]], offset)
         assert [c.hex() for c in cyclist.position()] == [c.hex() for c in expected]
+        assert vehicle.emission_rate == TABLE.rate(4, vehicle.speed)
         # one lookup per edge change for each cursor
         assert counting.lookups == 2 * index
         if done:

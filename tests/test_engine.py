@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ecofence import engine
-from ecofence.coordinator import CommandRecord, ControllerConfig, GeofenceCoordinator, Powertrain, VehicleMode
+from ecofence.coordinator import CommandRecord, ControllerConfig, GeofenceCoordinator, Powertrain
 from ecofence.engine import (
     CyclistState,
     VehicleState,
@@ -48,8 +48,10 @@ def world_with(network, table, vehicles=(), cyclists=()):
     return world
 
 
-def vehicle(network, vid="v1", route=("e1",), **kwargs):
-    return VehicleState(vehicle_id=vid, euro_class=4, route=route, edge=network.edge(route[0]), **kwargs)
+def vehicle(network, table, vid="v1", route=("e1",), **kwargs):
+    return VehicleState(
+        vehicle_id=vid, euro_class=4, table=table, route=route, edge=network.edge(route[0]), **kwargs
+    )
 
 
 def cyclist_on(network, offset=0.0, speed=15.0):
@@ -59,7 +61,7 @@ def cyclist_on(network, offset=0.0, speed=15.0):
 
 def test_step_advances_ten_metres(table):
     network = straight_network()
-    world = world_with(network, table, [vehicle(network)])
+    world = world_with(network, table, [vehicle(network, table)])
     step(world, 1.0)
     assert world.vehicles["v1"].edge_offset == pytest.approx(10.0)
     assert world.now == 1.0
@@ -67,15 +69,49 @@ def test_step_advances_ten_metres(table):
 
 def test_step_crosses_edges(table):
     network = two_edge_network()
-    world = world_with(network, table, [vehicle(network, route=("e1", "e2"), edge_offset=95.0)])
+    world = world_with(network, table, [vehicle(network, table, route=("e1", "e2"), edge_offset=95.0)])
     step(world, 1.0)
     assert world.vehicles["v1"].edge is network.edge("e2")
     assert world.vehicles["v1"].edge_offset == pytest.approx(5.0)
 
 
+def test_emission_rate_is_read_on_entering_each_edge(table):
+    # three speed limits along one route; a pinned speed keeps one rate
+    network = RoadNetwork(
+        edges={
+            "e1": Edge("e1", ((0.0, 0.0), (30.0, 0.0)), 36.0),
+            "e2": Edge("e2", ((30.0, 0.0), (90.0, 0.0)), 72.0),
+            "e3": Edge("e3", ((90.0, 0.0), (120.0, 0.0)), 18.0),
+        }
+    )
+    route = ("e1", "e2", "e3")
+    free = vehicle(network, table, "free", route=route)
+    pinned = vehicle(network, table, "pinned", route=route, speed_override=20.0)
+    electric = VehicleState(
+        vehicle_id="electric", euro_class=1, table=table, route=route, edge=network.edge("e1"), mode="electric"
+    )
+    world = world_with(network, table, [free, pinned, electric])
+    pinned_rate = pinned.emission_rate
+    free_rates = set()
+    for _ in range(40):
+        for v in world.vehicles.values():
+            assert v.emission_rate == table.rate(v.euro_class, v.speed)
+        if "free" in world.vehicles:
+            free_rates.add(free.emission_rate)
+        if "pinned" in world.vehicles:
+            assert pinned.emission_rate == pinned_rate
+        if not world.vehicles:
+            break
+        step(world, 1.0)
+    assert not world.vehicles
+    assert free_rates == {table.rate(4, speed) for speed in (36.0, 72.0, 18.0)}
+    assert len(free_rates) == 3
+    assert pinned_rate == table.rate(4, 20.0)
+
+
 def test_step_removes_arrived_vehicle(table):
     network = straight_network(length=5.0)
-    world = world_with(network, table, [vehicle(network)])
+    world = world_with(network, table, [vehicle(network, table)])
     step(world, 1.0)
     assert world.vehicles == {}
 
@@ -97,27 +133,27 @@ def command(vehicle_id, commanded_mode, sim_time, effective_time):
 
 def test_step_applies_due_commands_only(table):
     network = straight_network()
-    world = world_with(network, table, [vehicle(network)])
+    world = world_with(network, table, [vehicle(network, table)])
     world.pending_commands = [command("v1", "electric", sim_time=0.0, effective_time=2.0)]
     step(world, 1.0)
-    assert world.vehicles["v1"].mode is VehicleMode.POLLUTING
+    assert world.vehicles["v1"].mode == "polluting"
     step(world, 1.0)
-    assert world.vehicles["v1"].mode is VehicleMode.ELECTRIC
+    assert world.vehicles["v1"].mode == "electric"
     assert world.pending_commands == []
 
 
 def test_step_guards_powertrains(table):
     network = straight_network()
-    ev = vehicle(network, "ev", powertrain=Powertrain.PURE_EV, mode=VehicleMode.ELECTRIC)
-    ice = vehicle(network, "ice", powertrain=Powertrain.PURE_ICE)
+    ev = vehicle(network, table, "ev", powertrain=Powertrain.PURE_EV, mode="electric")
+    ice = vehicle(network, table, "ice", powertrain=Powertrain.PURE_ICE)
     world = world_with(network, table, [ev, ice])
     world.pending_commands = [
         command("ev", "polluting", 0.0, 0.0),
         command("ice", "electric", 0.0, 0.0),
     ]
     step(world, 1.0)
-    assert world.vehicles["ev"].mode is VehicleMode.ELECTRIC
-    assert world.vehicles["ice"].mode is VehicleMode.POLLUTING
+    assert world.vehicles["ev"].mode == "electric"
+    assert world.vehicles["ice"].mode == "polluting"
 
 
 @pytest.mark.parametrize("single_vehicle", [False, True], ids=["fences", "single_vehicle"])
@@ -174,8 +210,8 @@ def test_cyclist_parks_at_route_end(table):
 
 def test_detect_within_range(table):
     network = straight_network()
-    near = vehicle(network, "near", edge_offset=45.0)
-    far = vehicle(network, "far", edge_offset=500.0)
+    near = vehicle(network, table, "near", edge_offset=45.0)
+    far = vehicle(network, table, "far", edge_offset=500.0)
     world = world_with(network, table, [near, far], [cyclist_on(network, offset=50.0)])
     grid = grid_of(world.vehicles)
     assert detect(world, 10.0, grid) == [("c1", "near")]
@@ -186,8 +222,8 @@ def test_detect_within_range(table):
 
 def test_detect_orders_by_vehicle_id(table):
     network = straight_network()
-    a = vehicle(network, "a", edge_offset=48.0)
-    b = vehicle(network, "b", edge_offset=52.0)
+    a = vehicle(network, table, "a", edge_offset=48.0)
+    b = vehicle(network, table, "b", edge_offset=52.0)
     world = world_with(network, table, [b, a], [cyclist_on(network, offset=50.0)])
     assert detect(world, 10.0, grid_of(world.vehicles)) == [("c1", "a"), ("c1", "b")]
 
@@ -195,9 +231,7 @@ def test_detect_orders_by_vehicle_id(table):
 def trace_rates(world, fence_center=None):
     """(total_rate, in_fence_rate) of the trace row for a hand-built world,
     with one fence at ``fence_center`` if given."""
-    coordinator = GeofenceCoordinator(
-        ControllerConfig(), world.table, random.Random(0), control_enabled=False
-    )
+    coordinator = GeofenceCoordinator(ControllerConfig(), random.Random(0), control_enabled=False)
     if fence_center is not None:
         coordinator.on_detection("f", fence_center, world.now)
     coordinator.step(world.now, world.vehicles, 0.0, grid_of(world.vehicles))
@@ -207,19 +241,19 @@ def trace_rates(world, fence_center=None):
 
 def test_aggregate_all_electric_is_zero(table):
     network = straight_network()
-    v1 = vehicle(network, "v1", mode=VehicleMode.ELECTRIC)
-    v2 = vehicle(network, "v2", mode=VehicleMode.ELECTRIC)
+    v1 = vehicle(network, table, "v1", mode="electric")
+    v2 = vehicle(network, table, "v2", mode="electric")
     world = world_with(network, table, [v1, v2])
     assert trace_rates(world, (0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_aggregate_restricted_to_fence(table):
     network = straight_network()
-    inside = vehicle(network, "in")
-    outside = vehicle(network, "out", edge_offset=500.0)
+    inside = vehicle(network, table, "in")
+    outside = vehicle(network, table, "out", edge_offset=500.0)
     world = world_with(network, table, [inside, outside])
     total, in_fence = trace_rates(world, (0.0, 0.0))
-    single, _ = trace_rates(world_with(network, table, [vehicle(network, "only")]))
+    single, _ = trace_rates(world_with(network, table, [vehicle(network, table, "only")]))
     assert total == pytest.approx(2 * single)
     assert in_fence == pytest.approx(single)
 
@@ -228,8 +262,8 @@ def test_aggregate_mixed_modes_recompute(table):
     from ecofence.emissions import vehicle_emission_rate
 
     network = straight_network(speed=30.0)
-    polluting = vehicle(network, "p", mode=VehicleMode.POLLUTING)
-    electric = vehicle(network, "e", mode=VehicleMode.ELECTRIC)
+    polluting = vehicle(network, table, "p", mode="polluting")
+    electric = vehicle(network, table, "e", mode="electric")
     world = world_with(network, table, [polluting, electric])
     expected = vehicle_emission_rate(4, table, 30.0)
     total, in_fence = trace_rates(world, (0.0, 0.0))

@@ -14,7 +14,6 @@ from ecofence import coordinator, engine
 from ecofence.coordinator import (
     CommandRecord,
     Powertrain,
-    VehicleMode,
     VehicleSnapshot,
 )
 from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, World, run, step
@@ -34,8 +33,8 @@ RECORDS = {
         ("v1", 2.0, 0.5),
     ),
     VehicleSnapshot: (
-        ("vehicle_id", "position", "speed", "euro_class", "powertrain", "density_weight", "mode"),
-        ("v1", (0.0, 1.0), 30.0, 4, Powertrain.HYBRID, 1.0, VehicleMode.ELECTRIC),
+        ("vehicle_id", "position", "emission_rate", "powertrain", "density_weight"),
+        ("v1", (0.0, 1.0), 0.5, Powertrain.HYBRID, 1.0),
     ),
     VehicleTraceEntry: (
         ("vehicle_id", "euro_class", "edge_id", "edge_offset", "speed", "mode"),
@@ -61,9 +60,10 @@ def test_record_keeps_its_fields_and_is_immutable(record):
         instance.extra = 1
 
 
-def test_snapshot_mode_defaults_to_polluting():
-    snapshot = VehicleSnapshot("v1", (0.0, 0.0), 30.0, 4, Powertrain.HYBRID, 1.0)
-    assert snapshot.mode is VehicleMode.POLLUTING
+def test_vehicle_record_mode_defaults_to_polluting(table):
+    network = RoadNetwork(edges={"e1": Edge("e1", ((0.0, 0.0), (100.0, 0.0)), 36.0)})
+    record = VehicleState(vehicle_id="v1", euro_class=4, table=table, route=("e1",), edge=network.edge("e1"))
+    assert record.mode == "polluting"
 
 
 def recording_controller(controller, steps, as_snapshots):
@@ -76,8 +76,7 @@ def recording_controller(controller, steps, as_snapshots):
             if as_snapshots:
                 snapshots = {
                     vid: VehicleSnapshot(
-                        v.vehicle_id, v.position, v.speed, v.euro_class,
-                        v.powertrain, v.density_weight, v.mode,
+                        v.vehicle_id, v.position, v.emission_rate, v.powertrain, v.density_weight
                     )
                     for vid, v in snapshots.items()
                 }
@@ -133,7 +132,7 @@ def test_record_reads_speed_and_density_only_from_the_edge_it_is_on(table):
     }
     for vid, spec in specs.items():
         world.vehicles[vid] = VehicleState(
-            vehicle_id=vid, euro_class=4, route=route, edge=network.edge("e1"), **spec
+            vehicle_id=vid, euro_class=4, table=table, route=route, edge=network.edge("e1"), **spec
         )
     assert [(v.speed, v.density_weight) for v in world.vehicles.values()] == [
         (36.0, 3.0), (36.0, 3.0), (20.0, 3.0)

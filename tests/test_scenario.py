@@ -158,6 +158,51 @@ def test_euro_class_must_be_an_integer_class(euro_class, demo_ring_dict, tmp_pat
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("powertrain", [["hybrid"], {"kind": "hybrid"}], ids=["list", "object"])
+def test_powertrain_must_be_one_of_the_names(powertrain, demo_ring_dict, tmp_path):
+    doc = demo_ring_dict
+    doc["fleet"][0]["powertrain"] = powertrain
+    scenario = tmp_path / "powered.json"
+    scenario.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(scenario)
+    assert excinfo.value.problems == [
+        f"fleet[0].powertrain: must be one of ['hybrid', 'pure_ev', 'pure_ice'], got {powertrain!r}"
+    ]
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 1
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "horizon, dt, problems",
+    [
+        (0.4, 1.0, ["scenario.horizon: must cover at least one step of dt"]),
+        (0.5, 1.0, ["scenario.horizon: must cover at least one step of dt"]),  # rounds to 0 steps
+        (0.05, 0.2, ["scenario.horizon: must cover at least one step of dt"]),
+        (0.6, 1.0, []),
+        (-0.4, 1.0, ["scenario.horizon: must be a positive number"]),
+        (0.4, 0.0, ["scenario.dt: must be a positive number"]),
+    ],
+    ids=["under-half", "half", "short-dt", "one-step", "bad-horizon", "bad-dt"],
+)
+def test_horizon_must_cover_at_least_one_step(horizon, dt, problems, demo_ring_dict):
+    demo_ring_dict.update(horizon=horizon, dt=dt)
+    if not problems:
+        assert parse_scenario(demo_ring_dict).steps() == 1
+        return
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(demo_ring_dict)
+    assert excinfo.value.problems == problems
+
+
+def test_load_scenario_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ScenarioError, match=r"latin1\.json: not valid JSON \('utf-8' codec"):
+        load_scenario(path)
+
+
 def test_density_file_applies(demo_ring, tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text("edge_id,weight\nring_s,2.5\nring_w,1.0\n")

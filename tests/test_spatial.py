@@ -93,7 +93,9 @@ def world_at(table, centres, points):
     for cid in cyclist_pos:
         world.cyclists[cid] = CyclistState(cyclist_id=cid, route=(cid,), speed=15.0, edge=network.edge(cid))
     for vid in vehicle_pos:
-        world.vehicles[vid] = VehicleState(vehicle_id=vid, euro_class=4, route=(vid,), edge=network.edge(vid))
+        world.vehicles[vid] = VehicleState(
+            vehicle_id=vid, euro_class=4, table=table, route=(vid,), edge=network.edge(vid)
+        )
     return world
 
 
@@ -117,13 +119,13 @@ def test_detect_on_a_shared_hash_equals_brute_force(table, layout, other):
 @given(layouts(), other_sizes)
 @example((100.0, [(0.0, 0.0)], [(100.0, 0.0), (0.0, -100.0), (100.0, 1.0)]), 150.0)
 @example((100.0, [(0.0, 0.0)], [(100.0, 0.0), (-100.0, 0.0), (0.0, 101.0)]), 10.0)
-def test_fence_membership_on_a_shared_hash_equals_brute_force(table, layout, other):
+def test_fence_membership_on_a_shared_hash_equals_brute_force(layout, other):
     r, centres, points = layout
-    coord = GeofenceCoordinator(ControllerConfig(radius=r), table, random.Random(0), control_enabled=False)
+    coord = GeofenceCoordinator(ControllerConfig(radius=r), random.Random(0), control_enabled=False)
     for i, centre in enumerate(centres):
         coord.on_detection(f"c{i}", centre, 0.0)
     snapshots = {
-        f"v{i:02d}": VehicleSnapshot(f"v{i:02d}", p, 30.0, 4, Powertrain.HYBRID, 1.0)
+        f"v{i:02d}": VehicleSnapshot(f"v{i:02d}", p, 0.5, Powertrain.HYBRID, 1.0)
         for i, p in enumerate(points)
     }
     coord.step(0.0, snapshots, 0.0, grid_of(snapshots, max(r, other)))
