@@ -38,6 +38,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     _parse_background,
+    _text_lines,
     load_density_file,
     load_scenario,
     with_density,
@@ -57,18 +58,17 @@ def _parse_background_arg(value: str):
     path = Path(value)
     if not path.exists():
         raise ScenarioError([f"background {value!r}: not a number and not a file"])
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line == "time,level":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ScenarioError([f"{value}:{lineno}: expected 'time,level'"])
-            try:
-                series.append([float(parts[0]), float(parts[1])])
-            except ValueError:
-                raise ScenarioError([f"{value}:{lineno}: values must be numbers"]) from None
+    for lineno, raw in enumerate(_text_lines(path, f"background file {value!r}"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line == "time,level":
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ScenarioError([f"{value}:{lineno}: expected 'time,level'"])
+        try:
+            series.append([float(parts[0]), float(parts[1])])
+        except ValueError:
+            raise ScenarioError([f"{value}:{lineno}: values must be numbers"]) from None
     if not series:
         raise ScenarioError([f"background file {value!r} is empty"])
     return series

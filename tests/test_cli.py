@@ -311,6 +311,39 @@ def test_zero_step_scenario_exits_one_and_writes_nothing(tmp_path, capsys):
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_horizon_over_dt_overflow_exits_one_and_creates_nothing(tmp_path, capsys):
+    # 1e10 / 1e-300 overflows to inf: no step count, so nothing is run
+    doc = json.loads(data_path("demo_ring.json").read_text())
+    doc["horizon"] = 1e10
+    doc["dt"] = 1e-300
+    scenario = tmp_path / "endless.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)])
+    assert code == 1
+    assert "error: scenario.horizon: must cover a finite number of steps of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--density", b"edge_id,weight\nring_s,4.0 caf\xe9\n"), ("--background", b"time,level\n0,0.2 caf\xe9\n")],
+    ids=["density", "background"],
+)
+def test_override_file_that_is_not_utf8_exits_one(tmp_path, capsys, flag, text):
+    override = tmp_path / "override.csv"
+    override.write_bytes(text)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--scenario", scenario_arg(), "--seed", "3", flag, str(override), "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "not valid UTF-8 ('utf-8' codec can't decode byte 0xe9" in err
+    assert "override.csv" in err
+    assert not out.exists()
+
+
 def test_solve_debug_invalid_problem(tmp_path):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({"limit": 1.0, "entries": [{"vehicle_id": "A"}]}))

@@ -182,12 +182,12 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
 
     original_trace_row = engine._trace_row
 
-    def checked_trace_row(world, coordinator, background_level):
+    def checked_trace_row(world, coordinator, background_level, previous):
         # called once per step, after the step's commands were queued
         logged = {id(row) for row in coordinator.command_log}
         assert all(id(command) in logged for command in world.pending_commands)
         queue_lengths.append(len(world.pending_commands))
-        return original_trace_row(world, coordinator, background_level)
+        return original_trace_row(world, coordinator, background_level, previous)
 
     monkeypatch.setattr(engine, "_trace_row", checked_trace_row)
     result = run(scenario, 42)
@@ -378,3 +378,38 @@ def test_trace_row_keeps_its_vehicles_as_columns(demo_ring):
         assert [len(column) for column in columns] == [row.n_vehicles] * len(TRACE_COLUMNS)
         assert row.vehicles == tuple(VehicleTraceEntry(*entry) for entry in zip(*columns))
         assert all(type(entry) is VehicleTraceEntry for entry in row.vehicles)
+
+
+SHARED_COLUMNS = ("vehicle_ids", "euro_classes", "edge_ids", "speeds", "modes")
+
+
+def traced_rows(which, demo_ring, demo_ring_compare):
+    if which == "run":
+        return run(demo_ring, 42).trace.rows
+    return getattr(demo_ring_compare, which).trace.rows
+
+
+@pytest.mark.parametrize("which", ["run", "baseline", "control"])
+def test_an_unchanged_column_is_the_previous_rows_tuple(which, demo_ring, demo_ring_compare):
+    rows = traced_rows(which, demo_ring, demo_ring_compare)
+    shared = 0
+    for earlier, row in zip(rows, rows[1:]):
+        for name in SHARED_COLUMNS:
+            column, before = getattr(row, name), getattr(earlier, name)
+            if column == before:
+                assert column is before, (row.sim_time, name)
+                shared += bool(column)
+    assert shared  # an empty tuple is one object anyway; these are not empty
+
+
+@pytest.mark.parametrize("which", ["run", "baseline", "control"])
+def test_an_unchanged_fence_membership_is_the_previous_rows_tuple(which, demo_ring, demo_ring_compare):
+    rows = traced_rows(which, demo_ring, demo_ring_compare)
+    shared = 0
+    for earlier, row in zip(rows, rows[1:]):
+        before = {fence.fence_id: fence.member_ids for fence in earlier.fences}
+        for fence in row.fences:
+            if fence.member_ids == before.get(fence.fence_id):
+                assert fence.member_ids is before[fence.fence_id], (row.sim_time, fence.fence_id)
+                shared += bool(fence.member_ids)
+    assert shared

@@ -179,3 +179,15 @@ def test_writers_produce_files(demo_ring_compare, tmp_path):
         "sim_time,fence_id,vehicle_id,density,emission_rate,assignment,draw,"
         "commanded_mode,effective_time"
     )
+
+
+def test_compare_runs_see_identical_traffic(demo_ring_compare):
+    baseline = demo_ring_compare.baseline.trace.rows
+    control = demo_ring_compare.control.trace.rows
+    assert len(baseline) == len(control)
+    for base_row, ctrl_row in zip(baseline, control):
+        for name in ("vehicle_ids", "euro_classes", "edge_ids", "edge_offsets", "speeds"):
+            assert getattr(base_row, name) == getattr(ctrl_row, name), (base_row.sim_time, name)
+    # the traffic is the same although control changed modes
+    assert any(b.modes != c.modes for b, c in zip(baseline, control))
+    assert any(row.n_vehicles for row in baseline)
