@@ -221,11 +221,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve_debug(args) -> int:
-    with open(args.problem, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(args.problem, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ScenarioError([f"{args.problem}: not valid JSON ({exc})"]) from None
+    except IsADirectoryError:
+        raise ScenarioError([f"problem file {args.problem}: is a directory"]) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"{args.problem}: not valid JSON ({exc})"]) from None
     try:
         entries = tuple(
             ProblemEntry(

@@ -15,9 +15,15 @@ fence: solve if due, then toss against the stored solve if due.
 Single-vehicle mode, in which only the detecting vehicle switches, is
 :class:`SingleVehicleController`, a coordinator that keeps no fence.
 
-A command is written once, as a :class:`CommandRecord` appended to
-``command_log``; both controllers' ``step`` returns the rows it appended,
-and the engine queues and applies those same rows.
+Every command is logged in ``command_log``, a :class:`CommandLog` that
+reads as a sequence of :class:`CommandRecord` rows: a fence toss is kept
+as one :class:`FenceToss` of columns, and each other command (a restore,
+a forced detector, a single-vehicle switch) as one row.  ``step`` returns
+only the rows that change the mode the controller last commanded their
+vehicle, and the engine queues those.  That leaves the trace as it would
+be with every row queued: effective times never decrease in log order,
+so a dropped row would be applied after the row it repeats, to a vehicle
+already in its mode, under the same powertrain guards.
 
 All state mutation happens through a serialized sequence of
 ``on_detection`` / ``step`` calls made by the simulation loop; the object
@@ -29,9 +35,13 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from itertools import islice
+from typing import NamedTuple
 
 from .network import SpatialHash
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
@@ -164,6 +174,99 @@ class CommandRecord(NamedTuple):
     effective_time: float
 
 
+class FenceToss(NamedTuple):
+    """One fence toss: the rows of its problem's vehicles, as columns.
+
+    Item ``i`` of the six columns is the row of one vehicle, in problem
+    (ascending id) order; the time, the fence and the effective time are
+    the same for every row.  The columns hold only strings and floats, the
+    draws as an ``array('d')`` of 8 bytes each, so neither the problem's
+    entries nor its assignment is kept alive.
+    """
+
+    sim_time: float
+    fence_id: str
+    effective_time: float
+    vehicle_ids: tuple[str, ...]
+    densities: tuple[float, ...]
+    rates: tuple[float, ...]
+    assignments: tuple[float, ...]
+    draws: array
+    modes: tuple[str, ...]
+
+    def records(self, start: int = 0, stop: int | None = None) -> list[CommandRecord]:
+        """Rows ``start`` to ``stop`` (exclusive), built now."""
+        head, tail = (self.sim_time, self.fence_id), (self.effective_time,)
+        columns = zip(self.vehicle_ids, self.densities, self.rates, self.assignments, self.draws, self.modes)
+        return [_record(CommandRecord, head + row + tail) for row in islice(columns, start, stop)]
+
+
+class CommandLog(Sequence):
+    """Every command row of a controller, in log order, read-only.
+
+    The log keeps one entry per :class:`FenceToss` and per single
+    :class:`CommandRecord`, and builds a toss's rows each time they are
+    read, as ``TraceRow.vehicles`` does.  It supports ``len``, iteration,
+    indexes (negative ones too), slices (a list) and ``==`` against
+    another log, a list or a tuple of rows.  Only the controller that
+    owns it calls ``append``.
+    """
+
+    __slots__ = ("_entries", "_ends")
+
+    def __init__(self) -> None:
+        self._entries: list[CommandRecord | FenceToss] = []
+        self._ends = array("q")  # rows logged up to and including each entry
+
+    def append(self, entry: CommandRecord | FenceToss) -> None:
+        ends = self._ends
+        rows = len(entry.vehicle_ids) if type(entry) is FenceToss else 1
+        ends.append((ends[-1] if ends else 0) + rows)
+        self._entries.append(entry)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _locate(self, index: int) -> tuple[int, int]:
+        """(entry, row within it) of the ``index``-th row."""
+        at = bisect_right(self._ends, index)
+        return at, index - (self._ends[at - 1] if at else 0)
+
+    def _rows_from(self, index: int) -> Iterator[CommandRecord]:
+        at, skip = self._locate(index)
+        for entry in islice(self._entries, at, None):
+            if type(entry) is FenceToss:
+                yield from entry.records(skip)
+            else:
+                yield entry
+            skip = 0
+
+    def __iter__(self) -> Iterator[CommandRecord]:
+        return self._rows_from(0)
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, int):
+            at, row = self._locate(picked)
+            entry = self._entries[at]
+            return entry.records(row, row + 1)[0] if type(entry) is FenceToss else entry
+        if not picked or picked.step < 0:
+            return [self[i] for i in picked]
+        return list(islice(self._rows_from(picked.start), 0, picked.stop - picked.start, picked.step))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (CommandLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"CommandLog({list(self)!r})"
+
+
+def _vehicle_ids(problem: GeofenceProblem) -> list[str]:
+    return [entry.vehicle_id for entry in problem.entries]
+
+
 def euclidean(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -192,7 +295,8 @@ class GeofenceCoordinator:
     """Serialized decision authority over fences, budgets and mode commands.
 
     The simulation loop feeds it detections and one ``step`` call per time
-    step; it returns the command rows it logged, for the engine to queue.
+    step; it returns the logged rows that switch a vehicle's commanded
+    mode, for the engine to queue.
     With ``control_enabled=False`` it still tracks fence lifecycle (so
     baseline runs record comparable fence state) but never solves, never
     draws from the toss stream and never issues commands.
@@ -208,8 +312,10 @@ class GeofenceCoordinator:
         self.rng = rng
         self.control_enabled = control_enabled
         self.fences: dict[str, Geofence] = {}
-        self.command_log: list[CommandRecord] = []
+        self.command_log = CommandLog()
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
+        self._commanded: dict[str, str] = {}  # vehicle -> mode last commanded
+        self._switches: list[CommandRecord] = []  # rows the current step returns
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -260,29 +366,27 @@ class GeofenceCoordinator:
         self._command(now, fence_id, vehicle_id, "polluting")
 
     def _command(self, now: float, fence_id: str, vehicle_id: str, mode: str) -> None:
-        """Log a command that enacts no assignment."""
+        """Log a command that enacts no assignment, and return it from the
+        step if it switches the vehicle's commanded mode."""
         effective = now + self.config.actuation_latency
-        self.command_log.append(
-            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode, effective))
-        )
+        record = _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode, effective))
+        self.command_log.append(record)
+        if self._commanded.get(vehicle_id) != mode:
+            self._commanded[vehicle_id] = mode
+            self._switches.append(record)
+
+    def _start_step(self, snapshots: Mapping[str, VehicleSnapshot]) -> list[CommandRecord]:
+        """Begin a step: forget the vehicles that left ``snapshots`` (their
+        next command counts as a first one) and return the step's empty
+        list of switches."""
+        commanded = self._commanded
+        if not commanded.keys() <= snapshots.keys():
+            for vid in commanded.keys() - snapshots.keys():
+                del commanded[vid]
+        self._switches = []
+        return self._switches
 
     # -- decisions ---------------------------------------------------------
-
-    def _controllable(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot]) -> tuple[str, ...]:
-        """Ids of the fence members the coordinator may command, ascending.
-
-        Pure-ICE vehicles cannot switch drivetrain and are left alone; the
-        optional detector forcing removes the detecting vehicle from the
-        problem as well (it is commanded electric directly).
-        :meth:`build_problem` applies the same rule in its own loop.
-        """
-        detector = fence.last_detector_id if self.config.force_detector_electric else None
-        pure_ice = Powertrain.PURE_ICE
-        return tuple(
-            vid
-            for vid in fence.member_ids
-            if snapshots[vid].powertrain is not pure_ice and vid != detector
-        )
 
     def build_problem(
         self,
@@ -292,11 +396,13 @@ class GeofenceCoordinator:
     ) -> GeofenceProblem:
         """Assemble the assignment problem for one fence under ``limit`` g/min.
 
-        The entries are the members :meth:`_controllable` names, in the
-        same order, filtered here in the same pass that builds them.
-        Each member enters with its snapshot's ``emission_rate``; pure
-        EVs enter with a zero rate so the solver hands them probability 1
-        at no budget cost.  A non-finite limit is rejected by
+        The entries are the fence members the coordinator may command, in
+        ascending id order.  Pure-ICE vehicles cannot switch drivetrain and
+        are left out; the optional detector forcing leaves the detecting
+        vehicle out as well (it is commanded electric directly).  Each
+        member enters with its snapshot's ``emission_rate``; pure EVs enter
+        with a zero rate so the solver hands them probability 1 at no
+        budget cost.  A non-finite limit is rejected by
         :class:`GeofenceProblem`.
         """
         detector = fence.last_detector_id if self.config.force_detector_electric else None
@@ -313,13 +419,15 @@ class GeofenceCoordinator:
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
     def _toss_fence(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot], now: float) -> None:
-        """Enact the fence's last solved assignment by logging one coin toss per vehicle.
+        """Enact the fence's last solved assignment by one coin toss per
+        vehicle, logged as one :class:`FenceToss`.
 
-        Each command row carries the density and emission rate the
-        assignment was solved with.  One uniform draw is consumed per
-        problem entry in ascending vehicle-id order.  Pure EVs keep their
-        draw for stream stability but are always commanded electric; they
-        have no engine to pollute with.
+        Each row carries the density and emission rate the assignment was
+        solved with.  One uniform draw is consumed per problem entry in
+        ascending vehicle-id order.  Pure EVs keep their draw for stream
+        stability but are always commanded electric; they have no engine
+        to pollute with.  A row that switches its vehicle's commanded mode
+        is also built as a :class:`CommandRecord` for the step to return.
         """
         effective = now + self.config.actuation_latency
         forced_detector: str | None = None
@@ -328,24 +436,36 @@ class GeofenceCoordinator:
             if snap.powertrain is not Powertrain.PURE_ICE:
                 forced_detector = fence.last_detector_id
         fence_id = fence.fence_id
-        values = fence.assignment.values
-        toss = toss_polluting
-        rng = self.rng
-        controlled = self._controlled
-        log = self.command_log.append
-        pure_ev = Powertrain.PURE_EV
-        for entry in fence.problem.entries:
-            vehicle_id, density, rate = entry
-            x = values[vehicle_id]
-            polluting, draw = toss(x, rng)
-            if snapshots[vehicle_id].powertrain is pure_ev:
-                polluting = False
-            else:
-                controlled[vehicle_id] = fence_id
-            mode = "polluting" if polluting else "electric"
-            log(_record(CommandRecord, (now, fence_id, vehicle_id, density, rate, x, draw, mode, effective)))
+        entries = fence.problem.entries
+        if entries:
+            vehicle_ids, densities, rates = zip(*entries)
+            if vehicle_ids == fence.member_ids:
+                vehicle_ids = fence.member_ids  # the tuple the trace rows keep
+            assignments = tuple(map(fence.assignment.values.__getitem__, vehicle_ids))
+            draws, modes = [], []
+            add_draw, add_mode = draws.append, modes.append
+            toss = toss_polluting
+            rng = self.rng
+            controlled, commanded, switches = self._controlled, self._commanded, self._switches
+            pure_ev = Powertrain.PURE_EV
+            for vehicle_id, density, rate, x in zip(vehicle_ids, densities, rates, assignments):
+                polluting, draw = toss(x, rng)
+                if snapshots[vehicle_id].powertrain is pure_ev:
+                    polluting = False
+                else:
+                    controlled[vehicle_id] = fence_id
+                mode = "polluting" if polluting else "electric"
+                add_draw(draw)
+                add_mode(mode)
+                if commanded.get(vehicle_id) != mode:
+                    commanded[vehicle_id] = mode
+                    switches.append(
+                        _record(CommandRecord, (now, fence_id, vehicle_id, density, rate, x, draw, mode, effective))
+                    )
+            columns = (vehicle_ids, densities, rates, assignments, array("d", draws), tuple(modes))
+            self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
         if forced_detector is not None:
-            controlled[forced_detector] = fence_id
+            self._controlled[forced_detector] = fence_id
             self._command(now, fence_id, forced_detector, "electric")
 
     # -- per-step driver -----------------------------------------------------
@@ -357,7 +477,8 @@ class GeofenceCoordinator:
         background_level: float,
         grid: SpatialHash,
     ) -> list[CommandRecord]:
-        """Advance the coordinator one simulation step; return the rows it logged.
+        """Advance the coordinator one simulation step; return the rows it
+        logged that switch a vehicle's commanded mode.
 
         Order: expire stale fences, recompute memberships (a fence keeps
         its ``member_ids`` tuple when the members are the same), restore
@@ -371,8 +492,10 @@ class GeofenceCoordinator:
         different set of controllable vehicles than the stored problem's
         forces a fresh solve first, so the expected-rate budget always
         covers the vehicles actually being tossed.  Every command is
-        appended to ``command_log``, and the return value is the list of
-        rows appended during this call, in log order.
+        appended to ``command_log``.  The return value lists, in log order,
+        the rows of this call whose mode differs from the mode last
+        commanded to their vehicle; a vehicle's first command counts, and
+        a vehicle is forgotten once it is missing from ``snapshots``.
 
         Membership candidates come from ``grid``, a
         :class:`~ecofence.network.SpatialHash` of every vehicle in
@@ -387,8 +510,7 @@ class GeofenceCoordinator:
         are in ``snapshots``; the objects are never mutated and no
         reference to them is kept once ``step`` returns.
         """
-        log = self.command_log
-        start = len(log)
+        switches = self._start_step(snapshots)
         self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
@@ -404,23 +526,24 @@ class GeofenceCoordinator:
                 continue
             self._restore(vid, controlled[vid], now)
         if not self.control_enabled:
-            return log[start:]
+            return switches
         limit = self.config.allowable_limit - background_level
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
             solve_due = now >= fence.next_solve
             toss_due = now >= fence.next_toss
-            if toss_due and not solve_due:
-                solved = tuple(e.vehicle_id for e in fence.problem.entries)
-                solve_due = solved != self._controllable(fence, snapshots)
+            if solve_due or toss_due:
+                problem = self.build_problem(fence, snapshots, limit)
+                # a toss between solves solves again if the vehicles changed
+                solve_due = solve_due or _vehicle_ids(problem) != _vehicle_ids(fence.problem)
             if solve_due:
-                fence.problem = self.build_problem(fence, snapshots, limit)
-                fence.assignment = solve(fence.problem)
+                fence.problem = problem
+                fence.assignment = solve(problem)
                 fence.next_solve = now + self.config.tau
             if toss_due:
                 fence.next_toss = now + self.config.toss_interval
                 self._toss_fence(fence, snapshots, now)
-        return log[start:]
+        return switches
 
     def active_fences(self) -> list[Geofence]:
         return [self.fences[fid] for fid in sorted(self.fences)]
@@ -453,10 +576,10 @@ class SingleVehicleController(GeofenceCoordinator):
         """Command each detector electric while ``now - last <= expiry_timeout``
         and polluting after; pure EV reverts are skipped.  A pure ICE
         detector is never commanded, so its entry is dropped at once.
-        Return the rows logged during this call, in log order.
+        Return the rows logged during this call that switch a vehicle's
+        commanded mode, as :meth:`GeofenceCoordinator.step` does.
         ``grid`` goes unread: no fence is kept to query it for."""
-        log = self.command_log
-        start = len(log)
+        switches = self._start_step(snapshots)
         for vid in sorted(self._seen):
             last, cyclist_id = self._seen[vid]
             if vid not in snapshots:
@@ -479,4 +602,4 @@ class SingleVehicleController(GeofenceCoordinator):
             else:
                 continue
             self._command(now, cyclist_id, vid, mode)
-        return log[start:]
+        return switches

@@ -2,7 +2,9 @@
 
 Output files are plain CSV/JSON so any external plotting tool can render
 them; this package never draws figures itself.  All writers format floats
-with ``repr`` so identical runs produce byte-identical files.
+with ``repr`` so identical runs produce byte-identical files, and every
+float sum that reaches a file is taken left to right by :func:`_sum`, so
+the bytes do not depend on the Python version either.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .coordinator import CommandRecord
@@ -51,6 +54,18 @@ class CompareResult:
     summary: RunSummary
 
 
+def _sum(values: Iterable[float], start: float = 0) -> float:
+    """``start`` plus ``values``, added one at a time from the left.
+
+    This is what ``sum`` computed before Python 3.12, which sums floats
+    with compensation and so can differ in the last bits.
+    """
+    total = start
+    for value in values:
+        total += value
+    return total
+
+
 def _fence_rows(trace: ScenarioTrace) -> list[TraceRow]:
     return [row for row in trace.rows if row.fences]
 
@@ -60,7 +75,7 @@ def _mean_max_in_fence(rows: list[TraceRow]) -> tuple[float, float]:
     if not rows:
         return 0.0, 0.0
     rates = [row.in_fence_rate for row in rows]
-    return sum(rates) / len(rates), max(rates)
+    return _sum(rates) / len(rates), max(rates)
 
 
 def _dwell_fractions(trace: ScenarioTrace) -> dict[str, float]:
@@ -76,7 +91,7 @@ def _dwell_fractions(trace: ScenarioTrace) -> dict[str, float]:
 
 def summarize(control: RunResult, baseline: RunResult | None = None) -> RunSummary:
     rows = control.trace.rows
-    budget = sum(row.budget for row in rows) / len(rows) if rows else 0.0
+    budget = _sum(row.budget for row in rows) / len(rows) if rows else 0.0
     fence_rows = _fence_rows(control.trace)
     mean_rate, max_rate = _mean_max_in_fence(fence_rows)
     if fence_rows:
@@ -146,12 +161,12 @@ def emit_plot_data(
         )
         return PlotTable(kind, ("sim_time", "before_rate", "after_rate", "budget"), rows)
     if kind == "per_vehicle_assignment_snapshot":
-        decided = [r for r in commands if r.assignment is not None]
-        if not decided:
-            raise ValueError("no assignment rows in the command log")
         if at_time is None:
-            at_time = decided[-1].sim_time
-        snapshot = [r for r in decided if r.sim_time == at_time]
+            last = next((r for r in reversed(commands) if r.assignment is not None), None)
+            if last is None:
+                raise ValueError("no assignment rows in the command log")
+            at_time = last.sim_time
+        snapshot = [r for r in commands if r.sim_time == at_time and r.assignment is not None]
         if not snapshot:
             raise ValueError(f"no assignment rows at sim_time={at_time}")
         rows = tuple(
@@ -164,23 +179,29 @@ def emit_plot_data(
             rows,
         )
     if kind == "fleet_size_sweep":
-        decided = [r for r in commands if r.assignment is not None]
-        if not decided:
+        # (sim_time, fence_id) -> (members, total x, expected rate), summed
+        # one toss's run of rows at a time and continued if it recurs
+        ticks: dict[tuple[float, str], tuple[int, float, float]] = {}
+        decided = (r for r in commands if r.assignment is not None)
+        for key, group in groupby(decided, key=lambda r: (r.sim_time, r.fence_id)):
+            records = list(group)
+            members, total_x, expected = ticks.get(key, (0, 0, 0))
+            ticks[key] = (
+                members + len(records),
+                _sum((r.assignment for r in records), total_x),
+                _sum((r.assignment * r.emission_rate for r in records), expected),
+            )
+        if not ticks:
             raise ValueError("no assignment rows in the command log")
-        by_tick: dict[tuple[float, str], list[CommandRecord]] = {}
-        for record in decided:
-            by_tick.setdefault((record.sim_time, record.fence_id), []).append(record)
         by_size: dict[int, list[tuple[float, float]]] = {}
-        for records in by_tick.values():
-            total_x = sum(r.assignment for r in records)
-            expected = sum(r.assignment * r.emission_rate for r in records)
-            by_size.setdefault(len(records), []).append((total_x, expected))
+        for members, total_x, expected in ticks.values():
+            by_size.setdefault(members, []).append((total_x, expected))
         rows = tuple(
             (
                 size,
                 len(samples),
-                sum(s[0] for s in samples) / len(samples),
-                sum(s[1] for s in samples) / len(samples),
+                _sum(s[0] for s in samples) / len(samples),
+                _sum(s[1] for s in samples) / len(samples),
             )
             for size, samples in sorted(by_size.items())
         )

@@ -403,11 +403,13 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from None
+    except IsADirectoryError:
+        raise ScenarioError([f"scenario file {path}: is a directory"]) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from None
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be an object"])
     return parse_scenario(data)
@@ -421,12 +423,14 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 def _text_lines(path, what: str) -> list[str]:
     """The lines of a UTF-8 text file; ``what`` names the file in the
-    ScenarioError raised when it is not valid UTF-8."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    ScenarioError raised when it is a directory or not valid UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return handle.readlines()
-        except UnicodeDecodeError as exc:
-            raise ScenarioError([f"{what}: not valid UTF-8 ({exc})"]) from None
+    except IsADirectoryError:
+        raise ScenarioError([f"{what}: is a directory"]) from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{what}: not valid UTF-8 ({exc})"]) from None
 
 
 def load_density_file(path, network: RoadNetwork) -> dict[str, float]:

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 from importlib import resources
 from pathlib import Path
@@ -9,8 +10,25 @@ from ecofence import load_default_table, load_scenario, run_compare
 from ecofence.network import SpatialHash
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def data_path(name: str) -> Path:
     return Path(str(resources.files("ecofence") / "data" / name))
+
+
+def bench_workloads():
+    """The benchmark's scenario generator, ``perfbench/workloads.py``,
+    imported from its file (``perfbench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_scenario(workload: str, path: Path) -> Path:
+    """Write a benchmark workload's scenario file to ``path``, as the benchmark does."""
+    return bench_workloads().write_scenario(workload, ROOT, path)
 
 
 def grid_of(records, cell: float = 100.0) -> SpatialHash:
@@ -49,6 +67,12 @@ def demo_slack():
 @pytest.fixture(scope="session")
 def demo_lifecycle():
     return load_scenario(data_path("demo_lifecycle.json"))
+
+
+@pytest.fixture(scope="session")
+def ring_dense(tmp_path_factory):
+    """The benchmark's ring_dense scenario: the demo fleet tiled to 250 vehicles."""
+    return load_scenario(bench_scenario("ring_dense", tmp_path_factory.mktemp("bench") / "ring_dense.json"))
 
 
 @pytest.fixture(scope="session")

@@ -364,3 +364,24 @@ def test_non_finite_control_override_exits_one(tmp_path, capsys, flag, value):
     assert code == 1
     assert "error: control override: " in capsys.readouterr().err
     assert not (out / "commands.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--density", "--background"])
+def test_directory_given_as_an_input_file_exits_one(tmp_path, capsys, flag):
+    directory = tmp_path / "inputs"
+    directory.mkdir()
+    args = {"--scenario": scenario_arg(), flag: str(directory)}
+    out = tmp_path / "out"
+    argv = ["run", "--seed", "3", "--out", str(out)]
+    for name, value in args.items():
+        argv += [name, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(directory) in err and "is a directory" in err
+    assert "runtime failure" not in err
+    assert not out.exists()
+
+
+def test_directory_given_as_a_problem_file_exits_one(tmp_path, capsys):
+    assert main(["solve-debug", "--problem", str(tmp_path)]) == 1
+    assert f"error: problem file {tmp_path}: is a directory" in capsys.readouterr().err

@@ -39,6 +39,17 @@ def make_coordinator(**kwargs):
     return GeofenceCoordinator(config, rng, **kwargs)
 
 
+def switching(rows, last):
+    """The rows that change the mode ``last`` holds for their vehicle,
+    in order; ``last`` (vehicle -> mode) is updated as they are read."""
+    switches = []
+    for row in rows:
+        if last.get(row.vehicle_id) != row.commanded_mode:
+            last[row.vehicle_id] = row.commanded_mode
+            switches.append(row)
+    return switches
+
+
 # -- lifecycle -----------------------------------------------------------------
 
 
@@ -84,10 +95,16 @@ def test_expiry_restores_controlled_members():
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
     commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert commands  # both commanded at the first tick
-    restect = coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
+    assert commands == coord.command_log  # a first command is a switch
+    start = len(coord.command_log)
+    switched = coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
+    restect = coord.command_log[start:]
     restored = {c.vehicle_id: c.commanded_mode for c in restect}
     assert restored == {"v1": "polluting", "v2": "polluting"}
+    # a restore is returned only for a vehicle last commanded electric
+    first = {c.vehicle_id: c.commanded_mode for c in commands}
+    assert switched == [c for c in restect if first[c.vehicle_id] == "electric"]
 
 
 def test_expiry_no_fences_is_noop():
@@ -216,10 +233,12 @@ def test_vehicle_leaving_fence_reverts_next_step():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    (first,) = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     moved = {"v1": snap("v1", pos=(300.0, 0.0))}
     commands = coord.step(1.0, moved, 0.0, grid_of(moved))
-    assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "polluting")]
+    logged = coord.command_log[1:]
+    assert [(c.vehicle_id, c.commanded_mode) for c in logged] == [("v1", "polluting")]
+    assert commands == (logged if first.commanded_mode == "electric" else [])
     restored_row = coord.command_log[-1]
     assert restored_row.assignment is None
     assert restored_row.commanded_mode == "polluting"
@@ -240,11 +259,14 @@ def test_fresh_solve_when_membership_changes_between_solves():
     coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     first = {"v1": snap("v1")}
-    coord.step(0.0, first, 0.0, grid_of(first))
+    last = {c.vehicle_id: c.commanded_mode for c in coord.step(0.0, first, 0.0, grid_of(first))}
     # new member appears before the next scheduled solve; it must be re-solved
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(5.0, 0.0))}
     commands = coord.step(1.0, snapshots, 0.0, grid_of(snapshots))
-    assert {c.vehicle_id for c in commands} == {"v1", "v2"}
+    logged = coord.command_log[1:]
+    assert {c.vehicle_id for c in logged} == {"v1", "v2"}
+    assert "v2" in {c.vehicle_id for c in commands}  # its first command
+    assert commands == switching(logged, last)
 
 
 def test_toss_only_tick_logs_the_solved_problem(table):
@@ -385,7 +407,7 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v5": snap("v5", pos=(2.0, 0.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    last = {c.vehicle_id: c.commanded_mode for c in coord.step(0.0, snapshots, 0.0, grid_of(snapshots))}
     assert set(coord._controlled) == set(snapshots)
     logged = len(coord.command_log)
     # v3 and v4 leave both fences, v1 and v2 move out of theirs, v5 leaves
@@ -397,7 +419,10 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v4": snap("v4", pos=(500.0, 500.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    commands = coord.step(1.0, moved, 0.0, grid_of(moved))
+    switched = coord.step(1.0, moved, 0.0, grid_of(moved))
+    commands = coord.command_log[logged:]
+    del last["v5"]  # it left the network, so it is forgotten
+    assert switched == switching(commands, last)
     restores = [c for c in commands if c.vehicle_id != "v6"]
     assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
     assert [(c.vehicle_id, c.commanded_mode) for c in restores] == [

@@ -7,6 +7,10 @@ with pure EVs and pure ICE vehicles), a two-fence run with actuation
 latency, tau above 1 and a background series, a run that tosses more
 often than it solves, a run whose detection range exceeds its fence
 radius, and the merged summary of ``sweep`` on one and on two workers.
+Two benchmark workloads, built by ``perfbench/workloads.py``, pin the
+dense paths the demos (at most 14 vehicles) never reach: every file of
+``compare`` on ring_dense (250 vehicles, one fence holding nearly all of
+them) and of ``run`` on grid_sparse (sixteen fences, 5 s latency).
 A refactor or optimisation must leave them unchanged; a deliberate
 behaviour change updates them and says which bytes changed and why.
 """
@@ -18,7 +22,7 @@ import json
 import pytest
 
 from ecofence import cli
-from tests.conftest import data_path
+from tests.conftest import bench_scenario, data_path
 
 RUN_DIGESTS = {
     ("demo_ring", "trace.csv"): "2ff0c4b7cafeb61eb4837ef207ccbecf1bc8e728f4a19e1d6294cebc278f6a33",
@@ -38,6 +42,27 @@ COMPARE_DIGESTS = {
     "plot_before_after.csv": "5dc074cadf0614e1bd72dada4aa2ced9fa63f794d2903c623b072e2bda9c48f8",
     "plot_assignment_snapshot.csv": "0fb8cb5cb58eeea457eb1143bebe049d3eec08f451f6dfc3cc3ea8cc36aa557a",
     "plot_fleet_size.csv": "8aa9caaaed34853948e8291806b9abacc95f362abd373dea3cd77f838a9982bc",
+}
+
+
+# Every file each command writes, seed 1.  The trace, command and summary
+# digests are the ``digests_seed_1`` of perfbench/baseline.json.
+BENCH_DIGESTS = {
+    "ring_dense": {
+        "baseline_trace.csv": "a64d4a6184641f076f14c790cd6d1e21f13ff562149a796770a0e086e26dc0cd",
+        "control_trace.csv": "035cb7d241f434f8e5936febe4119340cbe7f85c0a79418dfe47e47c35c90c32",
+        "control_commands.csv": "24595de9165c075af473765a794ec294b74f1d6a57f06e0f8f5cb399ef9c4b1d",
+        "summary.json": "c779f8737067268a86b08cda60b9c3707d358b33d11989a0beed5948cdbf1e1c",
+        "plot_before_after.csv": "30ba8dfa4f1772a01f19e5460605e7493d5376528f07f859aba632d4b2fb949c",
+        "plot_assignment_snapshot.csv": "1774bc369b6ae638ccf5ecdde6f8c7dc5227c63bb3532a78ac26be02c6dabfd3",
+        "plot_fleet_size.csv": "0d2931b474cbea5ad452866a54eae4e3c7adf5fdead6685996f2f73fa4daeb5f",
+    },
+    "grid_sparse": {
+        "trace.csv": "68235d38dfff000924cc417dd6d08aa7ac2c2ff12c9e8966d3e6da29676bfbd8",
+        "commands.csv": "d1b806f1cf50b21d5590676bd5c7f348d041a36a20c148ffc4bf91fd84437561",
+        "summary.json": "33932502d2f0af5617dd6801a924d54ea671ba020e9c8036ccbf37f70ca5eb42",
+        "plot_total_emissions.csv": "727a41c78c42ad50a237d0459e8081fc68d019b9ca91c2a0b49e3973757d1f47",
+    },
 }
 
 
@@ -225,6 +250,17 @@ def test_sweep_summary_matches_golden_digest(jobs, tmp_path):
     ]
     assert cli.main(argv) == 0
     assert sha256(tmp_path / "sweep_summary.json") == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("workload, command", [("ring_dense", "compare"), ("grid_sparse", "run")])
+def test_benchmark_workload_outputs_match_golden_digests(workload, command, tmp_path):
+    scenario = bench_scenario(workload, tmp_path / f"{workload}.json")
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", str(scenario), "--seed", "1", "--out", str(out)]) == 0
+    pinned = BENCH_DIGESTS[workload]
+    assert sorted(p.name for p in out.iterdir()) == sorted(pinned)
+    for name, digest in pinned.items():
+        assert sha256(out / name) == digest, name
 
 
 def test_baseline_in_single_vehicle_mode_never_commands(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -161,6 +162,72 @@ def test_plot_fleet_size_sweep(demo_ring_compare):
     sizes = [row[0] for row in table.rows]
     assert sizes == sorted(sizes)
     assert all(row[3] <= 1.0 + 1e-9 for row in table.rows)  # mean expected <= budget
+
+
+def test_sums_are_taken_left_to_right():
+    # compensated summation (sum() from Python 3.12 on) gives 1.0
+    assert ecofence.reporting._sum([1e16, 1.0, -1e16]) == 0.0
+    assert ecofence.reporting._sum([0.1] * 10) == 0.9999999999999999
+    assert ecofence.reporting._sum([], 2.5) == 2.5
+
+
+def left_sum(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def reference_plot_tables(commands):
+    """The two command tables, from a list of every decided row."""
+    decided = [r for r in commands if r.assignment is not None]
+    at_time = decided[-1].sim_time
+    snapshot = tuple(
+        (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
+        for r in sorted((r for r in decided if r.sim_time == at_time), key=lambda r: r.vehicle_id)
+    )
+    by_tick = {}
+    for r in decided:
+        by_tick.setdefault((r.sim_time, r.fence_id), []).append(r)
+    by_size = {}
+    for records in by_tick.values():
+        sample = (left_sum(r.assignment for r in records), left_sum(r.assignment * r.emission_rate for r in records))
+        by_size.setdefault(len(records), []).append(sample)
+    fleet = tuple(
+        (
+            size,
+            len(samples),
+            left_sum(x for x, _ in samples) / len(samples),
+            left_sum(e for _, e in samples) / len(samples),
+        )
+        for size, samples in sorted(by_size.items())
+    )
+    return snapshot, fleet
+
+
+@pytest.mark.parametrize("order", ["log", "shuffled"])
+def test_command_tables_match_a_list_of_every_decided_row(order, demo_ring_compare):
+    # shuffled, a (sim_time, fence_id) recurs apart and is summed as one
+    commands = list(demo_ring_compare.control.commands)
+    if order == "shuffled":
+        random.Random(5).shuffle(commands)
+    expected_snapshot, expected_fleet = reference_plot_tables(commands)
+    assert emit_plot_data("per_vehicle_assignment_snapshot", commands=commands).rows == expected_snapshot
+    assert emit_plot_data("fleet_size_sweep", commands=commands).rows == expected_fleet
+
+
+def test_command_tables_need_decided_rows(demo_ring_compare):
+    commands = demo_ring_compare.control.commands
+    restores = [r for r in commands if r.assignment is None]
+    assert restores
+    for kind in ("per_vehicle_assignment_snapshot", "fleet_size_sweep"):
+        with pytest.raises(ValueError, match="no assignment rows in the command log"):
+            emit_plot_data(kind, commands=restores)
+    with pytest.raises(ValueError, match=r"no assignment rows at sim_time=0\.5"):
+        emit_plot_data("per_vehicle_assignment_snapshot", commands=commands, at_time=0.5)
+    first = next(r for r in commands if r.assignment is not None)
+    table = emit_plot_data("per_vehicle_assignment_snapshot", commands=commands, at_time=first.sim_time)
+    assert first.vehicle_id in {row[0] for row in table.rows}
 
 
 def test_plot_unknown_kind(demo_ring_compare):
