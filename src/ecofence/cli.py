@@ -26,9 +26,12 @@ from .engine import run
 from .optimizer import GeofenceProblem, ProblemEntry, budget_spend, solve
 from .reporting import (
     CompareResult,
-    emit_plot_data,
+    assignment_snapshot_table,
+    before_after_table,
+    fleet_size_table,
     run_compare,
     summarize,
+    total_emissions_table,
     write_commands_csv,
     write_summary_json,
     write_table_csv,
@@ -37,7 +40,9 @@ from .reporting import (
 from .scenario import (
     Scenario,
     ScenarioError,
+    _number,
     _parse_background,
+    _shaped,
     _text_lines,
     load_density_file,
     load_scenario,
@@ -119,8 +124,7 @@ def _cmd_run(args) -> int:
     write_trace_csv(result.trace, out / "trace.csv")
     write_commands_csv(result.commands, out / "commands.csv")
     write_summary_json(summarize(result), out / "summary.json")
-    table = emit_plot_data("total_emissions_vs_time", trace=result.trace)
-    write_table_csv(table, out / "plot_total_emissions.csv")
+    write_table_csv(total_emissions_table(result.trace), out / "plot_total_emissions.csv")
     print(f"wrote trace.csv, commands.csv, summary.json to {out}")
     return 0
 
@@ -131,22 +135,13 @@ def _write_compare_outputs(compared: CompareResult, out: Path) -> None:
     write_commands_csv(compared.control.commands, out / "control_commands.csv")
     write_summary_json(compared.summary, out / "summary.json")
     write_table_csv(
-        emit_plot_data(
-            "in_fence_before_after",
-            trace=compared.control.trace,
-            baseline=compared.baseline.trace,
-        ),
+        before_after_table(compared.control.trace, compared.baseline.trace),
         out / "plot_before_after.csv",
     )
-    if any(r.assignment is not None for r in compared.control.commands):
-        write_table_csv(
-            emit_plot_data("per_vehicle_assignment_snapshot", commands=compared.control.commands),
-            out / "plot_assignment_snapshot.csv",
-        )
-        write_table_csv(
-            emit_plot_data("fleet_size_sweep", commands=compared.control.commands),
-            out / "plot_fleet_size.csv",
-        )
+    commands = compared.control.commands
+    if any(r.assignment is not None for r in commands):
+        write_table_csv(assignment_snapshot_table(commands), out / "plot_assignment_snapshot.csv")
+        write_table_csv(fleet_size_table(commands), out / "plot_fleet_size.csv")
 
 
 def _cmd_compare(args) -> int:
@@ -220,6 +215,44 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _required_number(data: dict, key: str, problems: list[str], where: str) -> float | None:
+    if data.get(key) is None:
+        problems.append(f"{where}.{key}: must be a finite number")
+        return None
+    return _number(data, key, problems, where)
+
+
+def _parse_problem(data, path) -> GeofenceProblem:
+    """Build the problem of a parsed problem file, checked as the scenario
+    loader checks a scenario: every violation is reported with its field
+    path."""
+    if not isinstance(data, dict):
+        raise ScenarioError([f"{path}: top level must be an object"])
+    problems: list[str] = []
+    limit = _required_number(data, "limit", problems, "problem")
+    raw_entries = data.get("entries")
+    if raw_entries is None:
+        problems.append("entries: must be a list")
+    entries = []
+    for i, raw in enumerate(_shaped(raw_entries, list, problems, "entries") or []):
+        where = f"entries[{i}]"
+        if not isinstance(raw, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        vid = raw.get("vehicle_id")
+        if not isinstance(vid, str) or not vid:
+            problems.append(f"{where}.vehicle_id: must be a non-empty string")
+        density = _required_number(raw, "density", problems, where)
+        rate = _required_number(raw, "emission_rate", problems, where)
+        entries.append(ProblemEntry(vid, density, rate))
+    if problems:
+        raise ScenarioError(problems)
+    try:
+        return GeofenceProblem(entries=tuple(entries), limit=limit)
+    except ValueError as exc:
+        raise ScenarioError([f"problem file: {exc}"]) from None
+
+
 def _cmd_solve_debug(args) -> int:
     try:
         with open(args.problem, "r", encoding="utf-8") as handle:
@@ -228,18 +261,7 @@ def _cmd_solve_debug(args) -> int:
         raise ScenarioError([f"problem file {args.problem}: is a directory"]) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"{args.problem}: not valid JSON ({exc})"]) from None
-    try:
-        entries = tuple(
-            ProblemEntry(
-                vehicle_id=str(e["vehicle_id"]),
-                density=float(e["density"]),
-                emission_rate=float(e["emission_rate"]),
-            )
-            for e in data["entries"]
-        )
-        problem = GeofenceProblem(entries=entries, limit=float(data["limit"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError([f"problem file: {exc}"]) from None
+    problem = _parse_problem(data, args.problem)
     assignment = solve(problem)
     print(f"{'vehicle_id':<12} {'d':>8} {'e':>10} {'x':>8}")
     for entry in problem.entries:

@@ -41,10 +41,13 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .network import SpatialHash
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
+
+if TYPE_CHECKING:
+    from .engine import VehicleState
 
 Position = tuple[float, float]
 
@@ -67,8 +70,8 @@ class ControllerConfig:
     ``switch_interval`` the interval between coin tosses (defaults to
     ``tau`` so every decision is enacted immediately).  ``allowable_limit``
     is the fixed aggregate allowance the background reading is referenced
-    against.  ``actuation_latency`` delays the effect of every command;
-    the HIL-emulation preset uses it to mimic a real drivetrain.
+    against.  ``actuation_latency`` delays the effect of every command,
+    as a real drivetrain would.
     """
 
     tau: float = 1.0
@@ -100,13 +103,6 @@ class ControllerConfig:
     def toss_interval(self) -> float:
         return self.switch_interval if self.switch_interval is not None else self.tau
 
-    @classmethod
-    def hil_emulation(cls, **overrides) -> "ControllerConfig":
-        """Preset mimicking a real vehicle: 5 s decisions, 5 s actuation."""
-        params = {"tau": 5.0, "actuation_latency": 5.0}
-        params.update(overrides)
-        return cls(**params)
-
 
 @dataclass
 class Geofence:
@@ -134,23 +130,6 @@ class Geofence:
 
     def is_active(self, now: float, timeout: float) -> bool:
         return now - self.last_detection_at <= timeout
-
-
-class VehicleSnapshot(NamedTuple):
-    """What the coordinator is told about one vehicle at a decision instant.
-
-    ``emission_rate`` is the vehicle's rate in polluting mode (g/min) at
-    its current speed, and ``density_weight`` the cyclist-density weight of
-    the road edge it currently occupies.  The simulation engine passes its
-    live vehicle records instead, which carry the same attributes; this
-    record is for every other caller.
-    """
-
-    vehicle_id: str
-    position: Position
-    emission_rate: float
-    powertrain: Powertrain
-    density_weight: float
 
 
 class CommandRecord(NamedTuple):
@@ -267,15 +246,8 @@ def _vehicle_ids(problem: GeofenceProblem) -> list[str]:
     return [entry.vehicle_id for entry in problem.entries]
 
 
-def euclidean(a: Position, b: Position) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def members(fence: Geofence, positions: dict[str, Position]) -> set[str]:
-    """Vehicle ids within the fence radius (boundary inclusive).
-
-    The distance test is :func:`euclidean` written out, to the same bits.
-    """
+    """Vehicle ids within the fence radius (boundary inclusive)."""
     cx, cy = fence.center
     radius = fence.radius
     hypot = math.hypot
@@ -375,7 +347,7 @@ class GeofenceCoordinator:
             self._commanded[vehicle_id] = mode
             self._switches.append(record)
 
-    def _start_step(self, snapshots: Mapping[str, VehicleSnapshot]) -> list[CommandRecord]:
+    def _start_step(self, snapshots: Mapping[str, VehicleState]) -> list[CommandRecord]:
         """Begin a step: forget the vehicles that left ``snapshots`` (their
         next command counts as a first one) and return the step's empty
         list of switches."""
@@ -391,7 +363,7 @@ class GeofenceCoordinator:
     def build_problem(
         self,
         fence: Geofence,
-        snapshots: Mapping[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleState],
         limit: float,
     ) -> GeofenceProblem:
         """Assemble the assignment problem for one fence under ``limit`` g/min.
@@ -400,7 +372,7 @@ class GeofenceCoordinator:
         ascending id order.  Pure-ICE vehicles cannot switch drivetrain and
         are left out; the optional detector forcing leaves the detecting
         vehicle out as well (it is commanded electric directly).  Each
-        member enters with its snapshot's ``emission_rate``; pure EVs enter
+        member enters with its record's ``emission_rate``; pure EVs enter
         with a zero rate so the solver hands them probability 1 at no
         budget cost.  A non-finite limit is rejected by
         :class:`GeofenceProblem`.
@@ -418,7 +390,7 @@ class GeofenceCoordinator:
             append(_record(ProblemEntry, (vid, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
-    def _toss_fence(self, fence: Geofence, snapshots: Mapping[str, VehicleSnapshot], now: float) -> None:
+    def _toss_fence(self, fence: Geofence, snapshots: Mapping[str, VehicleState], now: float) -> None:
         """Enact the fence's last solved assignment by one coin toss per
         vehicle, logged as one :class:`FenceToss`.
 
@@ -465,7 +437,9 @@ class GeofenceCoordinator:
             columns = (vehicle_ids, densities, rates, assignments, array("d", draws), tuple(modes))
             self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
         if forced_detector is not None:
-            self._controlled[forced_detector] = fence_id
+            # only a hybrid is restored to polluting, as in the toss loop
+            if snapshots[forced_detector].powertrain is Powertrain.HYBRID:
+                self._controlled[forced_detector] = fence_id
             self._command(now, fence_id, forced_detector, "electric")
 
     # -- per-step driver -----------------------------------------------------
@@ -473,7 +447,7 @@ class GeofenceCoordinator:
     def step(
         self,
         now: float,
-        snapshots: Mapping[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleState],
         background_level: float,
         grid: SpatialHash,
     ) -> list[CommandRecord]:
@@ -503,12 +477,11 @@ class GeofenceCoordinator:
         size works, since the hash only prunes and ``members`` keeps the
         exact test.  The engine passes the one hash it builds per step.
 
-        ``snapshots`` maps every vehicle on the road to a
-        :class:`VehicleSnapshot` or any object with its attributes (the
-        engine passes its live vehicle records).  Only ``emission_rate``,
-        ``powertrain`` and ``density_weight`` are read, besides which ids
-        are in ``snapshots``; the objects are never mutated and no
-        reference to them is kept once ``step`` returns.
+        ``snapshots`` maps every vehicle on the road to its live
+        :class:`~ecofence.engine.VehicleState` record.  Only
+        ``emission_rate``, ``powertrain`` and ``density_weight`` are read,
+        besides which ids are in ``snapshots``; the records are never
+        mutated and no reference to them is kept once ``step`` returns.
         """
         switches = self._start_step(snapshots)
         self.expire(now)
@@ -569,7 +542,7 @@ class SingleVehicleController(GeofenceCoordinator):
     def step(
         self,
         now: float,
-        snapshots: Mapping[str, VehicleSnapshot],
+        snapshots: Mapping[str, VehicleState],
         background_level: float,
         grid: SpatialHash,
     ) -> list[CommandRecord]:

@@ -12,11 +12,11 @@ arrived), detect, feed the coordinator, record one trace row.  The
 coordinator logs every command in its ``command_log``; its ``step``
 returns the logged :class:`CommandRecord` rows that switch a vehicle's
 commanded mode, and the engine queues only those in
-``World.pending_commands`` until they are due (on the ring_dense
-benchmark, 730 of 36,600 rows).  Vehicles and cyclists follow their
-routes with one :class:`RouteCursor` each, which holds the current edge
-and looks an edge up only at spawn and when it moves onto the next one.  A record is built
-on its first edge, and a vehicle record is placed there at once.  Each
+``World.pending_commands`` until they are due.  Vehicles and cyclists
+follow their routes with one :class:`RouteCursor` each, which holds the
+current edge and looks an edge up only at spawn and when it moves onto
+the next one.  A record is built on its first edge, and a vehicle record
+is placed there at once.  Each
 vehicle is one live record, :class:`VehicleState`, and detection, the
 coordinator (which takes the records as its snapshots) and the trace row
 all read it.  What is read when:
@@ -48,10 +48,7 @@ the kept trace.  A column equal to the same column of the previous row
 is that row's tuple, so a fleet that stays the same keeps one copy of
 its ids, classes, speeds and modes, not one per step; the coordinator
 likewise keeps a fence's member tuple while its members stay the same,
-and the fence entries of consecutive rows share it.  On the ring_dense
-benchmark (250 vehicles, 160 steps, ``compare``, seed 1) the memory the
-two runs keep fell from 16.2 to 12.0 MB with columns, and to 9.5 MB
-with shared columns (tracemalloc).
+and the fence entries of consecutive rows share it.
 
 ``run`` pauses CPython's cyclic garbage collector for its step loop and
 puts back the caller's setting afterwards, also when the loop raises: the
@@ -143,9 +140,8 @@ class VehicleState(RouteCursor):
     record is built on its edge and again whenever the cursor moves onto
     the next edge, and at no other time.  ``position`` is
     set from the edge and offset when the record is built, and again by
-    ``step`` once per vehicle after movement.  The record carries every
-    attribute of a :class:`~ecofence.coordinator.VehicleSnapshot`, so
-    detection, the coordinator and the trace all read it directly.
+    ``step`` once per vehicle after movement.  Detection, the coordinator
+    and the trace all read the record directly.
     """
 
     vehicle_id: str
@@ -353,8 +349,6 @@ class ScenarioTrace:
 class RunResult:
     """A run's trace and its controller's whole command log."""
 
-    scenario_name: str
-    seed: int
     trace: ScenarioTrace
     commands: CommandLog
 
@@ -507,9 +501,4 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     finally:
         if collecting:
             gc.enable()
-    return RunResult(
-        scenario_name=scenario.name,
-        seed=seed,
-        trace=ScenarioTrace(rows=tuple(rows)),
-        commands=coordinator.command_log,
-    )
+    return RunResult(trace=ScenarioTrace(rows=tuple(rows)), commands=coordinator.command_log)

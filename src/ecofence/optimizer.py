@@ -54,7 +54,7 @@ class GeofenceProblem:
         seen: set[str] = set()
         for i, entry in enumerate(self.entries):
             if entry.vehicle_id in seen:
-                raise ValueError(f"duplicate vehicle_id {entry.vehicle_id!r}")
+                raise ValueError(f"entries[{i}]: duplicate vehicle_id {entry.vehicle_id!r}")
             seen.add(entry.vehicle_id)
             if not math.isfinite(entry.density) or entry.density < 1.0:
                 raise ValueError(
@@ -185,14 +185,6 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
                 values[problem.entries[j].vehicle_id] = x_j
                 best_values = values
     return Assignment(values=best_values, objective_value=best_objective)
-
-
-def objective(assignment: Assignment, problem: GeofenceProblem) -> float:
-    """Recompute sum(x_i / d_i) for ``assignment`` over the problem's vehicles."""
-    missing = [e.vehicle_id for e in problem.entries if e.vehicle_id not in assignment.values]
-    if missing:
-        raise ValueError(f"assignment missing vehicle ids: {missing}")
-    return sum(assignment.values[e.vehicle_id] / e.density for e in problem.entries)
 
 
 def budget_spend(assignment: Assignment, problem: GeofenceProblem) -> float:

@@ -21,14 +21,6 @@ from .engine import RunResult, ScenarioTrace, TraceRow, run
 from .optimizer import BUDGET_TOL
 from .scenario import Scenario
 
-PLOT_KINDS = (
-    "total_emissions_vs_time",
-    "in_fence_before_after",
-    "per_vehicle_assignment_snapshot",
-    "fleet_size_sweep",
-)
-
-
 @dataclass(frozen=True)
 class RunSummary:
     """Headline statistics of a run (optionally paired with its baseline).
@@ -132,83 +124,80 @@ def run_compare(scenario: Scenario, seed: int) -> CompareResult:
 
 @dataclass(frozen=True)
 class PlotTable:
-    kind: str
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
 
 
-def emit_plot_data(
-    kind: str,
-    trace: ScenarioTrace | None = None,
-    baseline: ScenarioTrace | None = None,
-    commands: Sequence[CommandRecord] = (),
-    at_time: float | None = None,
-) -> PlotTable:
-    """Columnar data for one figure kind; see PLOT_KINDS for the options."""
-    if kind == "total_emissions_vs_time":
-        if trace is None or not trace.rows:
-            raise ValueError("total_emissions_vs_time needs a non-empty trace")
-        rows = tuple((r.sim_time, r.total_rate, r.n_vehicles) for r in trace.rows)
-        return PlotTable(kind, ("sim_time", "total_rate", "n_vehicles"), rows)
-    if kind == "in_fence_before_after":
-        if trace is None or baseline is None or not trace.rows:
-            raise ValueError("in_fence_before_after needs a control and a baseline trace")
-        if len(trace.rows) != len(baseline.rows):
-            raise ValueError("traces have different lengths")
-        rows = tuple(
-            (c.sim_time, b.in_fence_rate, c.in_fence_rate, c.budget)
-            for b, c in zip(baseline.rows, trace.rows)
-        )
-        return PlotTable(kind, ("sim_time", "before_rate", "after_rate", "budget"), rows)
-    if kind == "per_vehicle_assignment_snapshot":
-        if at_time is None:
-            last = next((r for r in reversed(commands) if r.assignment is not None), None)
-            if last is None:
-                raise ValueError("no assignment rows in the command log")
-            at_time = last.sim_time
-        snapshot = [r for r in commands if r.sim_time == at_time and r.assignment is not None]
-        if not snapshot:
-            raise ValueError(f"no assignment rows at sim_time={at_time}")
-        rows = tuple(
-            (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
-            for r in sorted(snapshot, key=lambda r: r.vehicle_id)
-        )
-        return PlotTable(
-            kind,
-            ("vehicle_id", "density", "emission_rate", "assignment", "commanded_mode"),
-            rows,
-        )
-    if kind == "fleet_size_sweep":
-        # (sim_time, fence_id) -> (members, total x, expected rate), summed
-        # one toss's run of rows at a time and continued if it recurs
-        ticks: dict[tuple[float, str], tuple[int, float, float]] = {}
-        decided = (r for r in commands if r.assignment is not None)
-        for key, group in groupby(decided, key=lambda r: (r.sim_time, r.fence_id)):
-            records = list(group)
-            members, total_x, expected = ticks.get(key, (0, 0, 0))
-            ticks[key] = (
-                members + len(records),
-                _sum((r.assignment for r in records), total_x),
-                _sum((r.assignment * r.emission_rate for r in records), expected),
-            )
-        if not ticks:
+def total_emissions_table(trace: ScenarioTrace) -> PlotTable:
+    """Total rate and vehicle count per step."""
+    if not trace.rows:
+        raise ValueError("total_emissions_vs_time needs a non-empty trace")
+    rows = tuple((r.sim_time, r.total_rate, r.n_vehicles) for r in trace.rows)
+    return PlotTable(("sim_time", "total_rate", "n_vehicles"), rows)
+
+
+def before_after_table(trace: ScenarioTrace, baseline: ScenarioTrace) -> PlotTable:
+    """In-fence rate per step without control (``baseline``) and with it
+    (``trace``), beside the budget."""
+    if not trace.rows:
+        raise ValueError("in_fence_before_after needs a control and a baseline trace")
+    if len(trace.rows) != len(baseline.rows):
+        raise ValueError("traces have different lengths")
+    rows = tuple(
+        (c.sim_time, b.in_fence_rate, c.in_fence_rate, c.budget)
+        for b, c in zip(baseline.rows, trace.rows)
+    )
+    return PlotTable(("sim_time", "before_rate", "after_rate", "budget"), rows)
+
+
+def assignment_snapshot_table(commands: Sequence[CommandRecord], at_time: float | None = None) -> PlotTable:
+    """The assignment rows logged at ``at_time`` (default: the last time
+    with one), in vehicle-id order."""
+    if at_time is None:
+        last = next((r for r in reversed(commands) if r.assignment is not None), None)
+        if last is None:
             raise ValueError("no assignment rows in the command log")
-        by_size: dict[int, list[tuple[float, float]]] = {}
-        for members, total_x, expected in ticks.values():
-            by_size.setdefault(members, []).append((total_x, expected))
-        rows = tuple(
-            (
-                size,
-                len(samples),
-                _sum(s[0] for s in samples) / len(samples),
-                _sum(s[1] for s in samples) / len(samples),
-            )
-            for size, samples in sorted(by_size.items())
+        at_time = last.sim_time
+    snapshot = [r for r in commands if r.sim_time == at_time and r.assignment is not None]
+    if not snapshot:
+        raise ValueError(f"no assignment rows at sim_time={at_time}")
+    rows = tuple(
+        (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
+        for r in sorted(snapshot, key=lambda r: r.vehicle_id)
+    )
+    return PlotTable(("vehicle_id", "density", "emission_rate", "assignment", "commanded_mode"), rows)
+
+
+def fleet_size_table(commands: Iterable[CommandRecord]) -> PlotTable:
+    """Mean total assignment and mean expected rate of the decisions,
+    grouped by how many vehicles each decided."""
+    # (sim_time, fence_id) -> (members, total x, expected rate), summed
+    # one toss's run of rows at a time and continued if it recurs
+    ticks: dict[tuple[float, str], tuple[int, float, float]] = {}
+    decided = (r for r in commands if r.assignment is not None)
+    for key, group in groupby(decided, key=lambda r: (r.sim_time, r.fence_id)):
+        records = list(group)
+        members, total_x, expected = ticks.get(key, (0, 0, 0))
+        ticks[key] = (
+            members + len(records),
+            _sum((r.assignment for r in records), total_x),
+            _sum((r.assignment * r.emission_rate for r in records), expected),
         )
-        return PlotTable(
-            kind, ("n_members", "ticks", "mean_total_assignment", "mean_expected_rate"), rows
+    if not ticks:
+        raise ValueError("no assignment rows in the command log")
+    by_size: dict[int, list[tuple[float, float]]] = {}
+    for members, total_x, expected in ticks.values():
+        by_size.setdefault(members, []).append((total_x, expected))
+    rows = tuple(
+        (
+            size,
+            len(samples),
+            _sum(s[0] for s in samples) / len(samples),
+            _sum(s[1] for s in samples) / len(samples),
         )
-    raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+        for size, samples in sorted(by_size.items())
+    )
+    return PlotTable(("n_members", "ticks", "mean_total_assignment", "mean_expected_rate"), rows)
 
 
 # -- file writers ---------------------------------------------------------------

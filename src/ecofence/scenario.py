@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -134,7 +135,9 @@ def _number(data: dict, key: str, problems: list[str], where: str, default=None)
     value = data.get(key, default)
     if value is None:
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # not math.isfinite, which raises on a JSON integer beyond the float range
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
         problems.append(f"{where}.{key}: must be a finite number, got {value!r}")
         return default
     return float(value)
@@ -413,12 +416,6 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be an object"])
     return parse_scenario(data)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario.to_dict(), handle, indent=2)
-        handle.write("\n")
 
 
 def _text_lines(path, what: str) -> list[str]:

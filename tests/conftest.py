@@ -3,10 +3,12 @@ import importlib.util
 import json
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from ecofence import load_default_table, load_scenario, run_compare
+from ecofence.coordinator import Powertrain
 from ecofence.network import SpatialHash
 
 
@@ -29,6 +31,18 @@ def bench_workloads():
 def bench_scenario(workload: str, path: Path) -> Path:
     """Write a benchmark workload's scenario file to ``path``, as the benchmark does."""
     return bench_workloads().write_scenario(workload, ROOT, path)
+
+
+class Snapshot(NamedTuple):
+    """A vehicle as the coordinator reads it, without the engine's record:
+    the attributes of ``VehicleState`` that a coordinator step reads, and
+    the position ``grid_of`` hashes."""
+
+    vehicle_id: str
+    position: tuple[float, float]
+    emission_rate: float
+    powertrain: Powertrain
+    density_weight: float
 
 
 def grid_of(records, cell: float = 100.0) -> SpatialHash:

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ecofence.cli import main
-from tests.conftest import data_path
+from tests.conftest import ROOT, data_path
 
 
 def scenario_arg():
@@ -349,6 +352,73 @@ def test_solve_debug_invalid_problem(tmp_path):
     problem.write_text(json.dumps({"limit": 1.0, "entries": [{"vehicle_id": "A"}]}))
     code = main(["solve-debug", "--problem", str(problem)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "doc, errors",
+    [
+        (
+            {"limit": True, "entries": [{"vehicle_id": None, "density": "2", "emission_rate": False}]},
+            [
+                "problem.limit: must be a finite number, got True",
+                "entries[0].vehicle_id: must be a non-empty string",
+                "entries[0].density: must be a finite number, got '2'",
+                "entries[0].emission_rate: must be a finite number, got False",
+            ],
+        ),
+        (
+            {"entries": [3, {"vehicle_id": "", "density": 1.0}]},
+            [
+                "problem.limit: must be a finite number",
+                "entries[0]: must be an object",
+                "entries[1].vehicle_id: must be a non-empty string",
+                "entries[1].emission_rate: must be a finite number",
+            ],
+        ),
+        (
+            {"limit": 1.0, "entries": [{"vehicle_id": "A", "density": 0.5, "emission_rate": 1.0}]},
+            ["problem file: entries[0]: density must be >= 1.0, got 0.5"],
+        ),
+        (
+            {"limit": 1.0, "entries": [{"vehicle_id": "A", "density": 1, "emission_rate": 1}] * 2},
+            ["problem file: entries[1]: duplicate vehicle_id 'A'"],
+        ),
+        (
+            {"limit": 10**400, "entries": []},
+            [f"problem.limit: must be a finite number, got {10**400!r}"],
+        ),
+        ({"limit": 1.0, "entries": {"vehicle_id": "A"}}, ["entries: must be a list"]),
+        ({"limit": 1.0}, ["entries: must be a list"]),
+        ([{"limit": 1.0, "entries": []}], ["problem.json: top level must be an object"]),
+    ],
+    ids=[
+        "wrong-types", "missing-fields", "density-below-one", "duplicate-id", "huge-integer",
+        "entries-not-a-list", "no-entries", "top-level-list",
+    ],
+)
+def test_solve_debug_reports_every_problem_with_its_path(tmp_path, capsys, doc, errors):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["solve-debug", "--problem", str(problem)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == len(errors)
+    assert all(line.startswith("error: ") and line.endswith(error) for line, error in zip(lines, errors))
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # sweep --jobs imports them when it needs a pool; imported by every
+    # command, they raised the benchmark's ring_dense peak RSS from 30.97 to
+    # 32.64 MiB (CPython 3.11)
+    code = (
+        "import sys, ecofence.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

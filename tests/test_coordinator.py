@@ -10,13 +10,12 @@ from ecofence.coordinator import (
     GeofenceCoordinator,
     Powertrain,
     SingleVehicleController,
-    VehicleSnapshot,
     members,
     toss_polluting,
 )
 from ecofence.emissions import load_default_table
 from ecofence.scenario import load_scenario
-from tests.conftest import grid_of
+from tests.conftest import Snapshot, grid_of
 from tests.test_golden import mixed_powertrain_scenario
 
 TABLE = load_default_table()
@@ -24,7 +23,7 @@ TABLE = load_default_table()
 
 def snap(vid, pos=(0.0, 0.0), speed=30.0, euro=4, powertrain=Powertrain.HYBRID, density=1.0):
     """A vehicle of class ``euro`` at ``speed`` km/h, rated as the engine rates it."""
-    return VehicleSnapshot(
+    return Snapshot(
         vehicle_id=vid,
         position=pos,
         emission_rate=TABLE.rate(euro, speed),
@@ -245,8 +244,7 @@ def test_vehicle_leaving_fence_reverts_next_step():
 
 
 def test_actuation_latency_delays_effect():
-    config = ControllerConfig.hil_emulation()
-    assert config.tau == 5.0 and config.actuation_latency == 5.0
+    config = ControllerConfig(tau=5.0, actuation_latency=5.0)
     coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
@@ -315,6 +313,24 @@ def test_force_detector_electric():
     assert modes["v1"] == "electric"
     detector_rows = [r for r in coord.command_log if r.vehicle_id == "v1"]
     assert all(r.assignment is None for r in detector_rows)
+
+
+def test_forced_pure_ev_detector_is_not_restored_at_expiry():
+    config = ControllerConfig(force_detector_electric=True, expiry_timeout=2.0)
+    coord = make_coordinator(config=config)
+    coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="ev")
+    snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv", pos=(3.0, 0.0))}
+    for now in range(6):
+        coord.step(float(now), snapshots, 0.0, grid_of(snapshots))
+    assert not coord.fences  # expired at t = 3.0, restoring its members
+    ev_modes = {r.commanded_mode for r in coord.command_log if r.vehicle_id == "ev"}
+    assert ev_modes == {"electric"}
+    restores = [
+        (r.sim_time, r.vehicle_id)
+        for r in coord.command_log
+        if r.assignment is None and r.commanded_mode == "polluting"
+    ]
+    assert restores == [(3.0, "hv")]
 
 
 # -- coin toss ------------------------------------------------------------------

@@ -9,7 +9,6 @@ from ecofence.optimizer import (
     ProblemEntry,
     brute_force_solve,
     budget_spend,
-    objective,
     solve,
 )
 
@@ -112,18 +111,10 @@ def test_brute_force_zero_limit():
     assert brute_force_solve(p).values == {"A": 0.0, "B": 0.0}
 
 
-def test_objective_examples():
-    p = problem([("A", 1.0, 1.0), ("B", 2.0, 1.0)], 5.0)
-    assert objective(Assignment(values={"A": 1.0, "B": 0.5}), p) == pytest.approx(1.25)
-    assert objective(Assignment(values={"A": 0.0, "B": 0.0}), p) == 0.0
-    p3 = problem([("A", 1.0, 1.0), ("B", 1.0, 1.0), ("C", 1.0, 1.0)], 5.0)
-    assert objective(Assignment(values={"A": 1.0, "B": 1.0, "C": 1.0}), p3) == pytest.approx(3.0)
-
-
-def test_objective_missing_id():
+def test_budget_spend_missing_id():
     p = problem([("A", 1.0, 1.0)], 1.0)
     with pytest.raises(ValueError, match="missing"):
-        objective(Assignment(values={}), p)
+        budget_spend(Assignment(values={}), p)
 
 
 # -- properties ---------------------------------------------------------------

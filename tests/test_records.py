@@ -3,7 +3,7 @@
 The records are NamedTuples with the field names, in order, of the frozen
 dataclasses they replaced.  The coordinator must decide the same way
 whether it reads the engine's live vehicle records or
-:class:`VehicleSnapshot` copies of them.
+test-local :class:`Snapshot` copies of them.
 """
 
 import dataclasses
@@ -11,14 +11,11 @@ import dataclasses
 import pytest
 
 from ecofence import coordinator, engine
-from ecofence.coordinator import (
-    CommandRecord,
-    Powertrain,
-    VehicleSnapshot,
-)
+from ecofence.coordinator import CommandRecord
 from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, World, run, step
 from ecofence.network import Edge, RoadNetwork
 from ecofence.optimizer import ProblemEntry
+from tests.conftest import Snapshot
 
 RECORDS = {
     CommandRecord: (
@@ -31,10 +28,6 @@ RECORDS = {
     ProblemEntry: (
         ("vehicle_id", "density", "emission_rate"),
         ("v1", 2.0, 0.5),
-    ),
-    VehicleSnapshot: (
-        ("vehicle_id", "position", "emission_rate", "powertrain", "density_weight"),
-        ("v1", (0.0, 1.0), 0.5, Powertrain.HYBRID, 1.0),
     ),
     VehicleTraceEntry: (
         ("vehicle_id", "euro_class", "edge_id", "edge_offset", "speed", "mode"),
@@ -75,7 +68,7 @@ def recording_controller(controller, steps, as_snapshots):
             assert all(isinstance(v, VehicleState) for v in snapshots.values())
             if as_snapshots:
                 snapshots = {
-                    vid: VehicleSnapshot(
+                    vid: Snapshot(
                         v.vehicle_id, v.position, v.emission_rate, v.powertrain, v.density_weight
                     )
                     for vid, v in snapshots.items()

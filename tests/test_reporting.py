@@ -8,11 +8,14 @@ import ecofence.engine
 import ecofence.optimizer
 import ecofence.reporting
 from ecofence.emissions import load_default_table
-from ecofence.engine import run
+from ecofence.engine import ScenarioTrace, run
 from ecofence.reporting import (
-    emit_plot_data,
+    assignment_snapshot_table,
+    before_after_table,
+    fleet_size_table,
     run_compare,
     summarize,
+    total_emissions_table,
     write_commands_csv,
     write_summary_json,
     write_trace_csv,
@@ -120,7 +123,7 @@ def test_summarize_single_run(demo_slack):
 
 
 def test_plot_total_emissions(demo_ring_compare):
-    table = emit_plot_data("total_emissions_vs_time", trace=demo_ring_compare.control.trace)
+    table = total_emissions_table(demo_ring_compare.control.trace)
     assert table.header == ("sim_time", "total_rate", "n_vehicles")
     assert len(table.rows) == len(demo_ring_compare.control.trace.rows)
 
@@ -128,7 +131,7 @@ def test_plot_total_emissions(demo_ring_compare):
 def test_plot_total_emissions_nondecreasing_under_fleet_growth(demo_ring):
     # while vehicles are still spawning the uncontrolled total must trend up
     baseline = run(dataclasses.replace(demo_ring, control_enabled=False), 42)
-    table = emit_plot_data("total_emissions_vs_time", trace=baseline.trace)
+    table = total_emissions_table(baseline.trace)
     ramp = [r for r in table.rows if r[0] <= 7.0]
     totals = [r[1] for r in ramp]
     assert totals == sorted(totals)
@@ -136,18 +139,14 @@ def test_plot_total_emissions_nondecreasing_under_fleet_growth(demo_ring):
 
 
 def test_plot_before_after(demo_ring_compare):
-    table = emit_plot_data(
-        "in_fence_before_after",
-        trace=demo_ring_compare.control.trace,
-        baseline=demo_ring_compare.baseline.trace,
-    )
+    table = before_after_table(demo_ring_compare.control.trace, demo_ring_compare.baseline.trace)
     assert table.header == ("sim_time", "before_rate", "after_rate", "budget")
     assert all(row[1] >= 0.0 and row[2] >= 0.0 for row in table.rows)
 
 
 def test_plot_assignment_snapshot_matches_log(demo_ring_compare):
     commands = demo_ring_compare.control.commands
-    table = emit_plot_data("per_vehicle_assignment_snapshot", commands=commands)
+    table = assignment_snapshot_table(commands)
     at_time = max(r.sim_time for r in commands if r.assignment is not None)
     expected = sorted(
         (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
@@ -158,10 +157,21 @@ def test_plot_assignment_snapshot_matches_log(demo_ring_compare):
 
 
 def test_plot_fleet_size_sweep(demo_ring_compare):
-    table = emit_plot_data("fleet_size_sweep", commands=demo_ring_compare.control.commands)
+    table = fleet_size_table(demo_ring_compare.control.commands)
     sizes = [row[0] for row in table.rows]
     assert sizes == sorted(sizes)
     assert all(row[3] <= 1.0 + 1e-9 for row in table.rows)  # mean expected <= budget
+
+
+def test_trace_tables_need_rows(demo_ring_compare):
+    empty = ScenarioTrace(rows=())
+    control, baseline = demo_ring_compare.control.trace, demo_ring_compare.baseline.trace
+    with pytest.raises(ValueError, match="needs a non-empty trace"):
+        total_emissions_table(empty)
+    with pytest.raises(ValueError, match="needs a control and a baseline trace"):
+        before_after_table(empty, baseline)
+    with pytest.raises(ValueError, match="different lengths"):
+        before_after_table(control, ScenarioTrace(rows=baseline.rows[:-1]))
 
 
 def test_sums_are_taken_left_to_right():
@@ -212,27 +222,22 @@ def test_command_tables_match_a_list_of_every_decided_row(order, demo_ring_compa
     if order == "shuffled":
         random.Random(5).shuffle(commands)
     expected_snapshot, expected_fleet = reference_plot_tables(commands)
-    assert emit_plot_data("per_vehicle_assignment_snapshot", commands=commands).rows == expected_snapshot
-    assert emit_plot_data("fleet_size_sweep", commands=commands).rows == expected_fleet
+    assert assignment_snapshot_table(commands).rows == expected_snapshot
+    assert fleet_size_table(commands).rows == expected_fleet
 
 
 def test_command_tables_need_decided_rows(demo_ring_compare):
     commands = demo_ring_compare.control.commands
     restores = [r for r in commands if r.assignment is None]
     assert restores
-    for kind in ("per_vehicle_assignment_snapshot", "fleet_size_sweep"):
+    for table_of in (assignment_snapshot_table, fleet_size_table):
         with pytest.raises(ValueError, match="no assignment rows in the command log"):
-            emit_plot_data(kind, commands=restores)
+            table_of(restores)
     with pytest.raises(ValueError, match=r"no assignment rows at sim_time=0\.5"):
-        emit_plot_data("per_vehicle_assignment_snapshot", commands=commands, at_time=0.5)
+        assignment_snapshot_table(commands, at_time=0.5)
     first = next(r for r in commands if r.assignment is not None)
-    table = emit_plot_data("per_vehicle_assignment_snapshot", commands=commands, at_time=first.sim_time)
+    table = assignment_snapshot_table(commands, at_time=first.sim_time)
     assert first.vehicle_id in {row[0] for row in table.rows}
-
-
-def test_plot_unknown_kind(demo_ring_compare):
-    with pytest.raises(ValueError, match="unknown plot kind"):
-        emit_plot_data("histogram", trace=demo_ring_compare.control.trace)
 
 
 def test_writers_produce_files(demo_ring_compare, tmp_path):

@@ -10,7 +10,6 @@ from ecofence.scenario import (
     load_density_file,
     load_scenario,
     parse_scenario,
-    save_scenario,
     with_density,
 )
 
@@ -101,7 +100,7 @@ def test_background_lookup(demo_ring_dict):
 
 def test_round_trip_canonical_form(demo_ring, tmp_path):
     path = tmp_path / "again.json"
-    save_scenario(demo_ring, path)
+    path.write_text(json.dumps(demo_ring.to_dict()), encoding="utf-8")
     again = load_scenario(path)
     assert again == demo_ring
     # and the canonical dict is stable under a re-emit
@@ -183,8 +182,16 @@ def test_powertrain_must_be_one_of_the_names(powertrain, demo_ring_dict, tmp_pat
         (0.6, 1.0, []),
         (-0.4, 1.0, ["scenario.horizon: must be a positive number"]),
         (0.4, 0.0, ["scenario.dt: must be a positive number"]),
+        (
+            10**400,
+            1.0,
+            [
+                f"scenario.horizon: must be a finite number, got {10**400!r}",
+                "scenario.horizon: must be a positive number",
+            ],
+        ),
     ],
-    ids=["under-half", "half", "short-dt", "one-step", "bad-horizon", "bad-dt"],
+    ids=["under-half", "half", "short-dt", "one-step", "bad-horizon", "bad-dt", "huge-integer-horizon"],
 )
 def test_horizon_must_cover_at_least_one_step(horizon, dt, problems, demo_ring_dict):
     demo_ring_dict.update(horizon=horizon, dt=dt)

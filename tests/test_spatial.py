@@ -17,33 +17,28 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecofence.coordinator import (
-    ControllerConfig,
-    GeofenceCoordinator,
-    Powertrain,
-    VehicleSnapshot,
-    euclidean,
-)
+from ecofence.coordinator import ControllerConfig, GeofenceCoordinator, Powertrain
 from ecofence.engine import CyclistState, VehicleState, World, detect, run
 from ecofence.network import Edge, RoadNetwork, SpatialHash
-from tests.conftest import grid_of
+from tests.conftest import Snapshot, grid_of
 
 
 def brute_detect(world, detection_range):
     events = []
     for cid in sorted(world.cyclists):
-        cyclist_pos = world.cyclists[cid].position()
+        cx, cy = world.cyclists[cid].position()
         for vid in sorted(world.vehicles):
             vehicle = world.vehicles[vid]
             edge = world.network.edge(vehicle.route[vehicle.route_index])
-            vehicle_pos = edge.position_at(vehicle.edge_offset)
-            if euclidean(cyclist_pos, vehicle_pos) <= detection_range:
+            x, y = edge.position_at(vehicle.edge_offset)
+            if math.hypot(cx - x, cy - y) <= detection_range:
                 events.append((cid, vid))
     return events
 
 
 def brute_members(center, radius, positions):
-    return tuple(sorted(vid for vid, pos in positions.items() if euclidean(pos, center) <= radius))
+    cx, cy = center
+    return tuple(sorted(vid for vid, (x, y) in positions.items() if math.hypot(x - cx, y - cy) <= radius))
 
 
 ranges = st.one_of(st.sampled_from([0.5, 1.0, 3.0, 10.0, 100.0]), st.floats(0.05, 300.0))
@@ -125,7 +120,7 @@ def test_fence_membership_on_a_shared_hash_equals_brute_force(layout, other):
     for i, centre in enumerate(centres):
         coord.on_detection(f"c{i}", centre, 0.0)
     snapshots = {
-        f"v{i:02d}": VehicleSnapshot(f"v{i:02d}", p, 0.5, Powertrain.HYBRID, 1.0)
+        f"v{i:02d}": Snapshot(f"v{i:02d}", p, 0.5, Powertrain.HYBRID, 1.0)
         for i, p in enumerate(points)
     }
     coord.step(0.0, snapshots, 0.0, grid_of(snapshots, max(r, other)))
