@@ -40,6 +40,7 @@ from .reporting import (
 from .scenario import (
     Scenario,
     ScenarioError,
+    _json_object,
     _number,
     _parse_background,
     _shaped,
@@ -222,12 +223,10 @@ def _required_number(data: dict, key: str, problems: list[str], where: str) -> f
     return _number(data, key, problems, where)
 
 
-def _parse_problem(data, path) -> GeofenceProblem:
+def _parse_problem(data: dict) -> GeofenceProblem:
     """Build the problem of a parsed problem file, checked as the scenario
     loader checks a scenario: every violation is reported with its field
     path."""
-    if not isinstance(data, dict):
-        raise ScenarioError([f"{path}: top level must be an object"])
     problems: list[str] = []
     limit = _required_number(data, "limit", problems, "problem")
     raw_entries = data.get("entries")
@@ -254,14 +253,7 @@ def _parse_problem(data, path) -> GeofenceProblem:
 
 
 def _cmd_solve_debug(args) -> int:
-    try:
-        with open(args.problem, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except IsADirectoryError:
-        raise ScenarioError([f"problem file {args.problem}: is a directory"]) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioError([f"{args.problem}: not valid JSON ({exc})"]) from None
-    problem = _parse_problem(data, args.problem)
+    problem = _parse_problem(_json_object(args.problem, "problem file"))
     assignment = solve(problem)
     print(f"{'vehicle_id':<12} {'d':>8} {'e':>10} {'x':>8}")
     for entry in problem.entries:

@@ -15,15 +15,13 @@ fence: solve if due, then toss against the stored solve if due.
 Single-vehicle mode, in which only the detecting vehicle switches, is
 :class:`SingleVehicleController`, a coordinator that keeps no fence.
 
-Every command is logged in ``command_log``, a :class:`CommandLog` that
-reads as a sequence of :class:`CommandRecord` rows: a fence toss is kept
-as one :class:`FenceToss` of columns, and each other command (a restore,
-a forced detector, a single-vehicle switch) as one row.  ``step`` returns
-only the rows that change the mode the controller last commanded their
-vehicle, and the engine queues those.  That leaves the trace as it would
-be with every row queued: effective times never decrease in log order,
-so a dropped row would be applied after the row it repeats, to a vehicle
-already in its mode, under the same powertrain guards.
+Every command is logged in ``command_log``, a :class:`CommandLog` of
+entries: a fence toss is kept as one :class:`FenceToss` of columns, and
+each other command (a restore, a forced detector, a single-vehicle
+switch) as one :class:`CommandRecord` row.  ``step`` returns the entries
+it appended, the same objects, and the engine queues and applies them
+row by row; :func:`commanded_modes` gives an entry's (vehicle, mode)
+pairs.
 
 All state mutation happens through a serialized sequence of
 ``on_detection`` / ``step`` calls made by the simulation loop; the object
@@ -36,11 +34,9 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .network import SpatialHash
@@ -160,7 +156,9 @@ class FenceToss(NamedTuple):
     (ascending id) order; the time, the fence and the effective time are
     the same for every row.  The columns hold only strings and floats, the
     draws as an ``array('d')`` of 8 bytes each, so neither the problem's
-    entries nor its assignment is kept alive.
+    entries nor its assignment is kept alive.  The toss is one entry of
+    the command log and of the engine's queue, which applies its
+    ``vehicle_ids`` and ``modes`` row by row.
     """
 
     sim_time: float
@@ -173,65 +171,50 @@ class FenceToss(NamedTuple):
     draws: array
     modes: tuple[str, ...]
 
-    def records(self, start: int = 0, stop: int | None = None) -> list[CommandRecord]:
-        """Rows ``start`` to ``stop`` (exclusive), built now."""
+    def records(self) -> list[CommandRecord]:
+        """The toss's rows, built now."""
         head, tail = (self.sim_time, self.fence_id), (self.effective_time,)
         columns = zip(self.vehicle_ids, self.densities, self.rates, self.assignments, self.draws, self.modes)
-        return [_record(CommandRecord, head + row + tail) for row in islice(columns, start, stop)]
+        return [_record(CommandRecord, head + row + tail) for row in columns]
 
 
-class CommandLog(Sequence):
-    """Every command row of a controller, in log order, read-only.
+def commanded_modes(entry: CommandRecord | FenceToss) -> Iterable[tuple[str, str]]:
+    """The (vehicle id, commanded mode) pairs of a log entry, in row order."""
+    if type(entry) is FenceToss:
+        return zip(entry.vehicle_ids, entry.modes)
+    return ((entry.vehicle_id, entry.commanded_mode),)
 
-    The log keeps one entry per :class:`FenceToss` and per single
-    :class:`CommandRecord`, and builds a toss's rows each time they are
-    read, as ``TraceRow.vehicles`` does.  It supports ``len``, iteration,
-    indexes (negative ones too), slices (a list) and ``==`` against
-    another log, a list or a tuple of rows.  Only the controller that
-    owns it calls ``append``.
+
+class CommandLog:
+    """Every command of a controller, in log order, read-only.
+
+    ``entries`` holds one :class:`FenceToss` per fence toss and one
+    :class:`CommandRecord` per other command.  ``len`` counts rows, and
+    iteration yields every row as a :class:`CommandRecord`, building a
+    toss's rows when they are read, as ``TraceRow.vehicles`` does.  A log
+    compares ``==`` by its rows against another log, a list or a tuple of
+    rows.  Only the controller that owns it calls ``append``.
     """
 
-    __slots__ = ("_entries", "_ends")
+    __slots__ = ("entries", "_rows")
 
     def __init__(self) -> None:
-        self._entries: list[CommandRecord | FenceToss] = []
-        self._ends = array("q")  # rows logged up to and including each entry
+        self.entries: list[CommandRecord | FenceToss] = []
+        self._rows = 0
 
     def append(self, entry: CommandRecord | FenceToss) -> None:
-        ends = self._ends
-        rows = len(entry.vehicle_ids) if type(entry) is FenceToss else 1
-        ends.append((ends[-1] if ends else 0) + rows)
-        self._entries.append(entry)
+        self._rows += len(entry.vehicle_ids) if type(entry) is FenceToss else 1
+        self.entries.append(entry)
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def _locate(self, index: int) -> tuple[int, int]:
-        """(entry, row within it) of the ``index``-th row."""
-        at = bisect_right(self._ends, index)
-        return at, index - (self._ends[at - 1] if at else 0)
-
-    def _rows_from(self, index: int) -> Iterator[CommandRecord]:
-        at, skip = self._locate(index)
-        for entry in islice(self._entries, at, None):
-            if type(entry) is FenceToss:
-                yield from entry.records(skip)
-            else:
-                yield entry
-            skip = 0
+        return self._rows
 
     def __iter__(self) -> Iterator[CommandRecord]:
-        return self._rows_from(0)
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        if isinstance(picked, int):
-            at, row = self._locate(picked)
-            entry = self._entries[at]
-            return entry.records(row, row + 1)[0] if type(entry) is FenceToss else entry
-        if not picked or picked.step < 0:
-            return [self[i] for i in picked]
-        return list(islice(self._rows_from(picked.start), 0, picked.stop - picked.start, picked.step))
+        for entry in self.entries:
+            if type(entry) is FenceToss:
+                yield from entry.records()
+            else:
+                yield entry
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (CommandLog, list, tuple)):
@@ -267,8 +250,7 @@ class GeofenceCoordinator:
     """Serialized decision authority over fences, budgets and mode commands.
 
     The simulation loop feeds it detections and one ``step`` call per time
-    step; it returns the logged rows that switch a vehicle's commanded
-    mode, for the engine to queue.
+    step; it returns the log entries it appended, for the engine to queue.
     With ``control_enabled=False`` it still tracks fence lifecycle (so
     baseline runs record comparable fence state) but never solves, never
     draws from the toss stream and never issues commands.
@@ -286,8 +268,6 @@ class GeofenceCoordinator:
         self.fences: dict[str, Geofence] = {}
         self.command_log = CommandLog()
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
-        self._commanded: dict[str, str] = {}  # vehicle -> mode last commanded
-        self._switches: list[CommandRecord] = []  # rows the current step returns
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -338,25 +318,11 @@ class GeofenceCoordinator:
         self._command(now, fence_id, vehicle_id, "polluting")
 
     def _command(self, now: float, fence_id: str, vehicle_id: str, mode: str) -> None:
-        """Log a command that enacts no assignment, and return it from the
-        step if it switches the vehicle's commanded mode."""
+        """Log a command that enacts no assignment."""
         effective = now + self.config.actuation_latency
-        record = _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode, effective))
-        self.command_log.append(record)
-        if self._commanded.get(vehicle_id) != mode:
-            self._commanded[vehicle_id] = mode
-            self._switches.append(record)
-
-    def _start_step(self, snapshots: Mapping[str, VehicleState]) -> list[CommandRecord]:
-        """Begin a step: forget the vehicles that left ``snapshots`` (their
-        next command counts as a first one) and return the step's empty
-        list of switches."""
-        commanded = self._commanded
-        if not commanded.keys() <= snapshots.keys():
-            for vid in commanded.keys() - snapshots.keys():
-                del commanded[vid]
-        self._switches = []
-        return self._switches
+        self.command_log.append(
+            _record(CommandRecord, (now, fence_id, vehicle_id, None, None, None, None, mode, effective))
+        )
 
     # -- decisions ---------------------------------------------------------
 
@@ -398,8 +364,7 @@ class GeofenceCoordinator:
         solved with.  One uniform draw is consumed per problem entry in
         ascending vehicle-id order.  Pure EVs keep their draw for stream
         stability but are always commanded electric; they have no engine
-        to pollute with.  A row that switches its vehicle's commanded mode
-        is also built as a :class:`CommandRecord` for the step to return.
+        to pollute with.
         """
         effective = now + self.config.actuation_latency
         forced_detector: str | None = None
@@ -418,22 +383,16 @@ class GeofenceCoordinator:
             add_draw, add_mode = draws.append, modes.append
             toss = toss_polluting
             rng = self.rng
-            controlled, commanded, switches = self._controlled, self._commanded, self._switches
+            controlled = self._controlled
             pure_ev = Powertrain.PURE_EV
-            for vehicle_id, density, rate, x in zip(vehicle_ids, densities, rates, assignments):
+            for vehicle_id, x in zip(vehicle_ids, assignments):
                 polluting, draw = toss(x, rng)
                 if snapshots[vehicle_id].powertrain is pure_ev:
                     polluting = False
                 else:
                     controlled[vehicle_id] = fence_id
-                mode = "polluting" if polluting else "electric"
                 add_draw(draw)
-                add_mode(mode)
-                if commanded.get(vehicle_id) != mode:
-                    commanded[vehicle_id] = mode
-                    switches.append(
-                        _record(CommandRecord, (now, fence_id, vehicle_id, density, rate, x, draw, mode, effective))
-                    )
+                add_mode("polluting" if polluting else "electric")
             columns = (vehicle_ids, densities, rates, assignments, array("d", draws), tuple(modes))
             self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
         if forced_detector is not None:
@@ -450,9 +409,9 @@ class GeofenceCoordinator:
         snapshots: Mapping[str, VehicleState],
         background_level: float,
         grid: SpatialHash,
-    ) -> list[CommandRecord]:
-        """Advance the coordinator one simulation step; return the rows it
-        logged that switch a vehicle's commanded mode.
+    ) -> list[CommandRecord | FenceToss]:
+        """Advance the coordinator one simulation step; return the entries
+        it appended to ``command_log``, in log order.
 
         Order: expire stale fences, recompute memberships (a fence keeps
         its ``member_ids`` tuple when the members are the same), restore
@@ -465,11 +424,7 @@ class GeofenceCoordinator:
         rates and densities the assignment was solved for.  A toss over a
         different set of controllable vehicles than the stored problem's
         forces a fresh solve first, so the expected-rate budget always
-        covers the vehicles actually being tossed.  Every command is
-        appended to ``command_log``.  The return value lists, in log order,
-        the rows of this call whose mode differs from the mode last
-        commanded to their vehicle; a vehicle's first command counts, and
-        a vehicle is forgotten once it is missing from ``snapshots``.
+        covers the vehicles actually being tossed.
 
         Membership candidates come from ``grid``, a
         :class:`~ecofence.network.SpatialHash` of every vehicle in
@@ -483,7 +438,8 @@ class GeofenceCoordinator:
         besides which ids are in ``snapshots``; the records are never
         mutated and no reference to them is kept once ``step`` returns.
         """
-        switches = self._start_step(snapshots)
+        entries = self.command_log.entries
+        logged = len(entries)
         self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
@@ -499,7 +455,7 @@ class GeofenceCoordinator:
                 continue
             self._restore(vid, controlled[vid], now)
         if not self.control_enabled:
-            return switches
+            return entries[logged:]
         limit = self.config.allowable_limit - background_level
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
@@ -516,7 +472,7 @@ class GeofenceCoordinator:
             if toss_due:
                 fence.next_toss = now + self.config.toss_interval
                 self._toss_fence(fence, snapshots, now)
-        return switches
+        return entries[logged:]
 
     def active_fences(self) -> list[Geofence]:
         return [self.fences[fid] for fid in sorted(self.fences)]
@@ -549,10 +505,11 @@ class SingleVehicleController(GeofenceCoordinator):
         """Command each detector electric while ``now - last <= expiry_timeout``
         and polluting after; pure EV reverts are skipped.  A pure ICE
         detector is never commanded, so its entry is dropped at once.
-        Return the rows logged during this call that switch a vehicle's
-        commanded mode, as :meth:`GeofenceCoordinator.step` does.
+        Return the records logged during this call, as
+        :meth:`GeofenceCoordinator.step` does.
         ``grid`` goes unread: no fence is kept to query it for."""
-        switches = self._start_step(snapshots)
+        entries = self.command_log.entries
+        logged = len(entries)
         for vid in sorted(self._seen):
             last, cyclist_id = self._seen[vid]
             if vid not in snapshots:
@@ -575,4 +532,4 @@ class SingleVehicleController(GeofenceCoordinator):
             else:
                 continue
             self._command(now, cyclist_id, vid, mode)
-        return switches
+        return entries[logged:]

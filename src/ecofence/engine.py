@@ -10,9 +10,10 @@ Each simulation step runs, in order: spawn due vehicles, advance movement
 by ``dt`` (which also applies mode commands whose effective time has
 arrived), detect, feed the coordinator, record one trace row.  The
 coordinator logs every command in its ``command_log``; its ``step``
-returns the logged :class:`CommandRecord` rows that switch a vehicle's
-commanded mode, and the engine queues only those in
-``World.pending_commands`` until they are due.  Vehicles and cyclists
+returns the log entries it appended (a fence toss or a single
+:class:`~ecofence.coordinator.CommandRecord`), and the engine queues
+those same entries in ``World.pending_commands`` and applies each one
+row by row once it is due.  Vehicles and cyclists
 follow their routes with one :class:`RouteCursor` each, which holds the
 current edge and looks an edge up only at spawn and when it moves onto
 the next one.  A record is built on its first edge, and a vehicle record
@@ -77,9 +78,11 @@ from typing import NamedTuple
 from .coordinator import (
     CommandLog,
     CommandRecord,
+    FenceToss,
     GeofenceCoordinator,
     Powertrain,
     SingleVehicleController,
+    commanded_modes,
 )
 from .emissions import CoefficientTable, load_default_table
 from .network import Edge, Point, RoadNetwork, SpatialHash
@@ -178,8 +181,8 @@ class CyclistState(RouteCursor):
 @dataclass
 class World:
     """Everything a step reads and changes.  ``pending_commands`` holds the
-    command rows the coordinator returned that are not yet due, in log
-    order."""
+    command log entries the coordinator returned that are not yet due, in
+    log order."""
 
     network: RoadNetwork
     table: CoefficientTable
@@ -187,7 +190,7 @@ class World:
     cyclists: dict[str, CyclistState] = field(default_factory=dict)
     tick: int = 0
     now: float = 0.0
-    pending_commands: list[CommandRecord] = field(default_factory=list)
+    pending_commands: list[CommandRecord | FenceToss] = field(default_factory=list)
 
 
 def step(world: World, dt: float) -> World:
@@ -196,12 +199,13 @@ def step(world: World, dt: float) -> World:
     ``world.tick`` counts the steps and ``world.now`` becomes ``tick * dt``.
     Moves every vehicle and cyclist along its route, removes vehicles that
     arrived and places the records of the others, then applies the queued
-    command rows whose effective time is due: each sets its vehicle's mode
-    to its ``commanded_mode``.  A vehicle that stays on its edge, the
-    common case, only adds to its offset: its speed, density weight and
-    emission rate were read when it entered the edge.  Command
-    application respects powertrains: a pure EV never enters polluting
-    mode and a pure ICE never goes electric.
+    command log entries whose effective time is due, in queue order: each
+    row of an entry sets its vehicle's mode to the row's mode.  A vehicle
+    that stays on its edge, the common case, only adds to its offset: its
+    speed, density weight and emission rate were read when it entered the
+    edge.  Command application skips a vehicle no longer on the road and
+    respects powertrains: a pure EV never enters polluting mode and a pure
+    ICE never goes electric.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -227,21 +231,21 @@ def step(world: World, dt: float) -> World:
     _snapshot_vehicles(world)
     world.tick += 1
     now = world.now = world.tick * dt
-    remaining: list[CommandRecord] = []
+    remaining: list[CommandRecord | FenceToss] = []
     pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
-    for command in world.pending_commands:
-        if command.effective_time > now:
-            remaining.append(command)
+    for entry in world.pending_commands:
+        if entry.effective_time > now:
+            remaining.append(entry)
             continue
-        vehicle = vehicles.get(command.vehicle_id)
-        if vehicle is None:
-            continue
-        mode = command.commanded_mode
-        if mode == "polluting" and vehicle.powertrain is pure_ev:
-            continue
-        if mode == "electric" and vehicle.powertrain is pure_ice:
-            continue
-        vehicle.mode = mode
+        for vid, mode in commanded_modes(entry):
+            vehicle = vehicles.get(vid)
+            if vehicle is None:
+                continue
+            if mode == "polluting" and vehicle.powertrain is pure_ev:
+                continue
+            if mode == "electric" and vehicle.powertrain is pure_ice:
+                continue
+            vehicle.mode = mode
     world.pending_commands = remaining
     return world
 

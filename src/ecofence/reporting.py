@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coordinator import CommandRecord
 from .emissions import load_default_table
@@ -150,14 +150,19 @@ def before_after_table(trace: ScenarioTrace, baseline: ScenarioTrace) -> PlotTab
     return PlotTable(("sim_time", "before_rate", "after_rate", "budget"), rows)
 
 
-def assignment_snapshot_table(commands: Sequence[CommandRecord], at_time: float | None = None) -> PlotTable:
-    """The assignment rows logged at ``at_time`` (default: the last time
-    with one), in vehicle-id order."""
+def assignment_snapshot_table(commands: Iterable[CommandRecord], at_time: float | None = None) -> PlotTable:
+    """The assignment rows logged at ``at_time`` (default: the time of the
+    last one in log order), in vehicle-id order.
+
+    Without ``at_time`` the rows are read twice, so ``commands`` must be a
+    log or a list, not an iterator.
+    """
     if at_time is None:
-        last = next((r for r in reversed(commands) if r.assignment is not None), None)
-        if last is None:
+        for row in commands:
+            if row.assignment is not None:
+                at_time = row.sim_time
+        if at_time is None:
             raise ValueError("no assignment rows in the command log")
-        at_time = last.sim_time
     snapshot = [r for r in commands if r.sim_time == at_time and r.assignment is not None]
     if not snapshot:
         raise ValueError(f"no assignment rows at sim_time={at_time}")

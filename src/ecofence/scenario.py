@@ -131,13 +131,20 @@ class Scenario:
         }
 
 
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a number a float holds: not a boolean, NaN or
+    infinity, nor a JSON integer beyond the float range (on which
+    ``math.isfinite`` and ``float`` raise)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
 def _number(data: dict, key: str, problems: list[str], where: str, default=None):
     value = data.get(key, default)
     if value is None:
         return default
-    # not math.isfinite, which raises on a JSON integer beyond the float range
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
+    if not _finite(value):
         problems.append(f"{where}.{key}: must be a finite number, got {value!r}")
         return default
     return float(value)
@@ -156,7 +163,7 @@ def _parse_background(raw: Any, problems: list[str], where: str) -> BackgroundSe
     if raw is None:
         return ((0.0, 0.0),)
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not math.isfinite(raw):
+        if not _finite(raw):
             problems.append(f"{where}: background must be finite")
             return ((0.0, 0.0),)
         return ((0.0, float(raw)),)
@@ -172,7 +179,7 @@ def _parse_background(raw: Any, problems: list[str], where: str) -> BackgroundSe
         ):
             problems.append(f"{where}[{i}]: breakpoint must be [time, level]")
             return ((0.0, 0.0),)
-        if not all(math.isfinite(x) for x in pair):
+        if not all(map(_finite, pair)):
             problems.append(f"{where}[{i}]: time and level must be finite")
             return ((0.0, 0.0),)
         series.append((float(pair[0]), float(pair[1])))
@@ -228,12 +235,8 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         points = []
         ok = True
         for j, pt in enumerate(points_raw):
-            if (
-                not isinstance(pt, list)
-                or len(pt) != 2
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pt)
-            ):
-                problems.append(f"{where}.points[{j}]: must be [x, y]")
+            if not isinstance(pt, list) or len(pt) != 2 or not all(map(_finite, pt)):
+                problems.append(f"{where}.points[{j}]: must be [x, y] of finite numbers")
                 ok = False
                 break
             points.append((float(pt[0]), float(pt[1])))
@@ -404,18 +407,29 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file."""
+def _json_object(path, what: str) -> dict[str, Any]:
+    """The JSON object a UTF-8 file holds; ``what`` names the file in the
+    ScenarioError raised when it is a directory.
+
+    ``json.load`` raises a ValueError for a file that is not UTF-8, not
+    JSON, or holds an integer of more digits than ``int`` converts (4,300
+    by default); each is reported as not valid JSON.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except IsADirectoryError:
-        raise ScenarioError([f"scenario file {path}: is a directory"]) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"{what} {path}: is a directory"]) from None
+    except ValueError as exc:
         raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from None
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be an object"])
-    return parse_scenario(data)
+    return data
+
+
+def load_scenario(path) -> Scenario:
+    """Load and validate a scenario JSON file."""
+    return parse_scenario(_json_object(path, "scenario file"))
 
 
 def _text_lines(path, what: str) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,15 @@ from tests.conftest import ROOT, data_path
 
 def scenario_arg():
     return str(data_path("demo_slack.json"))
+
+
+# json.load raises int's own error on an integer of more digits than int
+# converts; the loaders report it as not valid JSON
+DIGITS = "9" * 5001
+try:
+    int(DIGITS)
+except ValueError as exc:
+    DIGITS_ERROR = str(exc)
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -29,6 +39,45 @@ def test_run_validation_failure_exits_one(tmp_path):
     bad.write_text(json.dumps({"name": "bad", "horizon": -5, "network": {"edges": []}}))
     code = main(["run", "--scenario", str(bad), "--seed", "1", "--out", str(tmp_path / "out")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "keys, value, error",
+    [
+        (
+            ("network", "edges", 0, "points", 0),
+            [10**400, 0],
+            "network.edges[0].points[0]: must be [x, y] of finite numbers",
+        ),
+        (
+            ("network", "edges", 0, "points", 1),
+            [math.nan, 0],
+            "network.edges[0].points[1]: must be [x, y] of finite numbers",
+        ),
+        (("control", "background"), [[0, 10**400]], "control.background[0]: time and level must be finite"),
+        (("horizon",), "DIGITS", f"bad.json: not valid JSON ({DIGITS_ERROR})"),
+    ],
+    ids=["huge-point", "nan-point", "huge-background", "digit-limit"],
+)
+def test_run_number_no_float_holds_exits_one(tmp_path, capsys, keys, value, error):
+    # a NaN point made an edge of NaN length, which passed the edge checks;
+    # each of the others exited 2 ("runtime failure"): float() or
+    # math.isfinite raised on the integer, or json.load on its digits
+    doc = json.loads(data_path("demo_slack.json").read_text())
+    *path, last = keys
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"DIGITS"', DIGITS))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(bad), "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    first = err.splitlines()[0]  # a dropped edge adds route errors after it
+    assert first.startswith("error: ") and first.endswith(error)
+    assert "runtime failure" not in err
+    assert not out.exists()
 
 
 def test_run_missing_file_exits_one(tmp_path):
@@ -387,18 +436,19 @@ def test_solve_debug_invalid_problem(tmp_path):
             {"limit": 10**400, "entries": []},
             [f"problem.limit: must be a finite number, got {10**400!r}"],
         ),
+        ('{"limit": ' + DIGITS + ', "entries": []}', [f"problem.json: not valid JSON ({DIGITS_ERROR})"]),
         ({"limit": 1.0, "entries": {"vehicle_id": "A"}}, ["entries: must be a list"]),
         ({"limit": 1.0}, ["entries: must be a list"]),
         ([{"limit": 1.0, "entries": []}], ["problem.json: top level must be an object"]),
     ],
     ids=[
         "wrong-types", "missing-fields", "density-below-one", "duplicate-id", "huge-integer",
-        "entries-not-a-list", "no-entries", "top-level-list",
+        "digit-limit", "entries-not-a-list", "no-entries", "top-level-list",
     ],
 )
 def test_solve_debug_reports_every_problem_with_its_path(tmp_path, capsys, doc, errors):
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps(doc))
+    problem.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["solve-debug", "--problem", str(problem)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -38,17 +38,6 @@ def make_coordinator(**kwargs):
     return GeofenceCoordinator(config, rng, **kwargs)
 
 
-def switching(rows, last):
-    """The rows that change the mode ``last`` holds for their vehicle,
-    in order; ``last`` (vehicle -> mode) is updated as they are read."""
-    switches = []
-    for row in rows:
-        if last.get(row.vehicle_id) != row.commanded_mode:
-            last[row.vehicle_id] = row.commanded_mode
-            switches.append(row)
-    return switches
-
-
 # -- lifecycle -----------------------------------------------------------------
 
 
@@ -92,18 +81,13 @@ def test_expiry_restores_controlled_members():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    assert commands  # both commanded at the first tick
-    assert commands == coord.command_log  # a first command is a switch
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     start = len(coord.command_log)
-    switched = coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
+    assert start == 2  # both commanded at the first tick
+    coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
-    restect = coord.command_log[start:]
-    restored = {c.vehicle_id: c.commanded_mode for c in restect}
-    assert restored == {"v1": "polluting", "v2": "polluting"}
-    # a restore is returned only for a vehicle last commanded electric
-    first = {c.vehicle_id: c.commanded_mode for c in commands}
-    assert switched == [c for c in restect if first[c.vehicle_id] == "electric"]
+    restored = [(c.vehicle_id, c.commanded_mode, c.assignment) for c in list(coord.command_log)[start:]]
+    assert restored == [("v1", "polluting", None), ("v2", "polluting", None)]
 
 
 def test_expiry_no_fences_is_noop():
@@ -179,7 +163,8 @@ def test_decision_tick_negative_budget_all_electric():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {f"v{i}": snap(f"v{i}", pos=(float(i), 0.0)) for i in range(4)}
-    commands = coord.step(0.0, snapshots, 1.5, grid_of(snapshots))
+    coord.step(0.0, snapshots, 1.5, grid_of(snapshots))
+    commands = list(coord.command_log)
     assert {c.commanded_mode for c in commands} == {"electric"}
     assert len(commands) == 4
 
@@ -202,10 +187,9 @@ def test_pure_ev_member_always_electric():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    ev_commands = [c for c in commands if c.vehicle_id == "ev"]
-    assert [c.commanded_mode for c in ev_commands] == ["electric"]
-    ev_row = next(r for r in coord.command_log if r.vehicle_id == "ev")
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    (ev_row,) = [r for r in coord.command_log if r.vehicle_id == "ev"]
+    assert ev_row.commanded_mode == "electric"
     assert ev_row.assignment == 1.0  # zero-rate vehicles enter the problem at x=1
     assert ev_row.emission_rate == 0.0
 
@@ -214,9 +198,8 @@ def test_pure_ice_member_never_commanded():
     coord = make_coordinator()
     fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ice": snap("ice", powertrain=Powertrain.PURE_ICE), "hv": snap("hv")}
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    assert all(c.vehicle_id != "ice" for c in commands)
-    assert all(r.vehicle_id != "ice" for r in coord.command_log)
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    assert [r.vehicle_id for r in coord.command_log] == ["hv"]
     assert "ice" in fence.member_ids  # geometrically still a member
 
 
@@ -224,23 +207,19 @@ def test_members_outside_are_never_commanded():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"in": snap("in"), "far": snap("far", pos=(500.0, 0.0))}
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    assert {c.vehicle_id for c in commands} == {"in"}
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    assert [c.vehicle_id for c in coord.command_log] == ["in"]
 
 
 def test_vehicle_leaving_fence_reverts_next_step():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
-    (first,) = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     moved = {"v1": snap("v1", pos=(300.0, 0.0))}
-    commands = coord.step(1.0, moved, 0.0, grid_of(moved))
-    logged = coord.command_log[1:]
-    assert [(c.vehicle_id, c.commanded_mode) for c in logged] == [("v1", "polluting")]
-    assert commands == (logged if first.commanded_mode == "electric" else [])
-    restored_row = coord.command_log[-1]
-    assert restored_row.assignment is None
-    assert restored_row.commanded_mode == "polluting"
+    coord.step(1.0, moved, 0.0, grid_of(moved))
+    logged = list(coord.command_log)[1:]
+    assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in logged] == [("v1", "polluting", None)]
 
 
 def test_actuation_latency_delays_effect():
@@ -257,14 +236,13 @@ def test_fresh_solve_when_membership_changes_between_solves():
     coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     first = {"v1": snap("v1")}
-    last = {c.vehicle_id: c.commanded_mode for c in coord.step(0.0, first, 0.0, grid_of(first))}
+    coord.step(0.0, first, 0.0, grid_of(first))
     # new member appears before the next scheduled solve; it must be re-solved
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(5.0, 0.0))}
-    commands = coord.step(1.0, snapshots, 0.0, grid_of(snapshots))
-    logged = coord.command_log[1:]
-    assert {c.vehicle_id for c in logged} == {"v1", "v2"}
-    assert "v2" in {c.vehicle_id for c in commands}  # its first command
-    assert commands == switching(logged, last)
+    coord.step(1.0, snapshots, 0.0, grid_of(snapshots))
+    logged = list(coord.command_log)[1:]
+    assert [c.vehicle_id for c in logged] == ["v1", "v2"]
+    assert coord.fences["tag-1"].next_solve == 11.0  # solved again at t = 1
 
 
 def test_toss_only_tick_logs_the_solved_problem(table):
@@ -296,11 +274,12 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick():
     coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
     fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
-    commands = coord.step(22.0, snapshots, 1.5, grid_of(snapshots))
-    assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "electric")]
+    start = len(coord.command_log)
+    coord.step(22.0, snapshots, 1.5, grid_of(snapshots))
+    commands = list(coord.command_log)[start:]
+    assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in commands] == [("v1", "electric", 0.0)]
     assert fence.problem.limit == -0.5
     assert (fence.next_solve, fence.next_toss) == (52.0, 52.0)
-    assert coord.command_log[-1].assignment == 0.0
 
 
 def test_force_detector_electric():
@@ -308,8 +287,8 @@ def test_force_detector_electric():
     coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(3.0, 0.0))}
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    modes = {c.vehicle_id: c.commanded_mode for c in commands}
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    modes = {c.vehicle_id: c.commanded_mode for c in coord.command_log}
     assert modes["v1"] == "electric"
     detector_rows = [r for r in coord.command_log if r.vehicle_id == "v1"]
     assert all(r.assignment is None for r in detector_rows)
@@ -423,7 +402,7 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v5": snap("v5", pos=(2.0, 0.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    last = {c.vehicle_id: c.commanded_mode for c in coord.step(0.0, snapshots, 0.0, grid_of(snapshots))}
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
     assert set(coord._controlled) == set(snapshots)
     logged = len(coord.command_log)
     # v3 and v4 leave both fences, v1 and v2 move out of theirs, v5 leaves
@@ -435,24 +414,21 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v4": snap("v4", pos=(500.0, 500.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    switched = coord.step(1.0, moved, 0.0, grid_of(moved))
-    commands = coord.command_log[logged:]
-    del last["v5"]  # it left the network, so it is forgotten
-    assert switched == switching(commands, last)
+    coord.step(1.0, moved, 0.0, grid_of(moved))
+    commands = list(coord.command_log)[logged:]
     restores = [c for c in commands if c.vehicle_id != "v6"]
     assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
     assert [(c.vehicle_id, c.commanded_mode) for c in restores] == [
         (vid, "polluting") for vid in ("v1", "v2", "v3", "v4")
     ]
     assert commands[: len(restores)] == restores  # restores precede decisions
-    rows = coord.command_log[logged : logged + 4]
-    assert [(r.vehicle_id, r.fence_id, r.assignment) for r in rows] == [
+    assert [(r.vehicle_id, r.fence_id, r.assignment) for r in restores] == [
         ("v1", "tag-b", None),
         ("v2", "tag-a", None),
         ("v3", "tag-b", None),
         ("v4", "tag-a", None),
     ]
-    assert "v5" not in {r.vehicle_id for r in coord.command_log[logged:]}
+    assert "v5" not in {r.vehicle_id for r in commands}
     assert set(coord._controlled) == {"v6"}
 
 

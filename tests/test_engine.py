@@ -1,10 +1,11 @@
 import dataclasses
 import random
+from array import array
 
 import pytest
 
 from ecofence import engine
-from ecofence.coordinator import CommandRecord, ControllerConfig, GeofenceCoordinator, Powertrain
+from ecofence.coordinator import CommandRecord, ControllerConfig, FenceToss, GeofenceCoordinator, Powertrain
 from ecofence.engine import (
     CyclistState,
     VehicleState,
@@ -18,7 +19,6 @@ from ecofence.engine import (
 from ecofence.network import Edge, RoadNetwork
 from ecofence.scenario import parse_scenario
 from tests.conftest import grid_of
-from tests.test_coordinator import switching
 
 
 def straight_network(length=1000.0, speed=36.0, weight=1.0):
@@ -132,6 +132,15 @@ def command(vehicle_id, commanded_mode, sim_time, effective_time):
     )
 
 
+def toss(vehicle_ids, modes, sim_time, effective_time):
+    """A fence toss commanding ``modes`` to ``vehicle_ids``, row by row."""
+    n = len(vehicle_ids)
+    return FenceToss(
+        sim_time, "c1", effective_time, tuple(vehicle_ids), (1.0,) * n, (0.5,) * n, (0.5,) * n,
+        array("d", [0.5] * n), tuple(modes),
+    )
+
+
 def test_step_applies_due_commands_only(table):
     network = straight_network()
     world = world_with(network, table, [vehicle(network, table)])
@@ -140,6 +149,23 @@ def test_step_applies_due_commands_only(table):
     assert world.vehicles["v1"].mode == "polluting"
     step(world, 1.0)
     assert world.vehicles["v1"].mode == "electric"
+    assert world.pending_commands == []
+
+    # a toss is applied row by row once due, in queue order with the records
+    world = world_with(network, table, [vehicle(network, table), vehicle(network, table, "v2")])
+    later = toss(("v1", "v2"), ("polluting", "electric"), sim_time=0.0, effective_time=3.0)
+    world.pending_commands = [
+        toss(("v1", "v2"), ("electric", "electric"), sim_time=0.0, effective_time=2.0),
+        command("v2", "polluting", sim_time=0.0, effective_time=2.0),
+        later,
+    ]
+    step(world, 1.0)
+    assert [v.mode for v in world.vehicles.values()] == ["polluting", "polluting"]
+    step(world, 1.0)
+    assert [v.mode for v in world.vehicles.values()] == ["electric", "polluting"]
+    assert len(world.pending_commands) == 1 and world.pending_commands[0] is later
+    step(world, 1.0)
+    assert [v.mode for v in world.vehicles.values()] == ["polluting", "electric"]
     assert world.pending_commands == []
 
 
@@ -156,28 +182,41 @@ def test_step_guards_powertrains(table):
     assert world.vehicles["ev"].mode == "electric"
     assert world.vehicles["ice"].mode == "polluting"
 
+    # the same guards hold for each row of a toss; a row for a vehicle no
+    # longer on the road is skipped
+    hybrid = vehicle(network, table, "hv")
+    world = world_with(network, table, [ev, ice, hybrid])
+    world.pending_commands = [
+        toss(("ev", "gone", "hv", "ice"), ("polluting", "electric", "electric", "electric"), 0.0, 0.0),
+    ]
+    step(world, 1.0)
+    assert {vid: v.mode for vid, v in world.vehicles.items()} == {
+        "ev": "electric",
+        "ice": "polluting",
+        "hv": "electric",
+    }
+    assert world.pending_commands == []
+
 
 @pytest.mark.parametrize("single_vehicle", [False, True], ids=["fences", "single_vehicle"])
 def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring, monkeypatch):
     # a 5 s latency on 1 s steps keeps commands queued for several steps
     controller = dataclasses.replace(demo_ring.controller, actuation_latency=5.0)
     scenario = dataclasses.replace(demo_ring, controller=controller, single_vehicle=single_vehicle)
-    coordinators, logged_rows, returned_rows = [], [], []
-    last_mode = {}
+    coordinators, returned = [], []
     queue_lengths = []
 
     def logging_step(original):
         def step(self, now, snapshots, background_level, grid):
             coordinators.append(self)
-            start = len(self.command_log)
-            rows = original(self, now, snapshots, background_level, grid)
-            appended = self.command_log[start:]
-            logged_rows.extend(appended)
-            for vid in [vid for vid in last_mode if vid not in snapshots]:
-                del last_mode[vid]  # a vehicle that left is forgotten
-            assert rows == switching(appended, last_mode)
-            returned_rows.extend(rows)
-            return rows
+            start = len(self.command_log.entries)
+            entries = original(self, now, snapshots, background_level, grid)
+            # exactly the entries appended in this call, as the same objects
+            appended = self.command_log.entries[start:]
+            assert len(entries) == len(appended)
+            assert all(entry is logged for entry, logged in zip(entries, appended))
+            returned.extend(entries)
+            return entries
 
         return step
 
@@ -188,9 +227,10 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     original_trace_row = engine._trace_row
 
     def checked_trace_row(world, coordinator, background_level, previous):
-        # called once per step, after the step's commands were queued
-        returned = {id(row) for row in returned_rows}
-        assert all(id(command) in returned for command in world.pending_commands)
+        # called once per step, after the step's commands were queued: every
+        # queued entry is an entry of the log
+        logged = {id(entry) for entry in coordinator.command_log.entries}
+        assert all(id(entry) in logged for entry in world.pending_commands)
         queue_lengths.append(len(world.pending_commands))
         return original_trace_row(world, coordinator, background_level, previous)
 
@@ -199,10 +239,11 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     assert len(queue_lengths) == scenario.steps()
     assert max(queue_lengths) > 0
     assert result.commands is coordinators[0].command_log
-    assert result.commands == logged_rows
-    assert 0 < len(returned_rows) <= len(logged_rows)
-    if not single_vehicle:
-        assert len(returned_rows) < len(logged_rows)
+    # the steps returned the whole log, entry by entry
+    assert len(returned) == len(result.commands.entries)
+    assert all(entry is logged for entry, logged in zip(returned, result.commands.entries))
+    kinds = {type(entry) for entry in returned}
+    assert kinds == ({CommandRecord} if single_vehicle else {CommandRecord, FenceToss})
 
 
 def test_cyclist_parks_at_route_end(table):
