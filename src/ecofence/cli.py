@@ -40,6 +40,7 @@ from .reporting import (
 from .scenario import (
     Scenario,
     ScenarioError,
+    _budget_problems,
     _json_object,
     _number,
     _parse_background,
@@ -106,6 +107,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         if problems:
             raise ScenarioError(problems)
         scenario = dataclasses.replace(scenario, background=background)
+    problems = _budget_problems(scenario.controller.allowable_limit, scenario.background, "control override")
+    if problems:
+        raise ScenarioError(problems)
     if args.density is not None:
         weights = load_density_file(args.density, scenario.network)
         scenario = with_density(scenario, weights)

@@ -8,20 +8,18 @@ the assignment problem for the vehicles inside each fence, and enacts the
 result by a weighted coin toss per vehicle: polluting with probability
 ``x_i``, electric otherwise.
 
-Each fence keeps its own decision state: its next solve and toss times
-(every ``tau`` and every ``switch_interval``) and the problem it last
-solved with the assignment solved for it.  ``step`` has one path per
-fence: solve if due, then toss against the stored solve if due.
-Single-vehicle mode, in which only the detecting vehicle switches, is
-:class:`SingleVehicleController`, a coordinator that keeps no fence.
+A fence decides every ``tau``, in one step: it builds its problem, solves
+it and tosses against that solve in the same tick, so its only decision
+state is the time of its next decision.  Single-vehicle mode, in which
+only the detecting vehicle switches, is :class:`SingleVehicleController`,
+a coordinator that keeps no fence.
 
 Every command is logged in ``command_log``, a :class:`CommandLog` of
 entries: a fence toss is kept as one :class:`FenceToss` of columns, and
-each other command (a restore, a forced detector, a single-vehicle
-switch) as one :class:`CommandRecord` row.  ``step`` returns the entries
-it appended, the same objects, and the engine queues and applies them
-row by row; :func:`commanded_modes` gives an entry's (vehicle, mode)
-pairs.
+each other command (a restore or a single-vehicle switch) as one
+:class:`CommandRecord` row.  ``step`` returns the entries it appended,
+the same objects, and the engine queues and applies them row by row;
+:func:`commanded_modes` gives an entry's (vehicle, mode) pairs.
 
 All state mutation happens through a serialized sequence of
 ``on_detection`` / ``step`` calls made by the simulation loop; the object
@@ -62,21 +60,18 @@ class Powertrain(Enum):
 class ControllerConfig:
     """Timing and budget parameters of the decision loop.
 
-    ``tau`` is the interval between optimization decisions,
-    ``switch_interval`` the interval between coin tosses (defaults to
-    ``tau`` so every decision is enacted immediately).  ``allowable_limit``
-    is the fixed aggregate allowance the background reading is referenced
-    against.  ``actuation_latency`` delays the effect of every command,
-    as a real drivetrain would.
+    ``tau`` is the interval between a fence's decisions, each a solve
+    enacted at once by its coin tosses.  ``allowable_limit`` is the fixed
+    aggregate allowance the background reading is referenced against.
+    ``actuation_latency`` delays the effect of every command, as a real
+    drivetrain would.
     """
 
     tau: float = 1.0
     expiry_timeout: float = 20.0
     allowable_limit: float = 1.0
     actuation_latency: float = 0.0
-    switch_interval: float | None = None
     radius: float = 100.0
-    force_detector_electric: bool = False
 
     def __post_init__(self) -> None:
         # written so that NaN fails every test
@@ -86,28 +81,18 @@ class ControllerConfig:
             raise ValueError("expiry_timeout must be positive and finite")
         if not (self.actuation_latency >= 0 and math.isfinite(self.actuation_latency)):
             raise ValueError("actuation_latency must be non-negative and finite")
-        if self.switch_interval is not None and not (
-            self.switch_interval > 0 and math.isfinite(self.switch_interval)
-        ):
-            raise ValueError("switch_interval must be positive and finite")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         if not math.isfinite(self.allowable_limit):
             raise ValueError("allowable_limit must be finite")
-
-    @property
-    def toss_interval(self) -> float:
-        return self.switch_interval if self.switch_interval is not None else self.tau
 
 
 @dataclass
 class Geofence:
     """A circular regulated zone bound to one detected cyclist tag.
 
-    The fence also carries its decision state: when it next solves and
-    next tosses (a new fence does both at its first step), and the problem
-    it last solved with the assignment solved for it.  Every toss enacts
-    that assignment on that problem's vehicles, rates and densities.
+    The fence also carries its decision state, ``next_solve``: the time
+    of its next decision (a new fence decides at its first step).
     ``member_ids`` is replaced only when the members change, so the trace
     rows of the steps in between share one tuple.
     """
@@ -118,11 +103,7 @@ class Geofence:
     created_at: float
     last_detection_at: float
     member_ids: tuple[str, ...] = ()
-    last_detector_id: str | None = None
     next_solve: float = -math.inf
-    next_toss: float = -math.inf
-    problem: GeofenceProblem | None = None
-    assignment: Assignment | None = None
 
     def is_active(self, now: float, timeout: float) -> bool:
         return now - self.last_detection_at <= timeout
@@ -225,10 +206,6 @@ class CommandLog:
         return f"CommandLog({list(self)!r})"
 
 
-def _vehicle_ids(problem: GeofenceProblem) -> list[str]:
-    return [entry.vehicle_id for entry in problem.entries]
-
-
 def members(fence: Geofence, positions: dict[str, Position]) -> set[str]:
     """Vehicle ids within the fence radius (boundary inclusive)."""
     cx, cy = fence.center
@@ -281,7 +258,8 @@ class GeofenceCoordinator:
         """Register a detection: create or re-centre the cyclist's fence.
 
         The fence centre is the detecting vehicle's location, the only
-        cyclist-position proxy the system has.
+        cyclist-position proxy the system has.  ``detecting_vehicle_id`` is
+        read only by :class:`SingleVehicleController`.
         """
         fence = self.fences.get(cyclist_id)
         if fence is None:
@@ -291,13 +269,11 @@ class GeofenceCoordinator:
                 radius=self.config.radius,
                 created_at=now,
                 last_detection_at=now,
-                last_detector_id=detecting_vehicle_id,
             )
             self.fences[cyclist_id] = fence
         else:
             fence.center = position
             fence.last_detection_at = now
-            fence.last_detector_id = detecting_vehicle_id
         return fence
 
     def expire(self, now: float) -> None:
@@ -336,29 +312,33 @@ class GeofenceCoordinator:
 
         The entries are the fence members the coordinator may command, in
         ascending id order.  Pure-ICE vehicles cannot switch drivetrain and
-        are left out; the optional detector forcing leaves the detecting
-        vehicle out as well (it is commanded electric directly).  Each
-        member enters with its record's ``emission_rate``; pure EVs enter
-        with a zero rate so the solver hands them probability 1 at no
-        budget cost.  A non-finite limit is rejected by
-        :class:`GeofenceProblem`.
+        are left out.  Each member enters with its record's
+        ``emission_rate``; pure EVs enter with a zero rate so the solver
+        hands them probability 1 at no budget cost.  A non-finite limit is
+        rejected by :class:`GeofenceProblem`.
         """
-        detector = fence.last_detector_id if self.config.force_detector_electric else None
         pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
         entries = []
         append = entries.append
         for vid in fence.member_ids:
             snap = snapshots[vid]
             powertrain = snap.powertrain
-            if powertrain is pure_ice or vid == detector:
+            if powertrain is pure_ice:
                 continue
             rate = 0.0 if powertrain is pure_ev else snap.emission_rate
             append(_record(ProblemEntry, (vid, snap.density_weight, rate)))
         return GeofenceProblem(entries=tuple(entries), limit=limit)
 
-    def _toss_fence(self, fence: Geofence, snapshots: Mapping[str, VehicleState], now: float) -> None:
-        """Enact the fence's last solved assignment by one coin toss per
-        vehicle, logged as one :class:`FenceToss`.
+    def _toss_fence(
+        self,
+        fence: Geofence,
+        problem: GeofenceProblem,
+        assignment: Assignment,
+        snapshots: Mapping[str, VehicleState],
+        now: float,
+    ) -> None:
+        """Enact ``assignment``, solved for the fence's ``problem`` this
+        tick, by one coin toss per vehicle, logged as one :class:`FenceToss`.
 
         Each row carries the density and emission rate the assignment was
         solved with.  One uniform draw is consumed per problem entry in
@@ -366,19 +346,14 @@ class GeofenceCoordinator:
         stability but are always commanded electric; they have no engine
         to pollute with.
         """
-        effective = now + self.config.actuation_latency
-        forced_detector: str | None = None
-        if self.config.force_detector_electric and fence.last_detector_id in fence.member_ids:
-            snap = snapshots[fence.last_detector_id]
-            if snap.powertrain is not Powertrain.PURE_ICE:
-                forced_detector = fence.last_detector_id
-        fence_id = fence.fence_id
-        entries = fence.problem.entries
+        entries = problem.entries
         if entries:
+            effective = now + self.config.actuation_latency
+            fence_id = fence.fence_id
             vehicle_ids, densities, rates = zip(*entries)
             if vehicle_ids == fence.member_ids:
                 vehicle_ids = fence.member_ids  # the tuple the trace rows keep
-            assignments = tuple(map(fence.assignment.values.__getitem__, vehicle_ids))
+            assignments = tuple(map(assignment.values.__getitem__, vehicle_ids))
             draws, modes = [], []
             add_draw, add_mode = draws.append, modes.append
             toss = toss_polluting
@@ -395,11 +370,6 @@ class GeofenceCoordinator:
                 add_mode("polluting" if polluting else "electric")
             columns = (vehicle_ids, densities, rates, assignments, array("d", draws), tuple(modes))
             self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
-        if forced_detector is not None:
-            # only a hybrid is restored to polluting, as in the toss loop
-            if snapshots[forced_detector].powertrain is Powertrain.HYBRID:
-                self._controlled[forced_detector] = fence_id
-            self._command(now, fence_id, forced_detector, "electric")
 
     # -- per-step driver -----------------------------------------------------
 
@@ -417,14 +387,11 @@ class GeofenceCoordinator:
         its ``member_ids`` tuple when the members are the same), restore
         vehicles that left every fence, then decide each fence in
         ascending id order.
-        A fence whose solve is due builds its problem under the budget
-        ``allowable_limit - background_level`` and solves it; the problem
-        and its assignment are stored on the fence.  A fence whose toss is
-        due tosses against the stored problem, so the commands log the
-        rates and densities the assignment was solved for.  A toss over a
-        different set of controllable vehicles than the stored problem's
-        forces a fresh solve first, so the expected-rate budget always
-        covers the vehicles actually being tossed.
+        A fence whose decision is due (every ``tau``) builds its problem
+        under the budget ``allowable_limit - background_level``, solves it
+        and tosses against that solve at once, so the commands log the
+        rates and densities the assignment was solved for, and the
+        expected-rate budget covers exactly the vehicles tossed.
 
         Membership candidates come from ``grid``, a
         :class:`~ecofence.network.SpatialHash` of every vehicle in
@@ -459,19 +426,10 @@ class GeofenceCoordinator:
         limit = self.config.allowable_limit - background_level
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
-            solve_due = now >= fence.next_solve
-            toss_due = now >= fence.next_toss
-            if solve_due or toss_due:
+            if now >= fence.next_solve:
                 problem = self.build_problem(fence, snapshots, limit)
-                # a toss between solves solves again if the vehicles changed
-                solve_due = solve_due or _vehicle_ids(problem) != _vehicle_ids(fence.problem)
-            if solve_due:
-                fence.problem = problem
-                fence.assignment = solve(problem)
+                self._toss_fence(fence, problem, solve(problem), snapshots, now)
                 fence.next_solve = now + self.config.tau
-            if toss_due:
-                fence.next_toss = now + self.config.toss_interval
-                self._toss_fence(fence, snapshots, now)
         return entries[logged:]
 
     def active_fences(self) -> list[Geofence]:

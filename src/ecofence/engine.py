@@ -10,8 +10,9 @@ Each simulation step runs, in order: spawn due vehicles, advance movement
 by ``dt`` (which also applies mode commands whose effective time has
 arrived), detect, feed the coordinator, record one trace row.  The
 coordinator logs every command in its ``command_log``; its ``step``
-returns the log entries it appended (a fence toss or a single
-:class:`~ecofence.coordinator.CommandRecord`), and the engine queues
+returns the log entries it appended (one fence toss per fence that
+decided, and one :class:`~ecofence.coordinator.CommandRecord` per
+restore or single-vehicle command), and the engine queues
 those same entries in ``World.pending_commands`` and applies each one
 row by row once it is due.  Vehicles and cyclists
 follow their routes with one :class:`RouteCursor` each, which holds the

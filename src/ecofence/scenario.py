@@ -23,6 +23,12 @@ BackgroundSeries = tuple[tuple[float, float], ...]
 
 _POWERTRAINS = {p.value: p for p in Powertrain}
 
+# every key a scenario's "control" object may hold; any other is reported
+_CONTROL_KEYS = (
+    "enabled", "single_vehicle", "radius", "limit", "tau", "expiry_timeout",
+    "detection_range", "actuation_latency", "background",
+)
+
 
 class ScenarioError(Exception):
     """Scenario or density file failed validation; carries all violations."""
@@ -121,11 +127,9 @@ class Scenario:
                 "radius": self.controller.radius,
                 "limit": self.controller.allowable_limit,
                 "tau": self.controller.tau,
-                "switch_interval": self.controller.switch_interval,
                 "expiry_timeout": self.controller.expiry_timeout,
                 "detection_range": self.detection_range,
                 "actuation_latency": self.controller.actuation_latency,
-                "force_detector_electric": self.controller.force_detector_electric,
                 "background": [[t, v] for t, v in self.background],
             },
         }
@@ -190,6 +194,16 @@ def _parse_background(raw: Any, problems: list[str], where: str) -> BackgroundSe
             problems.append(f"{where}: breakpoint times must be strictly increasing")
             break
     return tuple(series)
+
+
+def _budget_problems(limit: float, background: BackgroundSeries, where: str) -> list[str]:
+    """One problem per background level whose budget ``limit - level``
+    overflows to infinity: no fence could be solved under it."""
+    return [
+        f"{where}: limit {limit!r} minus level {level!r} overflows"
+        for _, level in background
+        if not math.isfinite(limit - level)
+    ]
 
 
 def parse_scenario(data: dict[str, Any]) -> Scenario:
@@ -356,24 +370,20 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
 
     control = _shaped(data.get("control"), dict, problems, "control") or {}
     where = "control"
+    problems.extend(f"{where}.{key}: unknown key" for key in control if key not in _CONTROL_KEYS)
     enabled = control.get("enabled", True)
     single_vehicle = control.get("single_vehicle", False)
-    force_detector = control.get("force_detector_electric", False)
-    for flag_name, flag in (
-        ("enabled", enabled),
-        ("single_vehicle", single_vehicle),
-        ("force_detector_electric", force_detector),
-    ):
+    for flag_name, flag in (("enabled", enabled), ("single_vehicle", single_vehicle)):
         if not isinstance(flag, bool):
             problems.append(f"{where}.{flag_name}: must be true or false")
     radius = _number(control, "radius", problems, where, default=100.0)
     limit = _number(control, "limit", problems, where, default=1.0)
     tau = _number(control, "tau", problems, where, default=1.0)
-    switch_interval = _number(control, "switch_interval", problems, where)
     timeout = _number(control, "expiry_timeout", problems, where, default=20.0)
     detection_range = _number(control, "detection_range", problems, where, default=10.0)
     latency = _number(control, "actuation_latency", problems, where, default=0.0)
     background = _parse_background(control.get("background"), problems, f"{where}.background")
+    problems.extend(_budget_problems(limit, background, f"{where}.background"))
     if detection_range <= 0:
         problems.append(f"{where}.detection_range: must be positive")
         detection_range = 10.0
@@ -383,9 +393,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             expiry_timeout=timeout,
             allowable_limit=limit,
             actuation_latency=latency,
-            switch_interval=switch_interval,
             radius=radius,
-            force_detector_electric=bool(force_detector),
         )
     except ValueError as exc:
         problems.append(f"{where}: {exc}")
@@ -413,14 +421,16 @@ def _json_object(path, what: str) -> dict[str, Any]:
 
     ``json.load`` raises a ValueError for a file that is not UTF-8, not
     JSON, or holds an integer of more digits than ``int`` converts (4,300
-    by default); each is reported as not valid JSON.
+    by default), and a RecursionError for arrays or objects nested deeper
+    than the interpreter's recursion limit; each is reported as not valid
+    JSON.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except IsADirectoryError:
         raise ScenarioError([f"{what} {path}: is a directory"]) from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from None
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: top level must be an object"])

@@ -80,6 +80,53 @@ def test_run_number_no_float_holds_exits_one(tmp_path, capsys, keys, value, erro
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("run", "--scenario"), ("solve-debug", "--problem")], ids=["run", "solve-debug"]
+)
+def test_deeply_nested_json_exits_one(tmp_path, capsys, command, flag):
+    # json.load raises RecursionError, not a ValueError, past the
+    # interpreter's recursion limit
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    argv = [command, flag, str(nested)]
+    if command == "run":
+        argv += ["--seed", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "nested.json: not valid JSON (maximum recursion depth exceeded" in err
+    assert "runtime failure" not in err
+
+
+@pytest.mark.parametrize(
+    "control, overrides, error",
+    [
+        (
+            {"limit": 1e308, "background": [[0, 0.0], [10, -1e308]]},
+            [],
+            "error: control.background: limit 1e+308 minus level -1e+308 overflows",
+        ),
+        (
+            {},
+            ["--limit=1e308", "--background=-1e308"],
+            "error: control override: limit 1e+308 minus level -1e+308 overflows",
+        ),
+    ],
+    ids=["scenario-file", "overrides"],
+)
+def test_budget_that_overflows_exits_one(tmp_path, capsys, control, overrides, error):
+    # every level is finite, but the budget limit - level is not
+    doc = json.loads(data_path("demo_ring.json").read_text())
+    doc["control"].update(control)
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(scenario), "--seed", "42", *overrides, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert not out.exists()
+
+
 def test_run_missing_file_exits_one(tmp_path):
     code = main(
         ["run", "--scenario", str(tmp_path / "nope.json"), "--seed", "1", "--out", str(tmp_path)]

@@ -35,16 +35,10 @@ class PerRowCoordinator(GeofenceCoordinator):
     """Logs one record per tossed vehicle, as the coordinator did before a
     toss was kept as columns."""
 
-    def _toss_fence(self, fence, snapshots, now):
+    def _toss_fence(self, fence, problem, assignment, snapshots, now):
         effective = now + self.config.actuation_latency
-        detector = fence.last_detector_id
-        forced = (
-            self.config.force_detector_electric
-            and detector in fence.member_ids
-            and snapshots[detector].powertrain is not Powertrain.PURE_ICE
-        )
-        for vehicle_id, density, rate in fence.problem.entries:
-            x = fence.assignment.values[vehicle_id]
+        for vehicle_id, density, rate in problem.entries:
+            x = assignment.values[vehicle_id]
             polluting, draw = toss_polluting(x, self.rng)
             if snapshots[vehicle_id].powertrain is Powertrain.PURE_EV:
                 polluting = False
@@ -54,9 +48,6 @@ class PerRowCoordinator(GeofenceCoordinator):
             self.command_log.append(
                 CommandRecord(now, fence.fence_id, vehicle_id, density, rate, x, draw, mode, effective)
             )
-        if forced:
-            self._controlled[detector] = fence.fence_id
-            self._command(now, fence.fence_id, detector, "electric")
 
 
 def queue_every_row(monkeypatch):
@@ -73,13 +64,12 @@ def queue_every_row(monkeypatch):
 
 
 def mixed_fence_scenario(tmp_path):
-    """demo_ring with pure EVs and pure ICE vehicles in the fence and the
-    detector forced electric: tosses, forced rows and restores interleave."""
+    """demo_ring with pure EVs and pure ICE vehicles in the fence: tosses
+    and restores interleave."""
     demo = json.loads(data_path("demo_ring.json").read_text())
     powertrains = {"v01": "pure_ev", "v03": "pure_ice", "v06": "pure_ev"}
     for entry in demo["fleet"]:
         entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    demo["control"] = dict(demo["control"], force_detector_electric=True)
     path = tmp_path / "mixed_fence.json"
     path.write_text(json.dumps(demo))
     return load_scenario(path)

@@ -38,6 +38,18 @@ def make_coordinator(**kwargs):
     return GeofenceCoordinator(config, rng, **kwargs)
 
 
+def built_problems(coord):
+    """The problems ``coord`` builds from now on, in build order."""
+    built = []
+
+    def build_problem(*args):
+        built.append(GeofenceCoordinator.build_problem(coord, *args))
+        return built[-1]
+
+    coord.build_problem = build_problem
+    return built
+
+
 # -- lifecycle -----------------------------------------------------------------
 
 
@@ -118,10 +130,11 @@ def test_compute_limit_examples():
     # the budget a fence is solved under is the allowance minus the background
     for level, limit in ((0.0, 1.0), (1.5, -0.5), (0.4, pytest.approx(0.6))):
         coord = make_coordinator(config=ControllerConfig(allowable_limit=1.0))
-        fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+        problems = built_problems(coord)
+        coord.on_detection("tag-1", (0.0, 0.0), 0.0)
         snapshots = {"v1": snap("v1")}
         coord.step(0.0, snapshots, level, grid_of(snapshots))
-        assert fence.problem.limit == limit
+        assert [problem.limit for problem in problems] == [limit]
 
 
 @pytest.mark.parametrize("level", [math.inf, math.nan])
@@ -231,40 +244,6 @@ def test_actuation_latency_delays_effect():
     assert commands[0].effective_time == 5.0
 
 
-def test_fresh_solve_when_membership_changes_between_solves():
-    config = ControllerConfig(tau=10.0, switch_interval=1.0)
-    coord = make_coordinator(config=config)
-    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-    first = {"v1": snap("v1")}
-    coord.step(0.0, first, 0.0, grid_of(first))
-    # new member appears before the next scheduled solve; it must be re-solved
-    snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(5.0, 0.0))}
-    coord.step(1.0, snapshots, 0.0, grid_of(snapshots))
-    logged = list(coord.command_log)[1:]
-    assert [c.vehicle_id for c in logged] == ["v1", "v2"]
-    assert coord.fences["tag-1"].next_solve == 11.0  # solved again at t = 1
-
-
-def test_toss_only_tick_logs_the_solved_problem(table):
-    # v1 moves onto a busier, faster road between the solve at t=0 and the
-    # toss-only tick at t=1; the toss enacts the t=0 assignment, so its row
-    # carries the t=0 density and rate, and each tick's expected spend
-    # stays within the budget the assignment was solved for
-    config = ControllerConfig(tau=10.0, switch_interval=1.0)
-    coord = make_coordinator(config=config)
-    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
-    for now, speed, density in ((0.0, 10.0, 1.0), (1.0, 30.0, 3.0)):
-        snapshots = {"v1": snap("v1", euro=1, speed=speed, density=density)}
-        coord.step(now, snapshots, 0.0, grid_of(snapshots))
-    first, second = coord.command_log
-    assert (first.density, first.emission_rate) == (1.0, table.rate(1, 10.0))
-    assert (second.density, second.emission_rate) == (first.density, first.emission_rate)
-    assert second.assignment == first.assignment
-    assert 0.0 < first.assignment < 1.0  # the budget binds
-    for row in (first, second):
-        assert row.assignment * row.emission_rate <= 1.0 + 1e-9
-
-
 def test_recreated_fence_solves_and_tosses_on_its_first_tick():
     config = ControllerConfig(tau=30.0)
     coord = make_coordinator(config=config)
@@ -274,42 +253,13 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick():
     coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
     assert coord.fences == {}
     fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
+    problems = built_problems(coord)
     start = len(coord.command_log)
     coord.step(22.0, snapshots, 1.5, grid_of(snapshots))
     commands = list(coord.command_log)[start:]
     assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in commands] == [("v1", "electric", 0.0)]
-    assert fence.problem.limit == -0.5
-    assert (fence.next_solve, fence.next_toss) == (52.0, 52.0)
-
-
-def test_force_detector_electric():
-    config = ControllerConfig(force_detector_electric=True)
-    coord = make_coordinator(config=config)
-    coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
-    snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(3.0, 0.0))}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    modes = {c.vehicle_id: c.commanded_mode for c in coord.command_log}
-    assert modes["v1"] == "electric"
-    detector_rows = [r for r in coord.command_log if r.vehicle_id == "v1"]
-    assert all(r.assignment is None for r in detector_rows)
-
-
-def test_forced_pure_ev_detector_is_not_restored_at_expiry():
-    config = ControllerConfig(force_detector_electric=True, expiry_timeout=2.0)
-    coord = make_coordinator(config=config)
-    coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="ev")
-    snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv", pos=(3.0, 0.0))}
-    for now in range(6):
-        coord.step(float(now), snapshots, 0.0, grid_of(snapshots))
-    assert not coord.fences  # expired at t = 3.0, restoring its members
-    ev_modes = {r.commanded_mode for r in coord.command_log if r.vehicle_id == "ev"}
-    assert ev_modes == {"electric"}
-    restores = [
-        (r.sim_time, r.vehicle_id)
-        for r in coord.command_log
-        if r.assignment is None and r.commanded_mode == "polluting"
-    ]
-    assert restores == [(3.0, "hv")]
+    assert [problem.limit for problem in problems] == [-0.5]
+    assert fence.next_solve == 52.0
 
 
 # -- coin toss ------------------------------------------------------------------
@@ -376,12 +326,10 @@ def test_config_validation():
         ControllerConfig(actuation_latency=-0.1)
     with pytest.raises(ValueError):
         ControllerConfig(radius=0.0)
-    assert ControllerConfig(switch_interval=2.0).toss_interval == 2.0
-    assert ControllerConfig(tau=3.0).toss_interval == 3.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["tau", "switch_interval", "expiry_timeout", "actuation_latency"])
+@pytest.mark.parametrize("field", ["tau", "expiry_timeout", "actuation_latency"])
 def test_config_rejects_non_finite_timing(field, value):
     # NaN passes every ordering test, and inf passes `> 0`: a fence would
     # be solved and tossed once and never again

@@ -16,7 +16,6 @@ import pytest
 
 from ecofence import engine, load_scenario, run, run_compare
 from ecofence.coordinator import GeofenceCoordinator
-from ecofence.scenario import parse_scenario
 from tests.conftest import data_path
 from tests.test_engine import TRACE_COLUMNS
 from tests.test_golden import mixed_powertrain_scenario, two_tile_scenario
@@ -37,11 +36,6 @@ def bundled(name):
     return lambda doc, tmp_path: load_scenario(data_path(f"{name}.json"))
 
 
-def toss_between_solves(doc, tmp_path):
-    doc["control"] = dict(doc["control"], tau=5.0, switch_interval=1.0)
-    return parse_scenario(doc)
-
-
 @pytest.mark.parametrize(
     "build, simulate",
     [
@@ -58,7 +52,6 @@ def toss_between_solves(doc, tmp_path):
             run,
             id="two_tile_latency",
         ),
-        pytest.param(toss_between_solves, run, id="switch_interval_below_tau"),
     ],
 )
 def test_a_run_leaves_no_cyclic_garbage(build, simulate, demo_ring_dict, tmp_path):

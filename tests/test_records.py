@@ -80,18 +80,13 @@ def recording_controller(controller, steps, as_snapshots):
     return Recording
 
 
-@pytest.mark.parametrize(
-    "variant", ["demo_ring", "demo_lifecycle", "single_vehicle", "forced_detector"]
-)
+@pytest.mark.parametrize("variant", ["demo_ring", "demo_lifecycle", "single_vehicle"])
 def test_coordinator_decides_alike_on_records_and_snapshots(
     variant, demo_ring, demo_lifecycle, monkeypatch
 ):
     scenario = demo_lifecycle if variant == "demo_lifecycle" else demo_ring
     if variant == "single_vehicle":
         scenario = dataclasses.replace(scenario, single_vehicle=True)
-    if variant == "forced_detector":
-        controller = dataclasses.replace(scenario.controller, force_detector_electric=True)
-        scenario = dataclasses.replace(scenario, controller=controller)
     outcomes = []
     for as_snapshots in (False, True):
         steps = []

@@ -36,13 +36,26 @@ def test_missing_control_parses_to_the_controller_defaults(control, demo_ring_di
         del doc["control"]
     else:
         doc["control"] = dict.fromkeys(
-            ["radius", "limit", "tau", "switch_interval", "expiry_timeout", "detection_range", "actuation_latency"]
+            ["radius", "limit", "tau", "expiry_timeout", "detection_range", "actuation_latency"]
         )
     scenario = parse_scenario(doc)
     assert scenario.controller == ControllerConfig()
     assert scenario.detection_range == 10.0
     assert scenario.control_enabled is True
     assert scenario.single_vehicle is False
+
+
+@pytest.mark.parametrize("key", ["switch_interval", "force_detector_electric", "tua"])
+def test_unknown_control_key_is_reported(key, demo_ring_dict, tmp_path, capsys):
+    # a key the loader does not read would otherwise run silently, with a
+    # meaning the file did not ask for
+    demo_ring_dict["control"][key] = 1.0
+    scenario = tmp_path / "unknown.json"
+    scenario.write_text(json.dumps(demo_ring_dict))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: control.{key}: unknown key"]
+    assert not out.exists()
 
 
 def test_violations_are_collected_not_fail_first(demo_ring_dict):
