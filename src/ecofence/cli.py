@@ -22,6 +22,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .coordinator import FenceToss
 from .engine import run
 from .optimizer import GeofenceProblem, ProblemEntry, budget_spend, solve
 from .reporting import (
@@ -121,10 +122,19 @@ def _load(args) -> Scenario:
     return _apply_overrides(scenario, args)
 
 
+def _out_dir(path: str) -> Path:
+    """The ``--out`` directory, made with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ScenarioError([f"--out {path}: not a directory"]) from None
+    return out
+
+
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     result = run(scenario, args.seed)
     write_trace_csv(result.trace, out / "trace.csv")
     write_commands_csv(result.commands, out / "commands.csv")
@@ -144,15 +154,14 @@ def _write_compare_outputs(compared: CompareResult, out: Path) -> None:
         out / "plot_before_after.csv",
     )
     commands = compared.control.commands
-    if any(r.assignment is not None for r in commands):
+    if any(type(entry) is FenceToss for entry in commands.entries):
         write_table_csv(assignment_snapshot_table(commands), out / "plot_assignment_snapshot.csv")
         write_table_csv(fleet_size_table(commands), out / "plot_fleet_size.csv")
 
 
 def _cmd_compare(args) -> int:
     scenario = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     compared = run_compare(scenario, args.seed)
     _write_compare_outputs(compared, out)
     summary = compared.summary
@@ -190,8 +199,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError([f"--jobs {args.jobs}: must be at least 1"])
     scenario = _load(args)
     seeds = _parse_seed_range(args.seeds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     payloads = [(scenario, seed) for seed in seeds]
     # the pool forks all its workers at the first submit, so ask for no
     # more than there are seeds

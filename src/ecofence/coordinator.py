@@ -115,7 +115,7 @@ class CommandRecord(NamedTuple):
     At ``effective_time`` (``sim_time`` plus the actuation latency) the
     engine sets the vehicle's mode to ``commanded_mode``, ``"polluting"``
     or ``"electric"``.  Assignment fields are None for restore
-    commands (fence expiry or a vehicle leaving the fence) and for
+    commands (a controlled vehicle outside every live fence) and for
     single-vehicle-mode commands.
     """
 
@@ -277,17 +277,15 @@ class GeofenceCoordinator:
         return fence
 
     def expire(self, now: float) -> None:
-        """Drop fences whose last detection is stale and restore their members.
+        """Drop fences whose last detection is stale.
 
         A fence is retained at exactly the timeout boundary and removed
-        strictly after it.
+        strictly after it.  Its members are restored by ``step``, once
+        they are outside every live fence.
         """
         for fence_id in list(self.fences):
-            fence = self.fences[fence_id]
-            if not fence.is_active(now, self.config.expiry_timeout):
+            if not self.fences[fence_id].is_active(now, self.config.expiry_timeout):
                 del self.fences[fence_id]
-                for vid in sorted(v for v, f in self._controlled.items() if f == fence_id):
-                    self._restore(vid, fence_id, now)
 
     def _restore(self, vehicle_id: str, fence_id: str, now: float) -> None:
         del self._controlled[vehicle_id]
@@ -385,8 +383,10 @@ class GeofenceCoordinator:
 
         Order: expire stale fences, recompute memberships (a fence keeps
         its ``member_ids`` tuple when the members are the same), restore
-        vehicles that left every fence, then decide each fence in
-        ascending id order.
+        the controlled vehicles still on the road that are outside every
+        live fence (the one restore path, in ascending id order; a restore
+        names the fence of the vehicle's last decision), then decide each
+        fence in ascending id order.
         A fence whose decision is due (every ``tau``) builds its problem
         under the budget ``allowable_limit - background_level``, solves it
         and tosses against that solve at once, so the commands log the

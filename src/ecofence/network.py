@@ -29,12 +29,13 @@ class Edge:
     def __post_init__(self) -> None:
         if len(self.points) < 2:
             raise ValueError(f"edge {self.edge_id!r}: needs at least 2 points")
-        if self.speed_limit <= 0:
-            raise ValueError(f"edge {self.edge_id!r}: speed_limit must be positive")
-        if self.density_weight < 1.0:
-            raise ValueError(f"edge {self.edge_id!r}: density_weight must be >= 1.0")
-        if self.length <= 0:
-            raise ValueError(f"edge {self.edge_id!r}: degenerate geometry (zero length)")
+        # written so that NaN and infinity fail every test
+        if not (self.speed_limit > 0 and math.isfinite(self.speed_limit)):
+            raise ValueError(f"edge {self.edge_id!r}: speed_limit must be positive and finite")
+        if not (self.density_weight >= 1.0 and math.isfinite(self.density_weight)):
+            raise ValueError(f"edge {self.edge_id!r}: density_weight must be >= 1.0 and finite")
+        if not (self.length > 0 and math.isfinite(self.length)):
+            raise ValueError(f"edge {self.edge_id!r}: length must be positive and finite")
 
     @cached_property
     def _cumulative(self) -> tuple[float, ...]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
+from operator import mul
 from typing import Iterable
 
-from .coordinator import CommandRecord
+from .coordinator import CommandLog, CommandRecord, FenceToss
 from .emissions import load_default_table
 from .engine import RunResult, ScenarioTrace, TraceRow, run
 from .optimizer import BUDGET_TOL
@@ -150,22 +150,20 @@ def before_after_table(trace: ScenarioTrace, baseline: ScenarioTrace) -> PlotTab
     return PlotTable(("sim_time", "before_rate", "after_rate", "budget"), rows)
 
 
-def assignment_snapshot_table(commands: Iterable[CommandRecord], at_time: float | None = None) -> PlotTable:
-    """The assignment rows logged at ``at_time`` (default: the time of the
-    last one in log order), in vehicle-id order.
+def _tosses(commands: CommandLog) -> list[FenceToss]:
+    """The log's fence tosses, one per decision, in log order."""
+    tosses = [entry for entry in commands.entries if type(entry) is FenceToss]
+    if not tosses:
+        raise ValueError("no assignment rows in the command log")
+    return tosses
 
-    Without ``at_time`` the rows are read twice, so ``commands`` must be a
-    log or a list, not an iterator.
-    """
-    if at_time is None:
-        for row in commands:
-            if row.assignment is not None:
-                at_time = row.sim_time
-        if at_time is None:
-            raise ValueError("no assignment rows in the command log")
-    snapshot = [r for r in commands if r.sim_time == at_time and r.assignment is not None]
-    if not snapshot:
-        raise ValueError(f"no assignment rows at sim_time={at_time}")
+
+def assignment_snapshot_table(commands: CommandLog) -> PlotTable:
+    """The assignment rows of the last decision time in the log, in
+    vehicle-id order."""
+    tosses = _tosses(commands)
+    at_time = tosses[-1].sim_time
+    snapshot = [r for toss in tosses if toss.sim_time == at_time for r in toss.records()]
     rows = tuple(
         (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
         for r in sorted(snapshot, key=lambda r: r.vehicle_id)
@@ -173,26 +171,13 @@ def assignment_snapshot_table(commands: Iterable[CommandRecord], at_time: float 
     return PlotTable(("vehicle_id", "density", "emission_rate", "assignment", "commanded_mode"), rows)
 
 
-def fleet_size_table(commands: Iterable[CommandRecord]) -> PlotTable:
+def fleet_size_table(commands: CommandLog) -> PlotTable:
     """Mean total assignment and mean expected rate of the decisions,
     grouped by how many vehicles each decided."""
-    # (sim_time, fence_id) -> (members, total x, expected rate), summed
-    # one toss's run of rows at a time and continued if it recurs
-    ticks: dict[tuple[float, str], tuple[int, float, float]] = {}
-    decided = (r for r in commands if r.assignment is not None)
-    for key, group in groupby(decided, key=lambda r: (r.sim_time, r.fence_id)):
-        records = list(group)
-        members, total_x, expected = ticks.get(key, (0, 0, 0))
-        ticks[key] = (
-            members + len(records),
-            _sum((r.assignment for r in records), total_x),
-            _sum((r.assignment * r.emission_rate for r in records), expected),
-        )
-    if not ticks:
-        raise ValueError("no assignment rows in the command log")
     by_size: dict[int, list[tuple[float, float]]] = {}
-    for members, total_x, expected in ticks.values():
-        by_size.setdefault(members, []).append((total_x, expected))
+    for toss in _tosses(commands):
+        expected = _sum(map(mul, toss.assignments, toss.rates))
+        by_size.setdefault(len(toss.vehicle_ids), []).append((_sum(toss.assignments), expected))
     rows = tuple(
         (
             size,

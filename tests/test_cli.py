@@ -54,15 +54,22 @@ def test_run_validation_failure_exits_one(tmp_path):
             [math.nan, 0],
             "network.edges[0].points[1]: must be [x, y] of finite numbers",
         ),
+        (
+            ("network", "edges", 0, "points"),
+            [[-1e308, 0], [1e308, 0]],
+            "network.edges[0]: edge 'ring_s': length must be positive and finite",
+        ),
         (("control", "background"), [[0, 10**400]], "control.background[0]: time and level must be finite"),
         (("horizon",), "DIGITS", f"bad.json: not valid JSON ({DIGITS_ERROR})"),
     ],
-    ids=["huge-point", "nan-point", "huge-background", "digit-limit"],
+    ids=["huge-point", "nan-point", "overflowing-length", "huge-background", "digit-limit"],
 )
 def test_run_number_no_float_holds_exits_one(tmp_path, capsys, keys, value, error):
     # a NaN point made an edge of NaN length, which passed the edge checks;
-    # each of the others exited 2 ("runtime failure"): float() or
-    # math.isfinite raised on the integer, or json.load on its digits
+    # finite points 2e308 apart made an infinite length, and NaN offsets
+    # ("cannot convert float NaN to integer"); each of the others exited 2
+    # ("runtime failure"): float() or math.isfinite raised on the integer,
+    # or json.load on its digits
     doc = json.loads(data_path("demo_slack.json").read_text())
     *path, last = keys
     target = doc
@@ -552,3 +559,20 @@ def test_directory_given_as_an_input_file_exits_one(tmp_path, capsys, flag):
 def test_directory_given_as_a_problem_file_exits_one(tmp_path, capsys):
     assert main(["solve-debug", "--problem", str(tmp_path)]) == 1
     assert f"error: problem file {tmp_path}: is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [("run", ["--seed", "3"]), ("compare", ["--seed", "3"]), ("sweep", ["--seeds", "1..2"])],
+    ids=["run", "compare", "sweep"],
+)
+def test_out_that_is_not_a_directory_exits_one(tmp_path, capsys, command, extra, under):
+    # mkdir raises FileExistsError or NotADirectoryError here: a bad --out is
+    # the user's input, not a runtime failure
+    existing = tmp_path / "taken"
+    existing.write_text("keep me\n")
+    out = existing / "out" if under else existing
+    assert main([command, "--scenario", scenario_arg(), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: not a directory\n"
+    assert existing.read_text() == "keep me\n"

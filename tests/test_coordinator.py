@@ -102,6 +102,40 @@ def test_expiry_restores_controlled_members():
     assert restored == [("v1", "polluting", None), ("v2", "polluting", None)]
 
 
+def test_vehicle_that_departs_as_its_fence_expires_is_not_restored():
+    coord = make_coordinator()
+    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    logged = len(coord.command_log)
+    # v2 leaves the road in the tick tag-1 expires: there is nothing to restore
+    remaining = {"v1": snapshots["v1"]}
+    appended = coord.step(21.0, remaining, 0.0, grid_of(remaining))
+    assert coord.fences == {}
+    assert [(c.vehicle_id, c.fence_id, c.commanded_mode) for c in appended] == [("v1", "tag-1", "polluting")]
+    assert list(coord.command_log)[logged:] == appended
+    assert coord._controlled == {}
+
+
+def test_expiry_keeps_a_member_another_fence_holds():
+    # tau 100: neither fence decides again before tag-b expires at t=21
+    coord = make_coordinator(config=ControllerConfig(tau=100.0))
+    coord.on_detection("tag-a", (0.0, 0.0), 0.0)
+    coord.on_detection("tag-b", (50.0, 0.0), 0.0)
+    snapshots = {"v1": snap("v1", pos=(25.0, 0.0))}
+    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    assert coord._controlled == {"v1": "tag-b"}  # tag-b decided last
+    coord.on_detection("tag-a", (0.0, 0.0), 21.0)
+    assert coord.step(21.0, snapshots, 0.0, grid_of(snapshots)) == []
+    assert sorted(coord.fences) == ["tag-a"]
+    assert coord._controlled == {"v1": "tag-b"}
+    # once it leaves tag-a too, its restore names tag-b, whose command is in force
+    moved = {"v1": snap("v1", pos=(500.0, 0.0))}
+    restored = coord.step(22.0, moved, 0.0, grid_of(moved))
+    assert [(c.vehicle_id, c.fence_id, c.assignment) for c in restored] == [("v1", "tag-b", None)]
+    assert coord._controlled == {}
+
+
 def test_expiry_no_fences_is_noop():
     coord = make_coordinator()
     coord.expire(100.0)

@@ -9,6 +9,7 @@ constants is kept as the position oracle.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecofence.emissions import load_default_table
@@ -145,3 +146,23 @@ def test_position_at_interpolates_like_the_raw_polyline(layout, data):
     )
     expected = oracle_position(edge, offset)
     assert [c.hex() for c in edge.position_at(offset)] == [float(c).hex() for c in expected]
+
+
+@pytest.mark.parametrize(
+    "points, speed_limit, density_weight, error",
+    [
+        (((0.0, 0.0), (10.0, 0.0)), math.nan, 1.0, "speed_limit"),
+        (((0.0, 0.0), (10.0, 0.0)), math.inf, 1.0, "speed_limit"),
+        (((0.0, 0.0), (10.0, 0.0)), 30.0, math.nan, "density_weight"),
+        (((0.0, 0.0), (10.0, 0.0)), 30.0, math.inf, "density_weight"),
+        (((0.0, 0.0), (math.nan, 0.0)), 30.0, 1.0, "length"),
+        (((-1e308, 0.0), (1e308, 0.0)), 30.0, 1.0, "length"),
+        (((5.0, 5.0), (5.0, 5.0)), 30.0, 1.0, "length"),
+    ],
+    ids=["nan-speed", "inf-speed", "nan-weight", "inf-weight", "nan-length", "overflowing-length", "zero-length"],
+)
+def test_edge_rejects_non_finite_values(points, speed_limit, density_weight, error):
+    # NaN passes any check written `<= 0` or `< 1.0`, and an infinite
+    # length makes a cursor's offsets NaN
+    with pytest.raises(ValueError, match=f"{error} must be .*finite"):
+        Edge("e", points, speed_limit, density_weight)

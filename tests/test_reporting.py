@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import random
 
 import pytest
 
@@ -215,29 +214,22 @@ def reference_plot_tables(commands):
     return snapshot, fleet
 
 
-@pytest.mark.parametrize("order", ["log", "shuffled"])
-def test_command_tables_match_a_list_of_every_decided_row(order, demo_ring_compare):
-    # shuffled, a (sim_time, fence_id) recurs apart and is summed as one
-    commands = list(demo_ring_compare.control.commands)
-    if order == "shuffled":
-        random.Random(5).shuffle(commands)
-    expected_snapshot, expected_fleet = reference_plot_tables(commands)
+def test_command_tables_match_a_list_of_every_decided_row(demo_ring_compare):
+    # the tables read one FenceToss per decision; the reference groups rows
+    commands = demo_ring_compare.control.commands
+    expected_snapshot, expected_fleet = reference_plot_tables(list(commands))
     assert assignment_snapshot_table(commands).rows == expected_snapshot
     assert fleet_size_table(commands).rows == expected_fleet
 
 
-def test_command_tables_need_decided_rows(demo_ring_compare):
-    commands = demo_ring_compare.control.commands
-    restores = [r for r in commands if r.assignment is None]
-    assert restores
-    for table_of in (assignment_snapshot_table, fleet_size_table):
-        with pytest.raises(ValueError, match="no assignment rows in the command log"):
-            table_of(restores)
-    with pytest.raises(ValueError, match=r"no assignment rows at sim_time=0\.5"):
-        assignment_snapshot_table(commands, at_time=0.5)
-    first = next(r for r in commands if r.assignment is not None)
-    table = assignment_snapshot_table(commands, at_time=first.sim_time)
-    assert first.vehicle_id in {row[0] for row in table.rows}
+def test_command_tables_need_decided_rows(demo_slack, demo_ring_compare):
+    # single-vehicle commands and a baseline's empty log decide nothing
+    single = run(dataclasses.replace(demo_slack, single_vehicle=True), 1).commands
+    assert single
+    for commands in (single, demo_ring_compare.baseline.commands):
+        for table_of in (assignment_snapshot_table, fleet_size_table):
+            with pytest.raises(ValueError, match="no assignment rows in the command log"):
+                table_of(commands)
 
 
 def test_writers_produce_files(demo_ring_compare, tmp_path):
