@@ -238,13 +238,16 @@ def _required_number(data: dict, key: str, problems: list[str], where: str) -> f
 def _parse_problem(data: dict) -> GeofenceProblem:
     """Build the problem of a parsed problem file, checked as the scenario
     loader checks a scenario: every violation is reported with its field
-    path."""
+    path.  This is the one place a problem enters from outside, so the
+    checks the solvers rely on are made here: unique ids, finite densities
+    of at least 1, finite rates of at least 0 and a finite limit."""
     problems: list[str] = []
     limit = _required_number(data, "limit", problems, "problem")
     raw_entries = data.get("entries")
     if raw_entries is None:
         problems.append("entries: must be a list")
     entries = []
+    seen: set[str] = set()
     for i, raw in enumerate(_shaped(raw_entries, list, problems, "entries") or []):
         where = f"entries[{i}]"
         if not isinstance(raw, dict):
@@ -253,24 +256,28 @@ def _parse_problem(data: dict) -> GeofenceProblem:
         vid = raw.get("vehicle_id")
         if not isinstance(vid, str) or not vid:
             problems.append(f"{where}.vehicle_id: must be a non-empty string")
+        elif vid in seen:
+            problems.append(f"problem file: {where}: duplicate vehicle_id {vid!r}")
+        else:
+            seen.add(vid)
         density = _required_number(raw, "density", problems, where)
+        if density is not None and density < 1.0:
+            problems.append(f"problem file: {where}: density must be >= 1.0, got {density!r}")
         rate = _required_number(raw, "emission_rate", problems, where)
+        if rate is not None and rate < 0.0:
+            problems.append(f"problem file: {where}: emission_rate must be >= 0, got {rate!r}")
         entries.append(ProblemEntry(vid, density, rate))
     if problems:
         raise ScenarioError(problems)
-    try:
-        return GeofenceProblem(entries=tuple(entries), limit=limit)
-    except ValueError as exc:
-        raise ScenarioError([f"problem file: {exc}"]) from None
+    return GeofenceProblem(entries=tuple(entries), limit=limit)
 
 
 def _cmd_solve_debug(args) -> int:
     problem = _parse_problem(_json_object(args.problem, "problem file"))
     assignment = solve(problem)
     print(f"{'vehicle_id':<12} {'d':>8} {'e':>10} {'x':>8}")
-    for entry in problem.entries:
-        x = assignment.values[entry.vehicle_id]
-        print(f"{entry.vehicle_id:<12} {entry.density:>8.3f} {entry.emission_rate:>10.4f} {x:>8.4f}")
+    for (vehicle_id, density, rate), x in zip(problem.entries, assignment.x):
+        print(f"{vehicle_id:<12} {density:>8.3f} {rate:>10.4f} {x:>8.4f}")
     print(
         f"objective {assignment.objective_value:.6f}, "
         f"expected rate {budget_spend(assignment, problem):.6f} <= limit {problem.limit:.6f}"

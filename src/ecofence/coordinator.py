@@ -137,7 +137,8 @@ class FenceToss(NamedTuple):
     (ascending id) order; the time, the fence and the effective time are
     the same for every row.  The columns hold only strings and floats, the
     draws as an ``array('d')`` of 8 bytes each, so neither the problem's
-    entries nor its assignment is kept alive.  The toss is one entry of
+    entries nor its :class:`~ecofence.optimizer.Assignment` is kept alive;
+    ``assignments`` is the assignment's ``x`` column.  The toss is one entry of
     the command log and of the engine's queue, which applies its
     ``vehicle_ids`` and ``modes`` row by row.
     """
@@ -312,8 +313,9 @@ class GeofenceCoordinator:
         ascending id order.  Pure-ICE vehicles cannot switch drivetrain and
         are left out.  Each member enters with its record's
         ``emission_rate``; pure EVs enter with a zero rate so the solver
-        hands them probability 1 at no budget cost.  A non-finite limit is
-        rejected by :class:`GeofenceProblem`.
+        hands them probability 1 at no budget cost.  Nothing is checked
+        here: the densities and rates were checked when the scenario
+        loaded, and ``step`` checks that the limit is finite.
         """
         pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
         entries = []
@@ -351,7 +353,7 @@ class GeofenceCoordinator:
             vehicle_ids, densities, rates = zip(*entries)
             if vehicle_ids == fence.member_ids:
                 vehicle_ids = fence.member_ids  # the tuple the trace rows keep
-            assignments = tuple(map(assignment.values.__getitem__, vehicle_ids))
+            assignments = assignment.x
             draws, modes = [], []
             add_draw, add_mode = draws.append, modes.append
             toss = toss_polluting
@@ -424,6 +426,8 @@ class GeofenceCoordinator:
         if not self.control_enabled:
             return entries[logged:]
         limit = self.config.allowable_limit - background_level
+        if not math.isfinite(limit):
+            raise ValueError(f"budget must be finite, got {limit!r}")
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
             if now >= fence.next_solve:

@@ -17,13 +17,16 @@ be cross-checked and must never share code with it.
 When the budget is zero or negative the assignment is all-zero by rule:
 every vehicle goes electric regardless of objective, since no polluting
 allocation is acceptable.
+
+An :class:`Assignment` keeps x as a column in problem order.  A problem
+is checked where its data enters the program (the scenario loader, and
+``solve-debug`` for a problem file), not on every solve.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 BUDGET_TOL = 1e-9
 
@@ -44,35 +47,21 @@ class GeofenceProblem:
     """An assignment instance: the vehicles in a fence plus the budget.
 
     ``limit`` is the allowed aggregate polluting rate in g/min and may be
-    zero or negative (forcing the all-electric rule).
+    zero or negative (forcing the all-electric rule).  The solvers assume
+    unique ids, finite densities of at least 1, finite rates of at least 0
+    and a finite limit, and check none of them (see the module docstring).
     """
 
     entries: tuple[ProblemEntry, ...]
     limit: float
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for i, entry in enumerate(self.entries):
-            if entry.vehicle_id in seen:
-                raise ValueError(f"entries[{i}]: duplicate vehicle_id {entry.vehicle_id!r}")
-            seen.add(entry.vehicle_id)
-            if not math.isfinite(entry.density) or entry.density < 1.0:
-                raise ValueError(
-                    f"entries[{i}]: density must be >= 1.0, got {entry.density!r}"
-                )
-            if not math.isfinite(entry.emission_rate) or entry.emission_rate < 0.0:
-                raise ValueError(
-                    f"entries[{i}]: emission_rate must be >= 0, got {entry.emission_rate!r}"
-                )
-        if not math.isfinite(self.limit):
-            raise ValueError("limit must be finite")
-
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-vehicle polluting probabilities plus the achieved objective."""
+    """Polluting probabilities plus the achieved objective; ``x[i]``
+    belongs to ``problem.entries[i]``."""
 
-    values: Mapping[str, float] = field(default_factory=dict)
+    x: tuple[float, ...] = ()
     objective_value: float = 0.0
 
 
@@ -85,45 +74,38 @@ def solve(problem: GeofenceProblem) -> Assignment:
     until the budget runs out, so at most one of them ends up fractional.
     Once the remaining budget is exactly 0.0 every later vehicle would get
     ``0.0 / e = 0.0`` and add ``0.0`` to the objective, so the fill stops
-    there and gives them x = 0.0 directly, with the same values, in the
-    same order, and the same objective.
+    there and leaves them at x = 0.0, with the same values and the same
+    objective.  The x column is filled by entry index, in problem order.
     """
+    entries = problem.entries
     if problem.limit <= 0.0:
-        return Assignment(
-            values={entry.vehicle_id: 0.0 for entry in problem.entries},
-            objective_value=0.0,
-        )
-    values: dict[str, float] = {}
+        return Assignment(x=(0.0,) * len(entries), objective_value=0.0)
+    x = [0.0] * len(entries)
     objective = 0.0
-    costed: list[tuple[float, float, int, ProblemEntry]] = []
+    costed: list[tuple[float, float, int, float]] = []
     append = costed.append
-    for index, entry in enumerate(problem.entries):
-        vehicle_id, density, rate = entry
+    for index, (_, density, rate) in enumerate(entries):
         if rate == 0.0:
-            values[vehicle_id] = 1.0
+            x[index] = 1.0
             objective += 1.0 / density
         else:
-            append((density * rate, density, index, entry))
-    # The index is unique, so tuple order never reaches the entries.
+            append((density * rate, density, index, rate))
+    # The index is unique, so tuple order never reaches the rate.
     costed.sort()
     remaining = problem.limit
-    fill = iter(costed)
-    for _, density, _, entry in fill:
-        rate = entry.emission_rate
-        # min(1.0, x) as a comparison that picks the same value for every
-        # input; x is never negative, since the fill stops before
-        # remaining does
-        x = remaining / rate
-        if not x < 1.0:
-            x = 1.0
-        values[entry.vehicle_id] = x
-        objective += x / density
-        remaining -= x * rate
+    for _, density, index, rate in costed:
+        # min(1.0, share) as a comparison that picks the same value for
+        # every input; share is never negative, since the fill stops
+        # before remaining does
+        share = remaining / rate
+        if not share < 1.0:
+            share = 1.0
+        x[index] = share
+        objective += share / density
+        remaining -= share * rate
         if not remaining > 0.0:
             break
-    for _, _, _, entry in fill:
-        values[entry.vehicle_id] = 0.0
-    return Assignment(values=values, objective_value=objective)
+    return Assignment(x=tuple(x), objective_value=objective)
 
 
 def brute_force_solve(problem: GeofenceProblem) -> Assignment:
@@ -141,11 +123,8 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
             f"brute force supports at most {BRUTE_FORCE_MAX_ENTRIES} entries, got {n}"
         )
     if problem.limit <= 0.0:
-        return Assignment(
-            values={entry.vehicle_id: 0.0 for entry in problem.entries},
-            objective_value=0.0,
-        )
-    best_values: dict[str, float] = {e.vehicle_id: 0.0 for e in problem.entries}
+        return Assignment(x=(0.0,) * n, objective_value=0.0)
+    best_x: tuple[float, ...] = (0.0,) * n
     best_objective = 0.0
     for mask in range(1 << n):
         cost = 0.0
@@ -160,12 +139,10 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
         feas_tol = 1e-12 * max(abs(problem.limit), cost)
         if slack < -feas_tol:
             continue
+        subset = [1.0 if mask & (1 << i) else 0.0 for i in range(n)]
         if base_objective > best_objective:
             best_objective = base_objective
-            best_values = {
-                e.vehicle_id: (1.0 if mask & (1 << i) else 0.0)
-                for i, e in enumerate(problem.entries)
-            }
+            best_x = tuple(subset)
         if slack <= 0.0:
             continue
         for j in range(n):
@@ -178,18 +155,14 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
             objective = base_objective + x_j / problem.entries[j].density
             if objective > best_objective:
                 best_objective = objective
-                values = {
-                    e.vehicle_id: (1.0 if mask & (1 << i) else 0.0)
-                    for i, e in enumerate(problem.entries)
-                }
-                values[problem.entries[j].vehicle_id] = x_j
-                best_values = values
-    return Assignment(values=best_values, objective_value=best_objective)
+                best_x = (*subset[:j], x_j, *subset[j + 1:])
+    return Assignment(x=best_x, objective_value=best_objective)
 
 
 def budget_spend(assignment: Assignment, problem: GeofenceProblem) -> float:
-    """Expected aggregate polluting rate sum(x_i * e_i) under ``assignment``."""
-    missing = [e.vehicle_id for e in problem.entries if e.vehicle_id not in assignment.values]
-    if missing:
-        raise ValueError(f"assignment missing vehicle ids: {missing}")
-    return sum(assignment.values[e.vehicle_id] * e.emission_rate for e in problem.entries)
+    """Expected aggregate polluting rate sum(x_i * e_i) under ``assignment``.
+
+    Raises ValueError if the assignment's column and the problem's entries
+    differ in length.
+    """
+    return sum(x * entry.emission_rate for entry, x in zip(problem.entries, assignment.x, strict=True))

@@ -46,13 +46,13 @@ class CompareResult:
     summary: RunSummary
 
 
-def _sum(values: Iterable[float], start: float = 0) -> float:
-    """``start`` plus ``values``, added one at a time from the left.
+def _sum(values: Iterable[float]) -> float:
+    """``values``, added one at a time from the left, from 0.
 
     This is what ``sum`` computed before Python 3.12, which sums floats
     with compensation and so can differ in the last bits.
     """
-    total = start
+    total = 0
     for value in values:
         total += value
     return total

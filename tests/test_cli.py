@@ -487,6 +487,33 @@ def test_solve_debug_invalid_problem(tmp_path):
             ["problem file: entries[1]: duplicate vehicle_id 'A'"],
         ),
         (
+            {"limit": 1.0, "entries": [{"vehicle_id": "A", "density": 1.0, "emission_rate": -0.1}]},
+            ["problem file: entries[0]: emission_rate must be >= 0, got -0.1"],
+        ),
+        (
+            {
+                "limit": 1.0,
+                "entries": [
+                    {"vehicle_id": "A", "density": 0.5, "emission_rate": 1.0},
+                    {"vehicle_id": "A", "density": 1.0, "emission_rate": -0.1},
+                ],
+            },
+            [
+                "problem file: entries[0]: density must be >= 1.0, got 0.5",
+                "problem file: entries[1]: duplicate vehicle_id 'A'",
+                "problem file: entries[1]: emission_rate must be >= 0, got -0.1",
+            ],
+        ),
+        (
+            # ids that are not strings are reported, never hashed
+            {"limit": 1.0, "entries": [{"vehicle_id": [1], "density": 1.0, "emission_rate": 1.0}] * 2},
+            ["entries[0].vehicle_id: must be a non-empty string", "entries[1].vehicle_id: must be a non-empty string"],
+        ),
+        (
+            {"limit": float("nan"), "entries": [{"vehicle_id": "A", "density": 1.0, "emission_rate": 1.0}]},
+            ["problem.limit: must be a finite number, got nan"],
+        ),
+        (
             {"limit": 10**400, "entries": []},
             [f"problem.limit: must be a finite number, got {10**400!r}"],
         ),
@@ -496,7 +523,8 @@ def test_solve_debug_invalid_problem(tmp_path):
         ([{"limit": 1.0, "entries": []}], ["problem.json: top level must be an object"]),
     ],
     ids=[
-        "wrong-types", "missing-fields", "density-below-one", "duplicate-id", "huge-integer",
+        "wrong-types", "missing-fields", "density-below-one", "duplicate-id", "negative-rate",
+        "every-violation", "unhashable-ids", "nan-limit", "huge-integer",
         "digit-limit", "entries-not-a-list", "no-entries", "top-level-list",
     ],
 )

@@ -37,8 +37,7 @@ class PerRowCoordinator(GeofenceCoordinator):
 
     def _toss_fence(self, fence, problem, assignment, snapshots, now):
         effective = now + self.config.actuation_latency
-        for vehicle_id, density, rate in problem.entries:
-            x = assignment.values[vehicle_id]
+        for (vehicle_id, density, rate), x in zip(problem.entries, assignment.x):
             polluting, draw = toss_polluting(x, self.rng)
             if snapshots[vehicle_id].powertrain is Powertrain.PURE_EV:
                 polluting = False

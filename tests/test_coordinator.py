@@ -180,6 +180,27 @@ def test_non_finite_background_is_rejected(level):
         coord.step(0.0, snapshots, level, grid_of(snapshots))
 
 
+@pytest.mark.parametrize("name", ["demo_ring", "demo_slack", "demo_lifecycle", "ring_dense"])
+def test_every_problem_a_run_builds_meets_the_solvers_assumptions(name, request, monkeypatch):
+    # the solvers check nothing; what they assume is made true where the
+    # data enters, by the loader and by step's finite-limit check
+    built = []
+
+    def build_problem(self, *args, original=GeofenceCoordinator.build_problem):
+        built.append(original(self, *args))
+        return built[-1]
+
+    monkeypatch.setattr(GeofenceCoordinator, "build_problem", build_problem)
+    engine.run(request.getfixturevalue(name), 1)
+    assert sum(len(p.entries) for p in built) > 50  # not vacuous
+    for p in built:
+        ids = [e.vehicle_id for e in p.entries]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        assert all(math.isfinite(e.density) and e.density >= 1.0 for e in p.entries)
+        assert all(math.isfinite(e.emission_rate) and e.emission_rate >= 0.0 for e in p.entries)
+        assert math.isfinite(p.limit)
+
+
 # -- decisions -----------------------------------------------------------------
 
 

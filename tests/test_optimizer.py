@@ -21,27 +21,26 @@ def problem(entries, limit):
 
 def test_single_vehicle_exact_budget():
     assignment = solve(problem([("A", 1.0, 1.0)], 1.0))
-    assert assignment.values == {"A": 1.0}
+    assert assignment.x == (1.0,)
     assert assignment.objective_value == 1.0
 
 
 def test_zero_limit_forces_all_electric():
     assignment = solve(problem([("A", 1.0, 1.0), ("B", 2.0, 2.0)], 0.0))
-    assert assignment.values == {"A": 0.0, "B": 0.0}
+    assert assignment.x == (0.0, 0.0)
     assert assignment.objective_value == 0.0
 
 
 def test_negative_limit_forces_all_electric():
     assignment = solve(problem([("A", 1.0, 0.5)], -0.5))
-    assert assignment.values == {"A": 0.0}
+    assert assignment.x == (0.0,)
 
 
 def test_two_vehicle_split_matches_grid_oracle():
     # Optimum confirmed by 0.01-grid brute force over [0,1]^2 before the
     # build: x=(1.0, 0.5), objective 1.25.
     assignment = solve(problem([("A", 1.0, 1.0), ("B", 2.0, 2.0)], 2.0))
-    assert assignment.values["A"] == pytest.approx(1.0)
-    assert assignment.values["B"] == pytest.approx(0.5)
+    assert assignment.x == pytest.approx((1.0, 0.5))
     assert assignment.objective_value == pytest.approx(1.25)
 
 
@@ -58,33 +57,20 @@ def test_grid_oracle_agrees():
 
 def test_slack_budget_everyone_polluting():
     assignment = solve(problem([("A", 1.0, 0.3), ("B", 1.0, 0.3), ("C", 1.0, 0.3)], 1.0))
-    assert all(x == 1.0 for x in assignment.values.values())
+    assert assignment.x == (1.0, 1.0, 1.0)
     assert assignment.objective_value == pytest.approx(3.0)
 
 
 def test_zero_rate_vehicles_get_one():
     assignment = solve(problem([("ev", 4.0, 0.0), ("hv", 1.0, 2.0)], 1.0))
-    assert assignment.values["ev"] == 1.0
-    assert assignment.values["hv"] == pytest.approx(0.5)
+    assert assignment.x[0] == 1.0
+    assert assignment.x[1] == pytest.approx(0.5)
 
 
 def test_tie_break_prefers_lower_density():
     # equal d*e products: lower d (higher individual probability weight) first
-    assignment = solve(problem([("hi_d", 4.0, 1.0), ("lo_d", 2.0, 2.0)], 2.0)
-    )
-    assert assignment.values["lo_d"] == 1.0
-    assert assignment.values["hi_d"] == 0.0
-
-
-def test_validation_errors():
-    with pytest.raises(ValueError, match="density"):
-        problem([("A", 0.5, 1.0)], 1.0)
-    with pytest.raises(ValueError, match="emission_rate"):
-        problem([("A", 1.0, -0.1)], 1.0)
-    with pytest.raises(ValueError, match="duplicate"):
-        problem([("A", 1.0, 1.0), ("A", 1.0, 1.0)], 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        problem([("A", 1.0, 1.0)], float("nan"))
+    assignment = solve(problem([("hi_d", 4.0, 1.0), ("lo_d", 2.0, 2.0)], 2.0))
+    assert assignment.x == (0.0, 1.0)
 
 
 def test_brute_force_matches_on_spec_instances():
@@ -100,7 +86,7 @@ def test_brute_force_matches_on_spec_instances():
 
 def test_brute_force_single_entry_and_size_limit():
     p = problem([("A", 1.0, 0.5)], 1.0)
-    assert brute_force_solve(p).values == {"A": 1.0}
+    assert brute_force_solve(p).x == (1.0,)
     too_big = problem([(f"v{i}", 1.0, 1.0) for i in range(9)], 1.0)
     with pytest.raises(ValueError, match="at most"):
         brute_force_solve(too_big)
@@ -108,13 +94,17 @@ def test_brute_force_single_entry_and_size_limit():
 
 def test_brute_force_zero_limit():
     p = problem([("A", 1.0, 1.0), ("B", 1.0, 0.0)], 0.0)
-    assert brute_force_solve(p).values == {"A": 0.0, "B": 0.0}
+    assert brute_force_solve(p).x == (0.0, 0.0)
 
 
 def test_budget_spend_missing_id():
+    # an assignment without an x for every entry is a length mismatch
     p = problem([("A", 1.0, 1.0)], 1.0)
-    with pytest.raises(ValueError, match="missing"):
-        budget_spend(Assignment(values={}), p)
+    with pytest.raises(ValueError, match="shorter"):
+        budget_spend(Assignment(x=()), p)
+    with pytest.raises(ValueError, match="longer"):
+        budget_spend(Assignment(x=(1.0, 1.0)), p)
+    assert budget_spend(Assignment(x=(0.5,)), p) == 0.5
 
 
 # -- properties ---------------------------------------------------------------
@@ -149,8 +139,7 @@ def test_property_box_and_fractional_structure(entries_raw, limit):
     p = build(entries_raw, limit)
     assignment = solve(p)
     fractional = 0
-    for entry in p.entries:
-        x = assignment.values[entry.vehicle_id]
+    for entry, x in zip(p.entries, assignment.x, strict=True):
         assert 0.0 <= x <= 1.0
         if entry.emission_rate > 0 and 1e-12 < x < 1.0 - 1e-12:
             fractional += 1
@@ -160,12 +149,12 @@ def test_property_box_and_fractional_structure(entries_raw, limit):
 @given(entry_lists, st.floats(min_value=0.1, max_value=31.0, allow_nan=False))
 def test_property_monotone_in_weighted_cost(entries_raw, limit):
     p = build(entries_raw, limit)
-    assignment = solve(p)
+    x = dict(zip((e.vehicle_id for e in p.entries), solve(p).x))
     positive = [e for e in p.entries if e.emission_rate > 0]
     for a in positive:
         for b in positive:
             if a.density * a.emission_rate > b.density * b.emission_rate:
-                assert assignment.values[a.vehicle_id] <= assignment.values[b.vehicle_id] + 1e-12
+                assert x[a.vehicle_id] <= x[b.vehicle_id] + 1e-12
 
 
 @given(entry_lists, st.floats(min_value=0.1, max_value=31.0, allow_nan=False),
@@ -178,8 +167,8 @@ def test_property_scale_invariance(entries_raw, limit, scale):
         ),
         limit=p.limit * scale,
     )
-    x0 = solve(p).values
-    x1 = solve(scaled).values
+    x0 = solve(p).x
+    x1 = solve(scaled).x
     # power-of-two scaling is exact in binary floating point
     assert x0 == x1
 
@@ -284,7 +273,7 @@ def early_spend_problems(draw):
 def test_solve_matches_the_keyed_greedy_bit_for_bit(p):
     values, total = keyed_greedy(p)
     assignment = solve(p)
-    assert [(vid, x.hex()) for vid, x in assignment.values.items()] == [
-        (vid, x.hex()) for vid, x in values.items()
+    assert [(e.vehicle_id, x.hex()) for e, x in zip(p.entries, assignment.x, strict=True)] == [
+        (e.vehicle_id, values[e.vehicle_id].hex()) for e in p.entries
     ]
     assert assignment.objective_value.hex() == total.hex()

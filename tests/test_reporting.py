@@ -177,7 +177,6 @@ def test_sums_are_taken_left_to_right():
     # compensated summation (sum() from Python 3.12 on) gives 1.0
     assert ecofence.reporting._sum([1e16, 1.0, -1e16]) == 0.0
     assert ecofence.reporting._sum([0.1] * 10) == 0.9999999999999999
-    assert ecofence.reporting._sum([], 2.5) == 2.5
 
 
 def left_sum(values):
