@@ -7,9 +7,12 @@ roadside detection hardware: any vehicle within the detection range of a
 cyclist raises a detection event.
 
 Each simulation step runs, in order: spawn due vehicles, advance movement
-by ``dt`` (which also applies mode commands whose effective time has
-arrived), detect, feed the coordinator, record one trace row.  The
-coordinator logs every command in its ``command_log``; its ``step``
+by ``dt`` and apply the queued mode commands whose effective time has
+arrived, detect, feed the coordinator, queue the entries it returns and
+apply those already due, record one trace row.  So a command logged at
+``t`` with actuation latency ``L`` is in force in the row of ``t + L``
+when that is a step time: with ``L = 0``, in the row of ``t`` itself.
+The coordinator logs every command in its ``command_log``; its ``step``
 returns the log entries it appended (one fence toss per fence that
 decided, and one :class:`~ecofence.coordinator.CommandRecord` per
 restore or single-vehicle command), and the engine queues
@@ -183,7 +186,8 @@ class CyclistState(RouteCursor):
 class World:
     """Everything a step reads and changes.  ``pending_commands`` holds the
     command log entries the coordinator returned that are not yet due, in
-    log order."""
+    log order: ``run`` applies the due ones as soon as it queues them, and
+    ``step`` applies the rest when their time comes."""
 
     network: RoadNetwork
     table: CoefficientTable
@@ -200,13 +204,12 @@ def step(world: World, dt: float) -> World:
     ``world.tick`` counts the steps and ``world.now`` becomes ``tick * dt``.
     Moves every vehicle and cyclist along its route, removes vehicles that
     arrived and places the records of the others, then applies the queued
-    command log entries whose effective time is due, in queue order: each
-    row of an entry sets its vehicle's mode to the row's mode.  A vehicle
-    that stays on its edge, the common case, only adds to its offset: its
-    speed, density weight and emission rate were read when it entered the
-    edge.  Command application skips a vehicle no longer on the road and
-    respects powertrains: a pure EV never enters polluting mode and a pure
-    ICE never goes electric.
+    command log entries whose effective time is due at the new ``now``
+    (see :func:`_apply_due_commands`); ``run`` applies the entries the
+    coordinator returns in the same way right after it queues them.  A
+    vehicle that stays on its edge, the common case, only adds to its
+    offset: its speed, density weight and emission rate were read when it
+    entered the edge.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -231,7 +234,22 @@ def step(world: World, dt: float) -> World:
         del vehicles[vid]
     _snapshot_vehicles(world)
     world.tick += 1
-    now = world.now = world.tick * dt
+    world.now = world.tick * dt
+    _apply_due_commands(world)
+    return world
+
+
+def _apply_due_commands(world: World) -> None:
+    """Apply the queued command log entries whose effective time is at or
+    before ``world.now``, in queue order, and keep the others queued.
+
+    Each row of a due entry sets its vehicle's mode to the row's mode.  A
+    row is skipped for a vehicle no longer on the road, and powertrains are
+    respected: a pure EV never enters polluting mode and a pure ICE never
+    goes electric.
+    """
+    now = world.now
+    vehicles = world.vehicles
     remaining: list[CommandRecord | FenceToss] = []
     pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
     for entry in world.pending_commands:
@@ -248,7 +266,6 @@ def step(world: World, dt: float) -> World:
                 continue
             vehicle.mode = mode
     world.pending_commands = remaining
-    return world
 
 
 def _snapshot_vehicles(world: World) -> None:
@@ -502,6 +519,8 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
             background_level = scenario.background_at(world.now)
             commands = coordinator.step(world.now, world.vehicles, background_level, grid)
             world.pending_commands.extend(commands)
+            # a command with a latency below dt is due now: in force in this row
+            _apply_due_commands(world)
             rows.append(_trace_row(world, coordinator, background_level, rows[-1] if rows else None))
     finally:
         if collecting:

@@ -141,19 +141,28 @@ def test_queueing_every_logged_row_gives_the_same_run(latency, single_vehicle, t
         scenario = dataclasses.replace(demo_ring, controller=controller)
     queued = []
 
-    def counting_step(world, dt, original=engine.step):
-        queued.append(len(world.pending_commands))
-        return original(world, dt)
+    def count_queued():
+        """Count what each controller step returns, which ``run`` queues."""
+        for cls in (GeofenceCoordinator, SingleVehicleController):
 
-    monkeypatch.setattr(engine, "step", counting_step)
+            def step(self, *args, original=cls.step):
+                entries = original(self, *args)
+                queued.append(len(entries))
+                return entries
+
+            monkeypatch.setattr(cls, "step", step)
+
+    count_queued()
     as_logged = engine.run(scenario, 42)
     entry_queue, queued[:] = sum(queued), []
+    monkeypatch.undo()
     queue_every_row(monkeypatch)
+    count_queued()
     every_row = engine.run(scenario, 42)
     assert every_row.trace == as_logged.trace
     assert every_row.commands == as_logged.commands
     if not single_vehicle:
-        assert entry_queue < sum(queued)  # fewer entries waited than rows
+        assert 0 < entry_queue < sum(queued)  # fewer entries were queued than rows
 
 
 def test_ring_dense_log_keeps_at_most_a_third_of_a_row_list(ring_dense):

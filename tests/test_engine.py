@@ -246,6 +246,28 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     assert kinds == ({CommandRecord} if single_vehicle else {CommandRecord, FenceToss})
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_command_is_in_force_in_the_row_of_its_effective_time(k, demo_ring):
+    # with a latency of k steps, a command logged at t is in force in the
+    # trace row of t + k * dt: with no latency, in the row of the tick that
+    # logged it
+    dt = demo_ring.dt
+    controller = dataclasses.replace(demo_ring.controller, actuation_latency=k * dt)
+    result = run(dataclasses.replace(demo_ring, controller=controller), 42)
+    rows = {row.sim_time: row for row in result.trace.rows}
+    due = {}  # (effective time, vehicle) -> the mode of the last command then
+    for record in result.commands:
+        assert record.effective_time == record.sim_time + k * dt
+        due[record.effective_time, record.vehicle_id] = record.commanded_mode
+    checked = 0
+    for (time, vid), mode in due.items():
+        row = rows.get(time)
+        if row is not None and vid in row.vehicle_ids:
+            assert row.modes[row.vehicle_ids.index(vid)] == mode, (time, vid)
+            checked += 1
+    assert checked > 1000
+
+
 def test_cyclist_parks_at_route_end(table):
     network = straight_network(length=5.0)
     world = world_with(network, table, cyclists=[cyclist_on(network, speed=36.0)])

@@ -1,0 +1,69 @@
+"""The spend ledger: a fence row's realized in-fence rate, accounted for
+from the trace and the command rows alone.
+
+On a row where every live fence tossed at that tick with no actuation
+latency, each tossed vehicle is in its commanded mode, so the row's
+in-fence rate is the sum of three terms:
+
+* the expected spend, sum(x * e) over the toss rows;
+* the coin's deviation, (outcome - x) * e, which only the one fractional
+  vehicle of a toss can make nonzero (x = 1 always lands polluting and
+  x = 0 never does);
+* the rates of the members left out of the problem, the pure ICE
+  vehicles, which are always polluting.
+"""
+
+import math
+
+import pytest
+
+from ecofence import engine
+from tests.test_command_log import mixed_fence_scenario
+
+# The ledger sums in another order than the engine does.
+REL_TOL = 1e-9
+
+
+def ledger_gaps(result, table):
+    """(gap, in-fence rate) of each row where every live fence tossed."""
+    tosses = {}  # sim_time -> toss rows
+    for record in result.commands:
+        if record.assignment is not None:
+            tosses.setdefault(record.sim_time, []).append(record)
+    gaps = []
+    for row in result.trace.rows:
+        tossed = tosses.get(row.sim_time, [])
+        if not row.fences or {f.fence_id for f in row.fences} != {r.fence_id for r in tossed}:
+            continue
+        assert all(r.effective_time == r.sim_time for r in tossed)
+        tossed_ids = [r.vehicle_id for r in tossed]
+        if len(set(tossed_ids)) < len(tossed_ids):
+            continue  # overlapping fences tossed a vehicle twice
+        members = set().union(*(f.member_ids for f in row.fences))
+        assert set(tossed_ids) <= members
+        expected = math.fsum(r.assignment * r.emission_rate for r in tossed)
+        outcome = math.fsum(
+            ((r.commanded_mode == "polluting") - r.assignment) * r.emission_rate for r in tossed
+        )
+        pure_ice = math.fsum(
+            table.rate(euro_class, speed)
+            for vid, euro_class, speed, mode in zip(row.vehicle_ids, row.euro_classes, row.speeds, row.modes)
+            if vid in members and vid not in tossed_ids and mode == "polluting"
+        )
+        gaps.append((row.in_fence_rate - (expected + outcome + pure_ice), row.in_fence_rate))
+    return gaps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+@pytest.mark.parametrize("name", ["demo_ring", "demo_lifecycle", "demo_slack", "mixed_fence"])
+def test_in_fence_rate_is_the_toss_ledger_on_every_fence_row(name, seed, request, table, tmp_path):
+    if name == "mixed_fence":
+        scenario = mixed_fence_scenario(tmp_path)  # pure EVs and pure ICE vehicles in the fence
+    else:
+        scenario = request.getfixturevalue(name)
+    assert scenario.controller.actuation_latency == 0.0
+    result = engine.run(scenario, seed)
+    gaps = ledger_gaps(result, table)
+    assert len(gaps) >= 30
+    off = [(gap, rate) for gap, rate in gaps if abs(gap) > REL_TOL * max(1.0, rate)]
+    assert off == []
