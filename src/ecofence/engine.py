@@ -10,8 +10,8 @@ Each simulation step runs, in order: spawn due vehicles, advance movement
 by ``dt`` and apply the queued mode commands whose effective time has
 arrived, detect, feed the coordinator, queue the entries it returns and
 apply those already due, record one trace row.  So a command logged at
-``t`` with actuation latency ``L`` is in force in the row of ``t + L``
-when that is a step time: with ``L = 0``, in the row of ``t`` itself.
+``t`` with actuation latency ``L`` is in force from the row of the first
+step at or after ``t + L``: with ``L = 0``, from the row of ``t`` itself.
 The coordinator logs every command in its ``command_log``; its ``step``
 returns the log entries it appended (one fence toss per fence that
 decided, and one :class:`~ecofence.coordinator.CommandRecord` per
@@ -519,7 +519,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
             background_level = scenario.background_at(world.now)
             commands = coordinator.step(world.now, world.vehicles, background_level, grid)
             world.pending_commands.extend(commands)
-            # a command with a latency below dt is due now: in force in this row
+            # a command logged with no latency is due now, and in force in this row
             _apply_due_commands(world)
             rows.append(_trace_row(world, coordinator, background_level, rows[-1] if rows else None))
     finally:
