@@ -238,9 +238,8 @@ def _required_number(data: dict, key: str, problems: list[str], where: str) -> f
 def _parse_problem(data: dict) -> GeofenceProblem:
     """Build the problem of a parsed problem file, checked as the scenario
     loader checks a scenario: every violation is reported with its field
-    path.  This is the one place a problem enters from outside, so the
-    checks the solvers rely on are made here: unique ids, finite densities
-    of at least 1, finite rates of at least 0 and a finite limit."""
+    path.  Only here does a problem enter from outside, so the checks the
+    solvers rely on are made here."""
     problems: list[str] = []
     limit = _required_number(data, "limit", problems, "problem")
     raw_entries = data.get("entries")

@@ -18,9 +18,10 @@ When the budget is zero or negative the assignment is all-zero by rule:
 every vehicle goes electric regardless of objective, since no polluting
 allocation is acceptable.
 
-An :class:`Assignment` keeps x as a column in problem order.  A problem
-is checked where its data enters the program (the scenario loader, and
-``solve-debug`` for a problem file), not on every solve.
+An :class:`Assignment` keeps x as a column in problem order.  The solvers
+assume unique ids, finite d >= 1, finite e >= 0 and a finite limit, and
+check none of it: a problem is checked where its data enters the program
+(the scenario loader, and ``solve-debug`` for a problem file).
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ class GeofenceProblem:
     """An assignment instance: the vehicles in a fence plus the budget.
 
     ``limit`` is the allowed aggregate polluting rate in g/min and may be
-    zero or negative (forcing the all-electric rule).  The solvers assume
-    unique ids, finite densities of at least 1, finite rates of at least 0
-    and a finite limit, and check none of them (see the module docstring).
+    zero or negative (forcing the all-electric rule).
     """
 
     entries: tuple[ProblemEntry, ...]
@@ -160,9 +159,5 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
 
 
 def budget_spend(assignment: Assignment, problem: GeofenceProblem) -> float:
-    """Expected aggregate polluting rate sum(x_i * e_i) under ``assignment``.
-
-    Raises ValueError if the assignment's column and the problem's entries
-    differ in length.
-    """
+    """Expected aggregate polluting rate sum(x_i * e_i) under ``assignment``."""
     return sum(x * entry.emission_rate for entry, x in zip(problem.entries, assignment.x, strict=True))
