@@ -256,15 +256,15 @@ def _parse_problem(data: dict) -> GeofenceProblem:
         if not isinstance(vid, str) or not vid:
             problems.append(f"{where}.vehicle_id: must be a non-empty string")
         elif vid in seen:
-            problems.append(f"problem file: {where}: duplicate vehicle_id {vid!r}")
+            problems.append(f"{where}.vehicle_id: duplicate vehicle {vid!r}")
         else:
             seen.add(vid)
         density = _required_number(raw, "density", problems, where)
         if density is not None and density < 1.0:
-            problems.append(f"problem file: {where}: density must be >= 1.0, got {density!r}")
+            problems.append(f"{where}.density: must be >= 1.0, got {density!r}")
         rate = _required_number(raw, "emission_rate", problems, where)
         if rate is not None and rate < 0.0:
-            problems.append(f"problem file: {where}: emission_rate must be >= 0, got {rate!r}")
+            problems.append(f"{where}.emission_rate: must be >= 0, got {rate!r}")
         entries.append(ProblemEntry(vid, density, rate))
     if problems:
         raise ScenarioError(problems)

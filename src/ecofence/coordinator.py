@@ -232,6 +232,9 @@ class GeofenceCoordinator:
     With ``control_enabled=False`` it still tracks fence lifecycle (so
     baseline runs record comparable fence state) but never solves, never
     draws from the toss stream and never issues commands.
+
+    ``in_fence_ids`` is the set of vehicles inside some live fence, as the
+    last ``step`` found them; the trace row reads it for its in-fence rate.
     """
 
     def __init__(
@@ -246,6 +249,7 @@ class GeofenceCoordinator:
         self.fences: dict[str, Geofence] = {}
         self.command_log = CommandLog()
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
+        self.in_fence_ids: set[str] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -360,9 +364,11 @@ class GeofenceCoordinator:
             rng = self.rng
             controlled = self._controlled
             pure_ev = Powertrain.PURE_EV
-            for vehicle_id, x in zip(vehicle_ids, assignments):
+            for vehicle_id, rate, x in zip(vehicle_ids, rates, assignments):
                 polluting, draw = toss(x, rng)
-                if snapshots[vehicle_id].powertrain is pure_ev:
+                # build_problem entered every pure EV at rate 0.0, so only
+                # a zero-rate row needs its powertrain read again
+                if rate == 0.0 and snapshots[vehicle_id].powertrain is pure_ev:
                     polluting = False
                 else:
                     controlled[vehicle_id] = fence_id
@@ -416,6 +422,7 @@ class GeofenceCoordinator:
             if inside != fence.member_ids:  # an equal tuple is kept, for the trace rows to share
                 fence.member_ids = inside
             in_any_fence.update(inside)
+        self.in_fence_ids = in_any_fence
         # only a controlled vehicle outside every fence can need a restore
         controlled = self._controlled
         for vid in sorted(controlled.keys() - in_any_fence):
@@ -442,8 +449,9 @@ class GeofenceCoordinator:
 
 class SingleVehicleController(GeofenceCoordinator):
     """Single-vehicle mode: each detector goes electric until its latest
-    detection expires.  No fence is kept (``fences`` stays empty), nothing
-    is solved or tossed, and a command's ``fence_id`` is the cyclist's id."""
+    detection expires.  No fence is kept (``fences`` and ``in_fence_ids``
+    stay empty), nothing is solved or tossed, and a command's ``fence_id``
+    is the cyclist's id."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -7,17 +7,19 @@ roadside detection hardware: any vehicle within the detection range of a
 cyclist raises a detection event.
 
 Each simulation step runs, in order: spawn due vehicles, advance movement
-by ``dt`` and apply the queued mode commands whose effective time has
-arrived, detect, feed the coordinator, queue the entries it returns and
-apply those already due, record one trace row.  So a command logged at
-``t`` with actuation latency ``L`` is in force from the row of the first
-step at or after ``t + L``: with ``L = 0``, from the row of ``t`` itself.
-The coordinator logs every command in its ``command_log``; its ``step``
-returns the log entries it appended (one fence toss per fence that
-decided, and one :class:`~ecofence.coordinator.CommandRecord` per
-restore or single-vehicle command), and the engine queues
-those same entries in ``World.pending_commands`` and applies each one
-row by row once it is due.  Vehicles and cyclists
+by ``dt`` and place the vehicles, detect, feed the coordinator, queue the
+entries it returns, apply every queued mode command whose effective time
+has arrived, record one trace row.  So a command logged at ``t`` with
+actuation latency ``L`` is in force from the row of the first step at or
+after ``t + L``: with ``L = 0``, from the row of ``t`` itself.  Commands
+are applied in that one place, since nothing between movement and it
+reads a mode.  The coordinator logs every command in its
+``command_log``; its ``step`` returns the log entries it appended (one
+fence toss per fence that decided, and one
+:class:`~ecofence.coordinator.CommandRecord` per restore or
+single-vehicle command), and the engine queues those same entries in
+``World.pending_commands`` and applies each one row by row once it is
+due.  Vehicles and cyclists
 follow their routes with one :class:`RouteCursor` each, which holds the
 current edge and looks an edge up only at spawn and when it moves onto
 the next one.  A record is built on its first edge, and a vehicle record
@@ -77,6 +79,7 @@ import gc
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .coordinator import (
@@ -186,8 +189,8 @@ class CyclistState(RouteCursor):
 class World:
     """Everything a step reads and changes.  ``pending_commands`` holds the
     command log entries the coordinator returned that are not yet due, in
-    log order: ``run`` applies the due ones as soon as it queues them, and
-    ``step`` applies the rest when their time comes."""
+    log order: on every step ``run`` queues the coordinator's new entries
+    and then applies all that are due (see :func:`_apply_due_commands`)."""
 
     network: RoadNetwork
     table: CoefficientTable
@@ -203,13 +206,11 @@ def step(world: World, dt: float) -> World:
 
     ``world.tick`` counts the steps and ``world.now`` becomes ``tick * dt``.
     Moves every vehicle and cyclist along its route, removes vehicles that
-    arrived and places the records of the others, then applies the queued
-    command log entries whose effective time is due at the new ``now``
-    (see :func:`_apply_due_commands`); ``run`` applies the entries the
-    coordinator returns in the same way right after it queues them.  A
-    vehicle that stays on its edge, the common case, only adds to its
-    offset: its speed, density weight and emission rate were read when it
-    entered the edge.
+    arrived and places the records of the others.  No mode changes here:
+    ``run`` applies the due commands later in the tick.  A vehicle that
+    stays on its edge, the common case, only adds to its offset: its
+    speed, density weight and emission rate were read when it entered the
+    edge.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -235,7 +236,6 @@ def step(world: World, dt: float) -> World:
     _snapshot_vehicles(world)
     world.tick += 1
     world.now = world.tick * dt
-    _apply_due_commands(world)
     return world
 
 
@@ -243,28 +243,22 @@ def _apply_due_commands(world: World) -> None:
     """Apply the queued command log entries whose effective time is at or
     before ``world.now``, in queue order, and keep the others queued.
 
-    Each row of a due entry sets its vehicle's mode to the row's mode.  A
-    row is skipped for a vehicle no longer on the road, and powertrains are
-    respected: a pure EV never enters polluting mode and a pure ICE never
-    goes electric.
+    Each row of a due entry sets its vehicle's mode to the row's mode; a
+    row for a vehicle no longer on the road is skipped.  The rows need no
+    powertrain check: the coordinator never commands a pure EV polluting
+    and never commands a pure ICE vehicle at all.
     """
     now = world.now
     vehicles = world.vehicles
     remaining: list[CommandRecord | FenceToss] = []
-    pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
     for entry in world.pending_commands:
         if entry.effective_time > now:
             remaining.append(entry)
             continue
         for vid, mode in commanded_modes(entry):
             vehicle = vehicles.get(vid)
-            if vehicle is None:
-                continue
-            if mode == "polluting" and vehicle.powertrain is pure_ev:
-                continue
-            if mode == "electric" and vehicle.powertrain is pure_ice:
-                continue
-            vehicle.mode = mode
+            if vehicle is not None:
+                vehicle.mode = mode
     world.pending_commands = remaining
 
 
@@ -428,16 +422,16 @@ def _trace_row(
     Each of the ``vehicle_ids``, ``euro_classes``, ``edge_ids``, ``speeds``
     and ``modes`` columns that equals the same column of ``previous`` (the
     run's preceding row) is that row's tuple.  ``edge_offsets`` changes on
-    every step that has a vehicle, so it is not compared.
+    every step that has a vehicle, so it is not compared.  The in-fence
+    rate sums the polluting vehicles in ``coordinator.in_fence_ids``, the
+    set of fence members its ``step`` built this tick.
     """
     budget = coordinator.config.allowable_limit - background_level
     fences = tuple(
         FenceTraceEntry(f.fence_id, f.center, f.radius, f.created_at, f.last_detection_at, f.member_ids)
         for f in coordinator.active_fences()
     )
-    member_union: set[str] = set()
-    for fence in fences:
-        member_union.update(fence.member_ids)
+    in_fence_ids = coordinator.in_fence_ids
     in_fence = 0.0
     total = 0.0
     vehicle_ids, euro_classes, edge_ids, edge_offsets, speeds, modes = [], [], [], [], [], []
@@ -446,7 +440,7 @@ def _trace_row(
         if mode == "polluting":
             vehicle_rate = vehicle.emission_rate
             total += vehicle_rate
-            if vid in member_union:
+            if vid in in_fence_ids:
                 in_fence += vehicle_rate
         vehicle_ids.append(vid)
         euro_classes.append(vehicle.euro_class)
@@ -497,6 +491,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     controller = SingleVehicleController if single else GeofenceCoordinator
     coordinator = controller(scenario.controller, rng_toss, control_enabled=scenario.control_enabled)
     cell = max(scenario.controller.radius, scenario.detection_range)
+    position_of = attrgetter("position")
     fleet_cursor = 0
     cyclist_cursor = 0
     rows = []
@@ -508,7 +503,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
             cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
             step(world, scenario.dt)
             # one hash answers both proximity questions of the step
-            grid = SpatialHash(cell, ((vid, vehicle.position) for vid, vehicle in world.vehicles.items()))
+            grid = SpatialHash(cell, zip(world.vehicles, map(position_of, world.vehicles.values())))
             for cyclist_id, vehicle_id in detect(world, scenario.detection_range, grid):
                 coordinator.on_detection(
                     cyclist_id,
@@ -519,7 +514,8 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
             background_level = scenario.background_at(world.now)
             commands = coordinator.step(world.now, world.vehicles, background_level, grid)
             world.pending_commands.extend(commands)
-            # a command logged with no latency is due now, and in force in this row
+            # the one place commands apply: one logged with no latency is
+            # due now, and in force in this row
             _apply_due_commands(world)
             rows.append(_trace_row(world, coordinator, background_level, rows[-1] if rows else None))
     finally:

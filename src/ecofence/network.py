@@ -149,9 +149,15 @@ class SpatialHash:
             raise ValueError("cell size must be positive and finite")
         self.cell = cell
         buckets: dict[tuple[int, int], list[tuple[str, Point]]] = {}
+        get = buckets.get
+        floor = math.floor
         for key, point in points:
-            cell_key = (math.floor(point[0] / cell), math.floor(point[1] / cell))
-            buckets.setdefault(cell_key, []).append((key, point))
+            cell_key = (floor(point[0] / cell), floor(point[1] / cell))
+            bucket = get(cell_key)
+            if bucket is None:
+                buckets[cell_key] = [(key, point)]
+            else:
+                bucket.append((key, point))
         self._buckets = buckets
 
     def near(self, center: Point, radius: float) -> dict[str, Point]:

@@ -27,6 +27,7 @@ check none of it: a problem is checked where its data enters the program
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop
 from typing import NamedTuple
 
 BUDGET_TOL = 1e-9
@@ -75,6 +76,10 @@ def solve(problem: GeofenceProblem) -> Assignment:
     ``0.0 / e = 0.0`` and add ``0.0`` to the objective, so the fill stops
     there and leaves them at x = 0.0, with the same values and the same
     objective.  The x column is filled by entry index, in problem order.
+
+    A fill usually stops a few entries in, so the entries are not sorted:
+    they are heapified and popped in fill order only until the budget is
+    spent, which costs O(n + k log n) for k entries filled.
     """
     entries = problem.entries
     if problem.limit <= 0.0:
@@ -90,9 +95,10 @@ def solve(problem: GeofenceProblem) -> Assignment:
         else:
             append((density * rate, density, index, rate))
     # The index is unique, so tuple order never reaches the rate.
-    costed.sort()
+    heapify(costed)
     remaining = problem.limit
-    for _, density, index, rate in costed:
+    while costed:
+        _, density, index, rate = heappop(costed)
         # min(1.0, share) as a comparison that picks the same value for
         # every input; share is never negative, since the fill stops
         # before remaining does

@@ -480,15 +480,15 @@ def test_solve_debug_invalid_problem(tmp_path):
         ),
         (
             {"limit": 1.0, "entries": [{"vehicle_id": "A", "density": 0.5, "emission_rate": 1.0}]},
-            ["problem file: entries[0]: density must be >= 1.0, got 0.5"],
+            ["entries[0].density: must be >= 1.0, got 0.5"],
         ),
         (
             {"limit": 1.0, "entries": [{"vehicle_id": "A", "density": 1, "emission_rate": 1}] * 2},
-            ["problem file: entries[1]: duplicate vehicle_id 'A'"],
+            ["entries[1].vehicle_id: duplicate vehicle 'A'"],
         ),
         (
             {"limit": 1.0, "entries": [{"vehicle_id": "A", "density": 1.0, "emission_rate": -0.1}]},
-            ["problem file: entries[0]: emission_rate must be >= 0, got -0.1"],
+            ["entries[0].emission_rate: must be >= 0, got -0.1"],
         ),
         (
             {
@@ -499,9 +499,9 @@ def test_solve_debug_invalid_problem(tmp_path):
                 ],
             },
             [
-                "problem file: entries[0]: density must be >= 1.0, got 0.5",
-                "problem file: entries[1]: duplicate vehicle_id 'A'",
-                "problem file: entries[1]: emission_rate must be >= 0, got -0.1",
+                "entries[0].density: must be >= 1.0, got 0.5",
+                "entries[1].vehicle_id: duplicate vehicle 'A'",
+                "entries[1].emission_rate: must be >= 0, got -0.1",
             ],
         ),
         (

@@ -11,6 +11,7 @@ from ecofence.engine import (
     VehicleState,
     VehicleTraceEntry,
     World,
+    _apply_due_commands,
     _trace_row,
     detect,
     run,
@@ -19,6 +20,7 @@ from ecofence.engine import (
 from ecofence.network import Edge, RoadNetwork
 from ecofence.scenario import parse_scenario
 from tests.conftest import grid_of
+from tests.test_command_log import mixed_fence_scenario
 
 
 def straight_network(length=1000.0, speed=36.0, weight=1.0):
@@ -141,61 +143,69 @@ def toss(vehicle_ids, modes, sim_time, effective_time):
     )
 
 
-def test_step_applies_due_commands_only(table):
+def test_apply_due_commands_applies_the_due_entries_in_queue_order(table):
     network = straight_network()
-    world = world_with(network, table, [vehicle(network, table)])
-    world.pending_commands = [command("v1", "electric", sim_time=0.0, effective_time=2.0)]
-    step(world, 1.0)
-    assert world.vehicles["v1"].mode == "polluting"
-    step(world, 1.0)
-    assert world.vehicles["v1"].mode == "electric"
-    assert world.pending_commands == []
-
-    # a toss is applied row by row once due, in queue order with the records
     world = world_with(network, table, [vehicle(network, table), vehicle(network, table, "v2")])
     later = toss(("v1", "v2"), ("polluting", "electric"), sim_time=0.0, effective_time=3.0)
     world.pending_commands = [
-        toss(("v1", "v2"), ("electric", "electric"), sim_time=0.0, effective_time=2.0),
+        toss(("v1", "gone", "v2"), ("electric", "electric", "electric"), sim_time=0.0, effective_time=2.0),
         command("v2", "polluting", sim_time=0.0, effective_time=2.0),
+        command("gone", "polluting", sim_time=0.0, effective_time=1.0),
         later,
     ]
-    step(world, 1.0)
+    world.now = 1.0
+    _apply_due_commands(world)
+    # the row for a vehicle no longer on the road is skipped
     assert [v.mode for v in world.vehicles.values()] == ["polluting", "polluting"]
-    step(world, 1.0)
+    assert len(world.pending_commands) == 3 and world.pending_commands[-1] is later
+    world.now = 2.0
+    _apply_due_commands(world)
+    # the toss's rows apply, then the record queued after it
     assert [v.mode for v in world.vehicles.values()] == ["electric", "polluting"]
-    assert len(world.pending_commands) == 1 and world.pending_commands[0] is later
-    step(world, 1.0)
+    assert world.pending_commands == [later]
+    world.now = 3.0
+    _apply_due_commands(world)
     assert [v.mode for v in world.vehicles.values()] == ["polluting", "electric"]
     assert world.pending_commands == []
 
 
-def test_step_guards_powertrains(table):
+def test_step_leaves_the_modes_and_the_queue_alone(table):
     network = straight_network()
-    ev = vehicle(network, table, "ev", powertrain=Powertrain.PURE_EV, mode="electric")
-    ice = vehicle(network, table, "ice", powertrain=Powertrain.PURE_ICE)
-    world = world_with(network, table, [ev, ice])
-    world.pending_commands = [
-        command("ev", "polluting", 0.0, 0.0),
-        command("ice", "electric", 0.0, 0.0),
-    ]
+    world = world_with(network, table, [vehicle(network, table)])
+    queued = [command("v1", "electric", sim_time=0.0, effective_time=0.0)]
+    world.pending_commands = queued
     step(world, 1.0)
-    assert world.vehicles["ev"].mode == "electric"
-    assert world.vehicles["ice"].mode == "polluting"
+    assert world.vehicles["v1"].mode == "polluting"
+    assert world.pending_commands is queued and len(queued) == 1
 
-    # the same guards hold for each row of a toss; a row for a vehicle no
-    # longer on the road is skipped
-    hybrid = vehicle(network, table, "hv")
-    world = world_with(network, table, [ev, ice, hybrid])
-    world.pending_commands = [
-        toss(("ev", "gone", "hv", "ice"), ("polluting", "electric", "electric", "electric"), 0.0, 0.0),
-    ]
-    step(world, 1.0)
-    assert {vid: v.mode for vid, v in world.vehicles.items()} == {
-        "ev": "electric",
-        "ice": "polluting",
-        "hv": "electric",
-    }
-    assert world.pending_commands == []
+
+def test_no_command_or_trace_row_defies_a_powertrain(tmp_path):
+    # the engine applies commands without checking powertrains, so the
+    # controllers must never command a pure EV polluting nor a pure ICE
+    # vehicle at all, whatever the controller, latency and seed
+    mixed = mixed_fence_scenario(tmp_path)
+    pure_ev = {entry.vehicle_id for entry in mixed.fleet if entry.powertrain is Powertrain.PURE_EV}
+    pure_ice = {entry.vehicle_id for entry in mixed.fleet if entry.powertrain is Powertrain.PURE_ICE}
+    assert pure_ev and pure_ice
+    commanded = set()
+    for single_vehicle in (False, True):
+        for latency in (0.0, 2 * mixed.dt):
+            controller = dataclasses.replace(mixed.controller, actuation_latency=latency)
+            scenario = dataclasses.replace(mixed, controller=controller, single_vehicle=single_vehicle)
+            for seed in (1, 2, 3, 42):
+                result = run(scenario, seed)
+                for record in result.commands:
+                    assert record.vehicle_id not in pure_ice, record
+                    assert not (record.vehicle_id in pure_ev and record.commanded_mode == "polluting"), record
+                    commanded.add(record.vehicle_id)
+                for row in result.trace.rows:
+                    for vid, mode in zip(row.vehicle_ids, row.modes):
+                        if vid in pure_ev:
+                            assert mode == "electric", (row.sim_time, vid)
+                        elif vid in pure_ice:
+                            assert mode == "polluting", (row.sim_time, vid)
+    # the pure EVs were commanded, so the check saw the rows it guards against
+    assert pure_ev <= commanded
 
 
 @pytest.mark.parametrize("single_vehicle", [False, True], ids=["fences", "single_vehicle"])

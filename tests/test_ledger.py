@@ -67,3 +67,27 @@ def test_in_fence_rate_is_the_toss_ledger_on_every_fence_row(name, seed, request
     assert len(gaps) >= 30
     off = [(gap, rate) for gap, rate in gaps if abs(gap) > REL_TOL * max(1.0, rate)]
     assert off == []
+
+
+def coin_deviation(result):
+    """(sum of (outcome - x) * e, its standard error, rows summed) over
+    every fractional toss row of a run; the error is sqrt(sum x(1 - x) e^2),
+    since each row's outcome is an independent Bernoulli(x) draw."""
+    deviation, variance = [], []
+    for record in result.commands:
+        x = record.assignment
+        if x is not None and 0.0 < x < 1.0:
+            e = record.emission_rate
+            deviation.append(((record.commanded_mode == "polluting") - x) * e)
+            variance.append(x * (1.0 - x) * e * e)
+    return math.fsum(deviation), math.sqrt(math.fsum(variance)), len(deviation)
+
+
+# demo_slack's budget covers every member, so it has no fractional x
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+@pytest.mark.parametrize("name", ["demo_ring", "demo_lifecycle"])
+def test_the_coins_realize_the_expected_spend_within_four_standard_errors(name, seed, request):
+    result = engine.run(request.getfixturevalue(name), seed)
+    deviation, error, tosses = coin_deviation(result)
+    assert tosses >= 30 and error > 0.0
+    assert abs(deviation / error) <= 4.0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -277,3 +278,58 @@ def test_solve_matches_the_keyed_greedy_bit_for_bit(p):
         (e.vehicle_id, values[e.vehicle_id].hex()) for e in p.entries
     ]
     assert assignment.objective_value.hex() == total.hex()
+
+
+# -- the heap fill against a sorted fill --------------------------------------
+
+
+def sorted_fill(p):
+    """The greedy fill over every positive-rate entry sorted up front.
+
+    It stops where ``solve`` stops, so it differs from ``solve`` only in
+    sorting where ``solve`` heapifies; ``keyed_greedy`` checks the stop."""
+    x = [0.0] * len(p.entries)
+    if p.limit <= 0.0:
+        return x, 0.0
+    objective, remaining, costed = 0.0, p.limit, []
+    for i, (_, d, e) in enumerate(p.entries):
+        if e == 0.0:
+            x[i] = 1.0
+            objective += 1.0 / d
+        else:
+            costed.append((d * e, d, i, e))
+    for _, d, i, e in sorted(costed):
+        if not remaining > 0.0:
+            break
+        x[i] = min(1.0, remaining / e)
+        objective += x[i] / d
+        remaining -= x[i] * e
+    return x, objective
+
+
+@st.composite
+def covering_problems(draw):
+    """Problems whose budget covers every entry, so the fill pops them all:
+    well over the rates' exact sum, or the rates summed in fill order,
+    which the fill spends to within rounding."""
+    pairs = draw(st.lists(st.tuples(tie_densities, tie_rates), min_size=1, max_size=150))
+    ids = draw(st.permutations([f"v{i:03d}" for i in range(len(pairs))]))
+    in_fill_order = 0.0
+    for _, _, e in sorted((d * e, d, e) for d, e in pairs if e > 0.0):
+        in_fill_order += e
+    limit = draw(st.sampled_from([in_fill_order, 2.0 * math.fsum(e for _, e in pairs) + 1.0]))
+    return problem([(vid, d, e) for vid, (d, e) in zip(ids, pairs)], limit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(tied_problems(), early_spend_problems(), covering_problems()))
+def test_heap_fill_matches_a_sorted_fill_bit_for_bit(p):
+    x, objective = sorted_fill(p)
+    assignment = solve(p)
+    assert [value.hex() for value in assignment.x] == [value.hex() for value in x]
+    assert assignment.objective_value.hex() == objective.hex()
+
+
+def test_a_covering_budget_fills_every_entry():
+    p = problem([(f"v{i}", 1.0 + i % 3, 0.5 + i % 5) for i in range(150)], 1e6)
+    assert solve(p).x == (1.0,) * 150
