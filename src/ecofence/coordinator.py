@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .network import SpatialHash
+from .network import VehicleIndex
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
 
 if TYPE_CHECKING:
@@ -207,12 +207,18 @@ class CommandLog:
         return f"CommandLog({list(self)!r})"
 
 
-def members(fence: Geofence, positions: dict[str, Position]) -> set[str]:
-    """Vehicle ids within the fence radius (boundary inclusive)."""
+def members(fence: Geofence, candidates: Mapping[str, VehicleState]) -> set[str]:
+    """Ids of the ``candidates`` records whose ``position`` lies within the
+    fence radius (boundary inclusive)."""
     cx, cy = fence.center
     radius = fence.radius
     hypot = math.hypot
-    return {vid for vid, (x, y) in positions.items() if hypot(x - cx, y - cy) <= radius}
+    return {
+        vid
+        for vid, record in candidates.items()
+        for x, y in (record.position,)
+        if hypot(x - cx, y - cy) <= radius
+    }
 
 
 def toss_polluting(x: float, rng: random.Random) -> tuple[bool, float]:
@@ -384,7 +390,7 @@ class GeofenceCoordinator:
         now: float,
         snapshots: Mapping[str, VehicleState],
         background_level: float,
-        grid: SpatialHash,
+        index: VehicleIndex,
     ) -> list[CommandRecord | FenceToss]:
         """Advance the coordinator one simulation step; return the entries
         it appended to ``command_log``, in log order.
@@ -401,11 +407,12 @@ class GeofenceCoordinator:
         rates and densities the assignment was solved for, and the
         expected-rate budget covers exactly the vehicles tossed.
 
-        Membership candidates come from ``grid``, a
-        :class:`~ecofence.network.SpatialHash` of every vehicle in
-        ``snapshots`` keyed by vehicle id at its ``position``; any cell
-        size works, since the hash only prunes and ``members`` keeps the
-        exact test.  The engine passes the one hash it builds per step.
+        Membership candidates come from ``index``, a
+        :class:`~ecofence.network.VehicleIndex` that holds exactly the
+        records of ``snapshots``, each at its ``position``; any cell size
+        works, since the index only prunes and ``members`` keeps the exact
+        test.  The engine passes ``World.index``, the one index of the run,
+        which it keeps current as vehicles spawn, change edge and arrive.
 
         ``snapshots`` maps every vehicle on the road to its live
         :class:`~ecofence.engine.VehicleState` record.  Only
@@ -418,7 +425,7 @@ class GeofenceCoordinator:
         self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
-            inside = tuple(sorted(members(fence, grid.near(fence.center, fence.radius))))
+            inside = tuple(sorted(members(fence, index.near(fence.center, fence.radius))))
             if inside != fence.member_ids:  # an equal tuple is kept, for the trace rows to share
                 fence.member_ids = inside
             in_any_fence.update(inside)
@@ -470,14 +477,14 @@ class SingleVehicleController(GeofenceCoordinator):
         now: float,
         snapshots: Mapping[str, VehicleState],
         background_level: float,
-        grid: SpatialHash,
+        index: VehicleIndex,
     ) -> list[CommandRecord]:
         """Command each detector electric while ``now - last <= expiry_timeout``
         and polluting after; pure EV reverts are skipped.  A pure ICE
         detector is never commanded, so its entry is dropped at once.
         Return the records logged during this call, as
         :meth:`GeofenceCoordinator.step` does.
-        ``grid`` goes unread: no fence is kept to query it for."""
+        ``index`` goes unread: no fence is kept to query it for."""
         entries = self.command_log.entries
         logged = len(entries)
         for vid in sorted(self._seen):

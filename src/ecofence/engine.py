@@ -34,12 +34,17 @@ all read it.  What is read when:
   the segment constants the edge caches (``Edge.segments``).
 
 Both proximity questions of a step (which vehicles are near a cyclist,
-which are inside a fence) are answered from one uniform-grid
-:class:`~ecofence.network.SpatialHash` that ``run`` builds on every step,
-with cells of the larger of the fence radius and the detection range, and
-passes to ``detect`` and the coordinator; a query scans only the cells
-under its disc's bounding square, widened by a rounding bound.
-So the step's work is linear in vehicles plus cyclists.  Everything is
+which are inside a fence) are answered from one
+:class:`~ecofence.network.VehicleIndex`, ``World.index``, which ``run``
+builds once per run over the network's edges, with cells of at least the
+larger of the fence radius and the detection range.  It buckets each
+vehicle by the edge its cursor is on, and the engine keeps it current in
+the three places a vehicle's edge changes: at spawn
+(:meth:`World.add_vehicle`), and in ``step`` when the vehicle enters its
+next edge or arrives.  A step that stays on its edge, the common case,
+does no index work.  A query takes the vehicles of the edges whose box
+meets its disc's bounding square, widened by a rounding bound; ``detect``
+and the coordinator keep their exact distance tests.  Everything is
 driven by two purpose-split seeded streams (spawn draws, coin tosses), so
 a run is fully determined by (scenario, seed).
 
@@ -79,7 +84,6 @@ import gc
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 from .coordinator import (
@@ -92,7 +96,7 @@ from .coordinator import (
     commanded_modes,
 )
 from .emissions import CoefficientTable, load_default_table
-from .network import Edge, Point, RoadNetwork, SpatialHash
+from .network import Edge, Point, RoadNetwork, VehicleIndex
 from .scenario import CyclistSpec, FleetEntry, Scenario
 
 @dataclass(kw_only=True, slots=True)
@@ -190,15 +194,26 @@ class World:
     """Everything a step reads and changes.  ``pending_commands`` holds the
     command log entries the coordinator returned that are not yet due, in
     log order: on every step ``run`` queues the coordinator's new entries
-    and then applies all that are due (see :func:`_apply_due_commands`)."""
+    and then applies all that are due (see :func:`_apply_due_commands`).
+
+    ``index`` is the :class:`~ecofence.network.VehicleIndex` over
+    ``network`` that holds exactly the records in ``vehicles``, each in the
+    bucket of its edge: a vehicle goes on the road through
+    :meth:`add_vehicle`, and ``step`` moves and removes it."""
 
     network: RoadNetwork
     table: CoefficientTable
+    index: VehicleIndex
     vehicles: dict[str, VehicleState] = field(default_factory=dict)
     cyclists: dict[str, CyclistState] = field(default_factory=dict)
     tick: int = 0
     now: float = 0.0
     pending_commands: list[CommandRecord | FenceToss] = field(default_factory=list)
+
+    def add_vehicle(self, vehicle: VehicleState) -> None:
+        """Put ``vehicle`` on the road, in the index bucket of its edge."""
+        self.vehicles[vehicle.vehicle_id] = vehicle
+        self.index.add(vehicle.vehicle_id, vehicle, vehicle.edge.edge_id)
 
 
 def step(world: World, dt: float) -> World:
@@ -210,12 +225,15 @@ def step(world: World, dt: float) -> World:
     ``run`` applies the due commands later in the tick.  A vehicle that
     stays on its edge, the common case, only adds to its offset: its
     speed, density weight and emission rate were read when it entered the
-    edge.
+    edge, and its index bucket is that edge's.  A vehicle that moved onto
+    another edge changes bucket; one that arrived leaves the bucket of the
+    edge it began the step on, however many edges it crossed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     network = world.network
     vehicles = world.vehicles
+    index = world.index
     arrived = []
     for vid, vehicle in vehicles.items():
         edge = vehicle.edge
@@ -227,7 +245,10 @@ def step(world: World, dt: float) -> World:
             continue
         vehicle.advance(metres, network)
         if vehicle.finished:
+            index.remove(vid, edge.edge_id)
             arrived.append(vid)
+        elif vehicle.edge is not edge:
+            index.move(vid, edge.edge_id, vehicle.edge.edge_id)
     for cyclist in world.cyclists.values():
         if not cyclist.finished:
             cyclist.advance(cyclist.speed / 3.6 * dt, network)
@@ -275,24 +296,30 @@ def _snapshot_vehicles(world: World) -> None:
         vehicle.position = vehicle.edge.position_at(vehicle.edge_offset)
 
 
-def detect(world: World, detection_range: float, grid: SpatialHash) -> list[tuple[str, str]]:
+def detect(world: World, detection_range: float) -> list[tuple[str, str]]:
     """(cyclist_id, vehicle_id) pairs within straight-line detection range.
 
     Sorted ascending so downstream fence updates are order-deterministic;
     when several vehicles detect the same cyclist in one step, the
     highest-sorting vehicle ends up centring the fence.  Candidates come
-    from ``grid``, the step's spatial hash of every vehicle at its placed
-    position, of any cell size (``run`` passes the one it builds per step).
+    from ``world.index``, whose records are placed for the step; any cell
+    size serves, since the index only prunes.
     """
     if detection_range <= 0:
         raise ValueError("detection_range must be positive")
     hypot = math.hypot
+    index = world.index
     events = []
     for cid in sorted(world.cyclists):
         cyclist_pos = world.cyclists[cid].position()
         cx, cy = cyclist_pos
-        near = grid.near(cyclist_pos, detection_range)
-        hits = [vid for vid, (x, y) in near.items() if hypot(cx - x, cy - y) <= detection_range]
+        near = index.near(cyclist_pos, detection_range).items()
+        hits = [
+            vid
+            for vid, vehicle in near
+            for x, y in (vehicle.position,)
+            if hypot(cx - x, cy - y) <= detection_range
+        ]
         events.extend((cid, vid) for vid in sorted(hits))
     return events
 
@@ -378,15 +405,17 @@ def _spawn_due(world: World, fleet: tuple[FleetEntry, ...], cursor: int, rng: ra
         if euro_class is None:
             euro_class = rng.randint(1, 4)
         mode = "electric" if entry.powertrain is Powertrain.PURE_EV else "polluting"
-        world.vehicles[entry.vehicle_id] = VehicleState(
-            vehicle_id=entry.vehicle_id,
-            euro_class=euro_class,
-            table=world.table,
-            route=entry.route,
-            edge=world.network.edge(entry.route[0]),
-            speed_override=entry.speed,
-            mode=mode,
-            powertrain=entry.powertrain,
+        world.add_vehicle(
+            VehicleState(
+                vehicle_id=entry.vehicle_id,
+                euro_class=euro_class,
+                table=world.table,
+                route=entry.route,
+                edge=world.network.edge(entry.route[0]),
+                speed_override=entry.speed,
+                mode=mode,
+                powertrain=entry.powertrain,
+            )
         )
         cursor += 1
     return cursor
@@ -484,14 +513,14 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     """
     if table is None:
         table = load_default_table()
-    world = World(network=scenario.network, table=table)
+    cell = max(scenario.controller.radius, scenario.detection_range)
+    index = VehicleIndex(scenario.network, cell)
+    world = World(network=scenario.network, table=table, index=index)
     rng_spawn = random.Random(f"{seed}:spawn")
     rng_toss = random.Random(f"{seed}:toss")
     single = scenario.single_vehicle and scenario.control_enabled
     controller = SingleVehicleController if single else GeofenceCoordinator
     coordinator = controller(scenario.controller, rng_toss, control_enabled=scenario.control_enabled)
-    cell = max(scenario.controller.radius, scenario.detection_range)
-    position_of = attrgetter("position")
     fleet_cursor = 0
     cyclist_cursor = 0
     rows = []
@@ -502,9 +531,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
             fleet_cursor = _spawn_due(world, scenario.fleet, fleet_cursor, rng_spawn)
             cyclist_cursor = _spawn_cyclists(world, scenario.cyclists, cyclist_cursor)
             step(world, scenario.dt)
-            # one hash answers both proximity questions of the step
-            grid = SpatialHash(cell, zip(world.vehicles, map(position_of, world.vehicles.values())))
-            for cyclist_id, vehicle_id in detect(world, scenario.detection_range, grid):
+            for cyclist_id, vehicle_id in detect(world, scenario.detection_range):
                 coordinator.on_detection(
                     cyclist_id,
                     world.vehicles[vehicle_id].position,
@@ -512,7 +539,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
                     detecting_vehicle_id=vehicle_id,
                 )
             background_level = scenario.background_at(world.now)
-            commands = coordinator.step(world.now, world.vehicles, background_level, grid)
+            commands = coordinator.step(world.now, world.vehicles, background_level, world.index)
             world.pending_commands.extend(commands)
             # the one place commands apply: one logged with no latency is
             # due now, and in force in this row

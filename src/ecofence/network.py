@@ -3,8 +3,9 @@
 Coordinates are planar metres.  Every edge carries the cyclist-density
 weight used by the optimizer (1.0 by default, meaning no recorded cyclist
 traffic); routes are sequences of edge ids whose geometry must chain
-end-to-start.  :class:`SpatialHash` answers "which points lie near here"
-for the simulation's proximity queries.
+end-to-start.  :class:`VehicleIndex` keeps the vehicles bucketed by edge
+and answers "which vehicles lie near here" for the simulation's proximity
+queries.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Any, Mapping
 
 Point = tuple[float, float]
 
@@ -133,66 +134,130 @@ class RoadNetwork:
         return RoadNetwork(edges=updated)
 
 
-class SpatialHash:
-    """Uniform-grid spatial hash over points keyed by id.
+class VehicleIndex:
+    """The vehicles on the road, bucketed by the edge each is on, with a
+    static grid of edge bounding boxes that finds the edges near a point.
 
-    Every point goes into the bucket of the square cell of side ``cell``
-    that holds it (Teschner et al. 2003, "Optimized Spatial Hashing for
-    Collision Detection of Deformable Objects"), so a disc query visits the
-    few cells under the disc instead of every point.  Building is linear in
-    the points and a query costs the cells it visits plus the points in
-    them.  The hash only prunes: callers keep the exact distance test.
+    ``buckets`` maps every edge id of the network to a dict of the records
+    on that edge, keyed by vehicle id.  The engine keeps it current: a
+    vehicle is added at spawn, moved when it enters its next edge and
+    removed when it arrives, so a step that stays on its edge costs the
+    index nothing.  The grid is built once: every edge's bounding box is
+    listed in the square cells of side ``cell`` that it touches (the cells
+    hash positions as in Teschner et al. 2003, "Optimized Spatial Hashing
+    for Collision Detection of Deformable Objects", but hold edges, which
+    do not move).  ``cell`` is at least the size asked for and the longest
+    box side, and is doubled until no box spans more than two cells along
+    an axis, so each edge is listed in at most 4 cells.  ``extent`` is the
+    largest coordinate magnitude of any edge point, which bounds how far
+    rounding can put a position outside its edge's box.  The index only
+    prunes: callers keep the exact distance test.
     """
 
-    def __init__(self, cell: float, points: Iterable[tuple[str, Point]]):
+    def __init__(self, network: RoadNetwork, cell: float):
         if not (cell > 0 and math.isfinite(cell)):
             raise ValueError("cell size must be positive and finite")
+        self.buckets: dict[str, dict[str, Any]] = {eid: {} for eid in network.edges}
+        boxes = []
+        extent = 0.0
+        for eid, edge in network.edges.items():
+            xs = [x for x, _ in edge.points]
+            ys = [y for _, y in edge.points]
+            boxes.append((eid, min(xs), min(ys), max(xs), max(ys)))
+            extent = max(extent, *map(abs, xs), *map(abs, ys))
+        cell = max([cell] + [max(x1 - x0, y1 - y0) for _, x0, y0, x1, y1 in boxes])
+        floor = math.floor
+        # coord / cell rounds, which can put the far side of a box as wide
+        # as a cell into a third column; doubling halves every ratio exactly
+        while any(
+            floor(x1 / cell) - floor(x0 / cell) > 1 or floor(y1 / cell) - floor(y0 / cell) > 1
+            for _, x0, y0, x1, y1 in boxes
+        ):
+            cell *= 2.0
+        cells: dict[tuple[int, int], list[tuple]] = {}
+        for eid, x0, y0, x1, y1 in boxes:
+            ix0, iy0 = floor(x0 / cell), floor(y0 / cell)
+            entry = (eid, ix0, iy0, x0, y0, x1, y1, self.buckets[eid])
+            for ix in range(ix0, floor(x1 / cell) + 1):
+                for iy in range(iy0, floor(y1 / cell) + 1):
+                    cells.setdefault((ix, iy), []).append(entry)
         self.cell = cell
-        buckets: dict[tuple[int, int], list[tuple[str, Point]]] = {}
-        get = buckets.get
-        floor = math.floor
-        for key, point in points:
-            cell_key = (floor(point[0] / cell), floor(point[1] / cell))
-            bucket = get(cell_key)
-            if bucket is None:
-                buckets[cell_key] = [(key, point)]
-            else:
-                bucket.append((key, point))
-        self._buckets = buckets
+        self.extent = extent
+        # (ix, iy) -> one entry per edge listed there: (edge id, its first
+        # cell's ix and iy, x_lo, y_lo, x_hi, y_hi of its box, its bucket)
+        self.cells = cells
 
-    def near(self, center: Point, radius: float) -> dict[str, Point]:
-        """Every point within ``radius`` of ``center``, plus some beyond it.
+    def add(self, vehicle_id: str, record: Any, edge_id: str) -> None:
+        """Put ``record`` in the bucket of ``edge_id``."""
+        self.buckets[edge_id][vehicle_id] = record
 
-        The cells scanned are those under the disc's bounding square, with
-        each side pushed out by ``pad = (|cx| + |cy| + radius) * 2**-40``
-        to cover rounding.  With unit roundoff ``u = 2**-53``, a caller's
-        test ``hypot(x - cx, y - cy) <= radius`` (a subtraction off by at
-        most ``u`` relative, a ``hypot`` within one ulp) accepts only points
-        with ``|x - cx| <= radius * (1 + 4u)``, and computing
-        ``cx - (radius + pad)`` rounds it by at most
-        ``u * (|cx| + 2 * (radius + pad))``.  So the window's low edge lies
-        at or below every accepted point whenever
-        ``pad * (1 - 2u) >= u * (|cx| + 6 * radius)``, which the pad, about
-        8192u times ``|cx| + |cy| + radius``, meets with a wide margin; the
-        high edge and the y axis are alike.  ``coord / cell`` and ``floor``
-        are monotone, so no accepted point falls in an unscanned cell.
-        At 1 km from the origin the pad is under 1e-9 m, so the window is
-        one extra row or column only when a side lands that close to a
-        cell edge.
+    def move(self, vehicle_id: str, from_edge: str, to_edge: str) -> None:
+        """Move a vehicle's record from one edge's bucket to another's."""
+        buckets = self.buckets
+        buckets[to_edge][vehicle_id] = buckets[from_edge].pop(vehicle_id)
+
+    def remove(self, vehicle_id: str, edge_id: str) -> None:
+        """Take a vehicle's record out of the bucket of ``edge_id``."""
+        del self.buckets[edge_id][vehicle_id]
+
+    def near(self, center: Point, radius: float) -> dict[str, Any]:
+        """The records of every vehicle whose ``position`` lies within
+        ``radius`` of ``center``, plus some beyond it, keyed by vehicle id.
+
+        They are the records on every edge whose box meets the query
+        square: the disc's bounding square with each side pushed out by
+        ``pad = (|cx| + |cy| + radius + extent) * 2**-40`` to cover
+        rounding.  Only the cells under the square are visited, and an
+        edge listed in several of them is taken in the first: the one
+        whose ``ix`` is the larger of the edge's first and the square's
+        first, and ``iy`` alike.
+
+        Why no record the callers accept is missed.  With unit roundoff
+        ``u = 2**-53``, a caller's test ``hypot(x - cx, y - cy) <= radius``
+        (a subtraction off by at most ``u`` relative, a ``hypot`` within
+        one ulp) accepts only points with ``|x - cx| <= radius * (1 + 4u)``.
+        A record's position is ``Edge.position_at`` of its edge: an end
+        point exactly, or ``x0 + t * dx`` on a segment with ``0 <= t <= 1``
+        (the offset test and monotone rounding bound ``t``), which lies
+        between ``x0`` and ``x0 + dx``, and ``x0 + dx`` rounds to within
+        ``3u * extent`` of ``x1``.  So some point ``q`` of the edge's box
+        lies within ``3u * extent`` of an accepted position, along each
+        axis, and within ``radius * (1 + 4u) + 3u * extent`` of ``cx``.
+        Computing ``cx - (radius + pad)`` rounds it by at most
+        ``u * (|cx| + 2 * (radius + pad))``, so the square's low side lies
+        at or below ``q`` whenever
+        ``pad * (1 - 2u) >= u * (|cx| + 6 * radius + 3 * extent)``, which
+        the pad, about 8192u times ``|cx| + |cy| + radius + extent``, meets
+        with a wide margin; the high side and the y axis are alike.  So
+        ``q`` lies in both the box and the square, the box test keeps its
+        edge, and since ``coord / cell`` and ``floor`` are monotone, the
+        cell of ``q`` is one the edge is listed in and the query visits.
+        For a query within 1 km of the origin, on a network within 1 km of
+        it, with a 100 m radius, the pad is under 3e-9 m.
         """
-        cell = self.cell
         cx, cy = center
-        reach = radius + (abs(cx) + abs(cy) + radius) * 2.0**-40
+        reach = radius + (abs(cx) + abs(cy) + radius + self.extent) * 2.0**-40
+        x_lo, x_hi = cx - reach, cx + reach
+        y_lo, y_hi = cy - reach, cy + reach
+        cell = self.cell
         floor = math.floor
-        x_lo = floor((cx - reach) / cell)
-        x_hi = floor((cx + reach) / cell)
-        y_lo = floor((cy - reach) / cell)
-        y_hi = floor((cy + reach) / cell)
-        buckets = self._buckets
-        found: dict[str, Point] = {}
-        for ix in range(x_lo, x_hi + 1):
-            for iy in range(y_lo, y_hi + 1):
-                bucket = buckets.get((ix, iy))
-                if bucket:
-                    found.update(bucket)
+        ix_first, iy_first = floor(x_lo / cell), floor(y_lo / cell)
+        cells = self.cells
+        found: dict[str, Any] = {}
+        for ix in range(ix_first, floor(x_hi / cell) + 1):
+            for iy in range(iy_first, floor(y_hi / cell) + 1):
+                listed = cells.get((ix, iy))
+                if listed is None:
+                    continue
+                for _, ix0, iy0, bx_lo, by_lo, bx_hi, by_hi, bucket in listed:
+                    if (
+                        (ix == ix0 or ix == ix_first)
+                        and (iy == iy0 or iy == iy_first)
+                        and bucket
+                        and bx_lo <= x_hi
+                        and x_lo <= bx_hi
+                        and by_lo <= y_hi
+                        and y_lo <= by_hi
+                    ):
+                        found.update(bucket)
         return found

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Any
 
 from .coordinator import ControllerConfig, Powertrain
@@ -71,14 +73,12 @@ class Scenario:
     background: BackgroundSeries = ((0.0, 0.0),)
 
     def background_at(self, t: float) -> float:
-        """Piecewise-constant background level at time ``t``."""
-        level = self.background[0][1]
-        for when, value in self.background:
-            if when <= t:
-                level = value
-            else:
-                break
-        return level
+        """Piecewise-constant background level at time ``t``: the level of
+        the last breakpoint at or before ``t``, or of the first one if
+        ``t`` precedes them all.  A bisection, since the loader requires
+        strictly increasing breakpoint times."""
+        after = bisect_right(self.background, t, key=itemgetter(0))
+        return self.background[after - 1 if after else 0][1]
 
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
@@ -269,7 +269,17 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}: {exc}")
     network = RoadNetwork(edges=edges)
 
-    def parse_route(raw: dict, where: str) -> tuple[str, ...]:
+    def parse_route(raw: dict, where: str, speed: float | None) -> tuple[str, ...]:
+        """The route, its laps repeated only as far as the run can use.
+
+        ``speed`` is the road user's fixed speed in km/h, or None for one
+        that follows the speed limits, so it moves at most ``top`` km/h.
+        In the run's ``steps() * dt`` seconds it covers at most ``reach``
+        metres, which ends within lap ``floor(reach / lap) + 1`` from its
+        start; one lap more keeps the route's end out of reach, so the run
+        reads the same route as with every lap.  A scenario with a problem
+        is rejected, so its routes are not expanded at all.
+        """
         route_raw = raw.get("route", [])
         if not isinstance(route_raw, list) or not all(isinstance(e, str) for e in route_raw):
             problems.append(f"{where}.route: must be a list of edge ids")
@@ -278,16 +288,24 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         if not isinstance(repeat, int) or isinstance(repeat, bool) or repeat < 1:
             problems.append(f"{where}.repeat: must be a positive integer")
             repeat = 1
-        route = tuple(route_raw) * repeat
+        lap = tuple(route_raw)
         if edges:
-            route_issues = network.route_problems(tuple(route_raw), where)
+            route_issues = network.route_problems(lap, where)
             if not route_issues and repeat > 1:
                 # the repeat seam must chain too
                 route_issues = network.route_problems(
                     (route_raw[-1], route_raw[0]), where + ".repeat-seam"
                 )
             problems.extend(route_issues)
-        return route
+        if problems:
+            return lap
+        if repeat > 1:
+            top = speed if speed is not None else max(edges[eid].speed_limit for eid in lap)
+            reach = round(horizon / dt) * dt * top / 3.6
+            laps = reach / sum(edges[eid].length for eid in lap)
+            if laps < repeat:
+                repeat = min(repeat, math.floor(laps) + 2)
+        return lap * repeat
 
     fleet: list[FleetEntry] = []
     seen_vehicles: set[str] = set()
@@ -328,7 +346,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             FleetEntry(
                 vehicle_id=vid,
                 spawn_time=spawn_time,
-                route=parse_route(raw, where),
+                route=parse_route(raw, where, speed),
                 euro_class=euro_class,
                 speed=speed,
                 powertrain=powertrain,
@@ -364,7 +382,9 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             problems.append(f"{where}.spawn_time: must be >= 0")
             spawn_time = 0.0
         cyclists.append(
-            CyclistSpec(cyclist_id=cid, route=parse_route(raw, where), speed=speed, spawn_time=spawn_time)
+            CyclistSpec(
+                cyclist_id=cid, route=parse_route(raw, where, speed), speed=speed, spawn_time=spawn_time
+            )
         )
     cyclists.sort(key=lambda c: (c.spawn_time, c.cyclist_id))
 

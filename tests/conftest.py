@@ -9,7 +9,7 @@ import pytest
 
 from ecofence import load_default_table, load_scenario, run_compare
 from ecofence.coordinator import Powertrain
-from ecofence.network import SpatialHash
+from ecofence.network import Edge, RoadNetwork, VehicleIndex
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +36,7 @@ def bench_scenario(workload: str, path: Path) -> Path:
 class Snapshot(NamedTuple):
     """A vehicle as the coordinator reads it, without the engine's record:
     the attributes of ``VehicleState`` that a coordinator step reads, and
-    the position ``grid_of`` hashes."""
+    the position ``index_of`` places it at."""
 
     vehicle_id: str
     position: tuple[float, float]
@@ -45,10 +45,18 @@ class Snapshot(NamedTuple):
     density_weight: float
 
 
-def grid_of(records, cell: float = 100.0) -> SpatialHash:
-    """The proximity index ``engine.run`` builds per step, over ``records``
-    at their positions; any cell size serves, since the hash only prunes."""
-    return SpatialHash(cell, ((vid, record.position) for vid, record in records.items()))
+def index_of(records, cell: float = 100.0) -> VehicleIndex:
+    """The kind of proximity index ``engine.run`` keeps, holding
+    ``records``: each on a 1 m edge of its own that starts at its
+    ``position``.  Any cell size serves, since the index only prunes."""
+    edges = {
+        vid: Edge(vid, (record.position, (record.position[0] + 1.0, record.position[1])), 30.0)
+        for vid, record in records.items()
+    }
+    index = VehicleIndex(RoadNetwork(edges=edges), cell)
+    for vid, record in records.items():
+        index.add(vid, record, vid)
+    return index
 
 
 @pytest.fixture(autouse=True)

@@ -54,9 +54,9 @@ def queue_every_row(monkeypatch):
     own record."""
     for cls in (GeofenceCoordinator, SingleVehicleController):
 
-        def step(self, now, snapshots, background_level, grid, original=cls.step):
+        def step(self, now, snapshots, background_level, index, original=cls.step):
             start = len(self.command_log)
-            original(self, now, snapshots, background_level, grid)
+            original(self, now, snapshots, background_level, index)
             return list(self.command_log)[start:]
 
         monkeypatch.setattr(cls, "step", step)

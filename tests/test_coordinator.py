@@ -15,7 +15,7 @@ from ecofence.coordinator import (
 )
 from ecofence.emissions import load_default_table
 from ecofence.scenario import load_scenario
-from tests.conftest import Snapshot, grid_of
+from tests.conftest import Snapshot, index_of
 from tests.test_golden import mixed_powertrain_scenario
 
 TABLE = load_default_table()
@@ -93,10 +93,10 @@ def test_expiry_restores_controlled_members():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     start = len(coord.command_log)
     assert start == 2  # both commanded at the first tick
-    coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(21.0, snapshots, 0.0, index_of(snapshots))
     assert coord.fences == {}
     restored = [(c.vehicle_id, c.commanded_mode, c.assignment) for c in list(coord.command_log)[start:]]
     assert restored == [("v1", "polluting", None), ("v2", "polluting", None)]
@@ -106,11 +106,11 @@ def test_vehicle_that_departs_as_its_fence_expires_is_not_restored():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     logged = len(coord.command_log)
     # v2 leaves the road in the tick tag-1 expires: there is nothing to restore
     remaining = {"v1": snapshots["v1"]}
-    appended = coord.step(21.0, remaining, 0.0, grid_of(remaining))
+    appended = coord.step(21.0, remaining, 0.0, index_of(remaining))
     assert coord.fences == {}
     assert [(c.vehicle_id, c.fence_id, c.commanded_mode) for c in appended] == [("v1", "tag-1", "polluting")]
     assert list(coord.command_log)[logged:] == appended
@@ -123,15 +123,15 @@ def test_expiry_keeps_a_member_another_fence_holds():
     coord.on_detection("tag-a", (0.0, 0.0), 0.0)
     coord.on_detection("tag-b", (50.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1", pos=(25.0, 0.0))}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert coord._controlled == {"v1": "tag-b"}  # tag-b decided last
     coord.on_detection("tag-a", (0.0, 0.0), 21.0)
-    assert coord.step(21.0, snapshots, 0.0, grid_of(snapshots)) == []
+    assert coord.step(21.0, snapshots, 0.0, index_of(snapshots)) == []
     assert sorted(coord.fences) == ["tag-a"]
     assert coord._controlled == {"v1": "tag-b"}
     # once it leaves tag-a too, its restore names tag-b, whose command is in force
     moved = {"v1": snap("v1", pos=(500.0, 0.0))}
-    restored = coord.step(22.0, moved, 0.0, grid_of(moved))
+    restored = coord.step(22.0, moved, 0.0, index_of(moved))
     assert [(c.vehicle_id, c.fence_id, c.assignment) for c in restored] == [("v1", "tag-b", None)]
     assert coord._controlled == {}
 
@@ -149,7 +149,7 @@ def test_expiry_no_fences_is_noop():
 def test_members_boundary_inclusive():
     fence = Geofence("f", (0.0, 0.0), 100.0, 0.0, 0.0)
     positions = {"on_edge": (60.0, 80.0), "outside": (100.1, 0.0), "inside": (1.0, 1.0)}
-    assert members(fence, positions) == {"on_edge", "inside"}
+    assert members(fence, {vid: snap(vid, pos=p) for vid, p in positions.items()}) == {"on_edge", "inside"}
 
 
 def test_members_empty_fleet():
@@ -167,7 +167,7 @@ def test_compute_limit_examples():
         problems = built_problems(coord)
         coord.on_detection("tag-1", (0.0, 0.0), 0.0)
         snapshots = {"v1": snap("v1")}
-        coord.step(0.0, snapshots, level, grid_of(snapshots))
+        coord.step(0.0, snapshots, level, index_of(snapshots))
         assert [problem.limit for problem in problems] == [limit]
 
 
@@ -177,7 +177,7 @@ def test_non_finite_background_is_rejected(level):
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
     with pytest.raises(ValueError):
-        coord.step(0.0, snapshots, level, grid_of(snapshots))
+        coord.step(0.0, snapshots, level, index_of(snapshots))
 
 
 @pytest.mark.parametrize("name", ["demo_ring", "demo_slack", "demo_lifecycle", "ring_dense"])
@@ -212,7 +212,7 @@ def test_decision_tick_extremes_ignore_draw():
     snapshots = {"a": snap("a", speed=10.0), "b": snap("b", speed=10.0)}
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
-        coord.step(float(t), snapshots, 0.0, grid_of(snapshots))
+        coord.step(float(t), snapshots, 0.0, index_of(snapshots))
     rows = [r for r in coord.command_log if r.assignment is not None]
     assert len(rows) == 100
     assert all(r.assignment == 1.0 and r.commanded_mode == "polluting" for r in rows)
@@ -221,7 +221,7 @@ def test_decision_tick_extremes_ignore_draw():
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
-        coord.step(float(t), snapshots, 2.0, grid_of(snapshots))
+        coord.step(float(t), snapshots, 2.0, index_of(snapshots))
     rows = [r for r in coord.command_log if r.assignment is not None]
     assert len(rows) == 100
     assert all(r.assignment == 0.0 and r.commanded_mode == "electric" for r in rows)
@@ -231,7 +231,7 @@ def test_decision_tick_negative_budget_all_electric():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {f"v{i}": snap(f"v{i}", pos=(float(i), 0.0)) for i in range(4)}
-    coord.step(0.0, snapshots, 1.5, grid_of(snapshots))
+    coord.step(0.0, snapshots, 1.5, index_of(snapshots))
     commands = list(coord.command_log)
     assert {c.commanded_mode for c in commands} == {"electric"}
     assert len(commands) == 4
@@ -244,7 +244,7 @@ def test_decision_tick_expected_spend_within_budget():
         f"v{i}": snap(f"v{i}", pos=(float(i), 0.0), euro=1 + i % 4, density=1.0 + i % 3)
         for i in range(10)
     }
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     spend = sum(
         r.assignment * r.emission_rate for r in coord.command_log if r.assignment is not None
     )
@@ -255,7 +255,7 @@ def test_pure_ev_member_always_electric():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     (ev_row,) = [r for r in coord.command_log if r.vehicle_id == "ev"]
     assert ev_row.commanded_mode == "electric"
     assert ev_row.assignment == 1.0  # zero-rate vehicles enter the problem at x=1
@@ -266,7 +266,7 @@ def test_pure_ice_member_never_commanded():
     coord = make_coordinator()
     fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ice": snap("ice", powertrain=Powertrain.PURE_ICE), "hv": snap("hv")}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert [r.vehicle_id for r in coord.command_log] == ["hv"]
     assert "ice" in fence.member_ids  # geometrically still a member
 
@@ -275,7 +275,7 @@ def test_members_outside_are_never_commanded():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"in": snap("in"), "far": snap("far", pos=(500.0, 0.0))}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert [c.vehicle_id for c in coord.command_log] == ["in"]
 
 
@@ -283,9 +283,9 @@ def test_vehicle_leaving_fence_reverts_next_step():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     moved = {"v1": snap("v1", pos=(300.0, 0.0))}
-    coord.step(1.0, moved, 0.0, grid_of(moved))
+    coord.step(1.0, moved, 0.0, index_of(moved))
     logged = list(coord.command_log)[1:]
     assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in logged] == [("v1", "polluting", None)]
 
@@ -295,7 +295,7 @@ def test_actuation_latency_delays_effect():
     coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    commands = coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert commands[0].effective_time == 5.0
 
 
@@ -304,13 +304,13 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick():
     coord = make_coordinator(config=config)
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1")}
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
-    coord.step(21.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
+    coord.step(21.0, snapshots, 0.0, index_of(snapshots))
     assert coord.fences == {}
     fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
     problems = built_problems(coord)
     start = len(coord.command_log)
-    coord.step(22.0, snapshots, 1.5, grid_of(snapshots))
+    coord.step(22.0, snapshots, 1.5, index_of(snapshots))
     commands = list(coord.command_log)[start:]
     assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in commands] == [("v1", "electric", 0.0)]
     assert [problem.limit for problem in problems] == [-0.5]
@@ -340,13 +340,13 @@ def test_single_vehicle_step_cycle():
     snapshots = {"v1": snap("v1")}
     coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
     assert coord.fences == {}  # no fences in this mode
-    commands = coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    commands = coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "electric")]
     # refreshed detections keep it electric with no re-issued command
     coord.on_detection("tag-1", (0.0, 0.0), 5.0, detecting_vehicle_id="v1")
-    assert coord.step(6.0, snapshots, 0.0, grid_of(snapshots)) == []
-    assert coord.step(25.0, snapshots, 0.0, grid_of(snapshots)) == []  # 25 - 5 <= 20
-    commands = coord.step(25.1, snapshots, 0.0, grid_of(snapshots))
+    assert coord.step(6.0, snapshots, 0.0, index_of(snapshots)) == []
+    assert coord.step(25.0, snapshots, 0.0, index_of(snapshots)) == []  # 25 - 5 <= 20
+    commands = coord.step(25.1, snapshots, 0.0, index_of(snapshots))
     assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "polluting")]
 
 
@@ -360,8 +360,8 @@ def test_single_vehicle_controller_drops_pure_ice_detectors(tmp_path, monkeypatc
             detectors.add(detecting_vehicle_id)
             return super().on_detection(cyclist_id, position, now, detecting_vehicle_id)
 
-        def step(self, now, snapshots, background_level, grid):
-            commands = super().step(now, snapshots, background_level, grid)
+        def step(self, now, snapshots, background_level, index):
+            commands = super().step(now, snapshots, background_level, index)
             seen_after_step.append(set(self._seen))
             return commands
 
@@ -405,7 +405,7 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v5": snap("v5", pos=(2.0, 0.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    coord.step(0.0, snapshots, 0.0, grid_of(snapshots))
+    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert set(coord._controlled) == set(snapshots)
     logged = len(coord.command_log)
     # v3 and v4 leave both fences, v1 and v2 move out of theirs, v5 leaves
@@ -417,7 +417,7 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v4": snap("v4", pos=(500.0, 500.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    coord.step(1.0, moved, 0.0, grid_of(moved))
+    coord.step(1.0, moved, 0.0, index_of(moved))
     commands = list(coord.command_log)[logged:]
     restores = [c for c in commands if c.vehicle_id != "v6"]
     assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
@@ -445,7 +445,7 @@ def test_budget_in_expectation_over_many_ticks():
     }
     for t in range(400):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
-        coord.step(float(t), snapshots, 0.0, grid_of(snapshots))
+        coord.step(float(t), snapshots, 0.0, index_of(snapshots))
     spend_by_tick = {}
     for row in coord.command_log:
         if row.assignment is not None:

@@ -17,9 +17,8 @@ from ecofence.engine import (
     run,
     step,
 )
-from ecofence.network import Edge, RoadNetwork
+from ecofence.network import Edge, RoadNetwork, VehicleIndex
 from ecofence.scenario import parse_scenario
-from tests.conftest import grid_of
 from tests.test_command_log import mixed_fence_scenario
 
 
@@ -43,9 +42,9 @@ def two_edge_network():
 
 
 def world_with(network, table, vehicles=(), cyclists=()):
-    world = World(network=network, table=table)
+    world = World(network=network, table=table, index=VehicleIndex(network, 100.0))
     for v in vehicles:
-        world.vehicles[v.vehicle_id] = v
+        world.add_vehicle(v)
     for c in cyclists:
         world.cyclists[c.cyclist_id] = c
     return world
@@ -217,10 +216,10 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     queue_lengths = []
 
     def logging_step(original):
-        def step(self, now, snapshots, background_level, grid):
+        def step(self, now, snapshots, background_level, index):
             coordinators.append(self)
             start = len(self.command_log.entries)
-            entries = original(self, now, snapshots, background_level, grid)
+            entries = original(self, now, snapshots, background_level, index)
             # exactly the entries appended in this call, as the same objects
             appended = self.command_log.entries[start:]
             assert len(entries) == len(appended)
@@ -293,11 +292,10 @@ def test_detect_within_range(table):
     near = vehicle(network, table, "near", edge_offset=45.0)
     far = vehicle(network, table, "far", edge_offset=500.0)
     world = world_with(network, table, [near, far], [cyclist_on(network, offset=50.0)])
-    grid = grid_of(world.vehicles)
-    assert detect(world, 10.0, grid) == [("c1", "near")]
-    assert detect(world, 1.0, grid) == []
+    assert detect(world, 10.0) == [("c1", "near")]
+    assert detect(world, 1.0) == []
     with pytest.raises(ValueError):
-        detect(world, 0.0, grid)
+        detect(world, 0.0)
 
 
 def test_detect_orders_by_vehicle_id(table):
@@ -305,7 +303,7 @@ def test_detect_orders_by_vehicle_id(table):
     a = vehicle(network, table, "a", edge_offset=48.0)
     b = vehicle(network, table, "b", edge_offset=52.0)
     world = world_with(network, table, [b, a], [cyclist_on(network, offset=50.0)])
-    assert detect(world, 10.0, grid_of(world.vehicles)) == [("c1", "a"), ("c1", "b")]
+    assert detect(world, 10.0) == [("c1", "a"), ("c1", "b")]
 
 
 def trace_rates(world, fence_center=None):
@@ -314,7 +312,7 @@ def trace_rates(world, fence_center=None):
     coordinator = GeofenceCoordinator(ControllerConfig(), random.Random(0), control_enabled=False)
     if fence_center is not None:
         coordinator.on_detection("f", fence_center, world.now)
-    coordinator.step(world.now, world.vehicles, 0.0, grid_of(world.vehicles))
+    coordinator.step(world.now, world.vehicles, 0.0, world.index)
     row = _trace_row(world, coordinator, 0.0)
     return row.total_rate, row.in_fence_rate
 

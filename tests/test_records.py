@@ -13,7 +13,7 @@ import pytest
 from ecofence import coordinator, engine
 from ecofence.coordinator import CommandRecord
 from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, World, run, step
-from ecofence.network import Edge, RoadNetwork
+from ecofence.network import Edge, RoadNetwork, VehicleIndex
 from ecofence.optimizer import ProblemEntry
 from tests.conftest import Snapshot
 
@@ -64,7 +64,7 @@ def recording_controller(controller, steps, as_snapshots):
     optionally it copies the engine's vehicle records into snapshots first."""
 
     class Recording(controller):
-        def step(self, now, snapshots, background_level, grid):
+        def step(self, now, snapshots, background_level, index):
             assert all(isinstance(v, VehicleState) for v in snapshots.values())
             if as_snapshots:
                 snapshots = {
@@ -73,7 +73,7 @@ def recording_controller(controller, steps, as_snapshots):
                     )
                     for vid, v in snapshots.items()
                 }
-            commands = super().step(now, snapshots, background_level, grid)
+            commands = super().step(now, snapshots, background_level, index)
             steps.append(commands)
             return commands
 
@@ -112,15 +112,17 @@ def test_record_reads_speed_and_density_only_from_the_edge_it_is_on(table):
         }
     )
     route = ("e1", "e2")
-    world = World(network=network, table=table)
+    world = World(network=network, table=table, index=VehicleIndex(network, 100.0))
     specs = {
         "crosses": dict(edge_offset=95.0),
         "stays": dict(edge_offset=10.0),
         "pinned": dict(edge_offset=95.0, speed_override=20.0),
     }
     for vid, spec in specs.items():
-        world.vehicles[vid] = VehicleState(
-            vehicle_id=vid, euro_class=4, table=table, route=route, edge=network.edge("e1"), **spec
+        world.add_vehicle(
+            VehicleState(
+                vehicle_id=vid, euro_class=4, table=table, route=route, edge=network.edge("e1"), **spec
+            )
         )
     assert [(v.speed, v.density_weight) for v in world.vehicles.values()] == [
         (36.0, 3.0), (36.0, 3.0), (20.0, 3.0)

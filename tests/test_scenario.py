@@ -1,10 +1,14 @@
 import copy
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecofence.cli import main
 from ecofence.coordinator import ControllerConfig
+from ecofence.engine import run
 from ecofence.scenario import (
     ScenarioError,
     load_density_file,
@@ -12,6 +16,7 @@ from ecofence.scenario import (
     parse_scenario,
     with_density,
 )
+from tests.conftest import data_path
 
 
 def test_demo_scenarios_parse(demo_ring, demo_slack, demo_lifecycle):
@@ -109,6 +114,59 @@ def test_background_lookup(demo_ring_dict):
     assert scenario.background_at(99.9) == 0.1
     assert scenario.background_at(100.0) == 0.7
     assert scenario.background_at(500.0) == 0.7
+
+
+def scanned_background(series, t):
+    """The level at ``t`` by a scan from the first breakpoint."""
+    level = series[0][1]
+    for when, value in series:
+        if when <= t:
+            level = value
+        else:
+            break
+    return level
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e6), max_size=40, unique=True))
+def test_background_bisection_equals_a_scan(demo_ring, later):
+    times = sorted({0.0, *later})
+    series = tuple((t, float(i)) for i, t in enumerate(times))
+    scenario = dataclasses.replace(demo_ring, background=series)
+    between = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    just_before = [math.nextafter(t, -math.inf) for t in times]
+    for t in times + between + just_before + [times[-1] + 1.0, 1e12]:
+        assert scenario.background_at(t) == scanned_background(series, t)
+
+
+def test_a_huge_repeat_expands_only_the_laps_the_run_can_use(demo_ring_dict, demo_ring):
+    # 30 ring laps become 21 and the cyclist's 40 become 11: at 30 km/h a
+    # vehicle covers 5,333 m of 280 m laps in 640 s, the cyclist at 15 km/h
+    # half that; a 10**12-lap route is the same route
+    assert {len(entry.route) for entry in demo_ring.fleet} == {4 * 21, 2 * 15}
+    assert len(demo_ring.cyclists[0].route) == 4 * 11
+    doc = copy.deepcopy(demo_ring_dict)
+    for entry in doc["fleet"] + [doc["cyclist"]]:
+        if entry.get("repeat", 1) >= 30:
+            entry["repeat"] = 10**12
+    assert parse_scenario(doc) == demo_ring
+
+
+@pytest.mark.parametrize("name", ["demo_ring", "demo_slack", "demo_lifecycle"])
+def test_a_capped_route_runs_as_every_lap_does(name, request):
+    capped = request.getfixturevalue(name)
+    doc = json.loads(data_path(f"{name}.json").read_text())
+    laps = {
+        entry.get("vehicle_id", entry.get("cyclist_id")): tuple(entry["route"]) * entry.get("repeat", 1)
+        for entry in doc["fleet"] + (doc.get("cyclists") or [doc["cyclist"]])
+    }
+    full = dataclasses.replace(
+        capped,
+        fleet=tuple(dataclasses.replace(f, route=laps[f.vehicle_id]) for f in capped.fleet),
+        cyclists=tuple(dataclasses.replace(c, route=laps[c.cyclist_id]) for c in capped.cyclists),
+    )
+    assert full != capped
+    assert run(full, 42) == run(capped, 42)
 
 
 def test_round_trip_canonical_form(demo_ring, tmp_path):
