@@ -10,9 +10,10 @@ result by a weighted coin toss per vehicle: polluting with probability
 
 A fence decides every ``tau``, in one step: it builds its problem, solves
 it and tosses against that solve in the same tick, so its only decision
-state is the time of its next decision.  Single-vehicle mode, in which
-only the detecting vehicle switches, is :class:`SingleVehicleController`,
-a coordinator that keeps no fence.
+state is the time of its next decision.  Every mode keeps the same fence
+lifecycle and the same ``step``; a mode differs only in ``_decide``.
+Single-vehicle mode, in which only the detecting vehicle switches, is
+:class:`SingleVehicleController`, which overrides that decision alone.
 
 Every command is logged in ``command_log``, a :class:`CommandLog` of
 entries: a fence toss is kept as one :class:`FenceToss` of columns, and
@@ -37,13 +38,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .network import VehicleIndex
+from .network import Point, VehicleIndex
 from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
 
 if TYPE_CHECKING:
     from .engine import VehicleState
-
-Position = tuple[float, float]
 
 # The per-vehicle loops build their NamedTuple records straight from a
 # tuple: the generated constructor costs several times the tuple itself.
@@ -98,7 +97,7 @@ class Geofence:
     """
 
     fence_id: str
-    center: Position
+    center: Point
     radius: float
     created_at: float
     last_detection_at: float
@@ -262,15 +261,17 @@ class GeofenceCoordinator:
     def on_detection(
         self,
         cyclist_id: str,
-        position: Position,
+        position: Point,
         now: float,
         detecting_vehicle_id: str | None = None,
-    ) -> Geofence | None:
-        """Register a detection: create or re-centre the cyclist's fence.
+    ) -> Geofence:
+        """Register a detection: create or re-centre the cyclist's fence,
+        and return it; every mode keeps its fences.
 
         The fence centre is the detecting vehicle's location, the only
         cyclist-position proxy the system has.  ``detecting_vehicle_id`` is
-        read only by :class:`SingleVehicleController`.
+        read only by :class:`SingleVehicleController`, which refreshes that
+        vehicle's timer before the fence is created or re-centred.
         """
         fence = self.fences.get(cyclist_id)
         if fence is None:
@@ -399,13 +400,10 @@ class GeofenceCoordinator:
         its ``member_ids`` tuple when the members are the same), restore
         the controlled vehicles still on the road that are outside every
         live fence (the one restore path, in ascending id order; a restore
-        names the fence of the vehicle's last decision), then decide each
-        fence in ascending id order.
-        A fence whose decision is due (every ``tau``) builds its problem
-        under the budget ``allowable_limit - background_level``, solves it
-        and tosses against that solve at once, so the commands log the
-        rates and densities the assignment was solved for, and the
-        expected-rate budget covers exactly the vehicles tossed.
+        names the fence of the vehicle's last decision), then, under
+        control, ``_decide`` under the budget ``allowable_limit -
+        background_level``, which must be finite.  Only ``_decide``
+        differs between modes.
 
         Membership candidates come from ``index``, a
         :class:`~ecofence.network.VehicleIndex` that holds exactly the
@@ -437,18 +435,25 @@ class GeofenceCoordinator:
                 del controlled[vid]  # vehicle left the network
                 continue
             self._restore(vid, controlled[vid], now)
-        if not self.control_enabled:
-            return entries[logged:]
-        limit = self.config.allowable_limit - background_level
-        if not math.isfinite(limit):
-            raise ValueError(f"budget must be finite, got {limit!r}")
+        if self.control_enabled:
+            limit = self.config.allowable_limit - background_level
+            if not math.isfinite(limit):
+                raise ValueError(f"budget must be finite, got {limit!r}")
+            self._decide(now, snapshots, limit)
+        return entries[logged:]
+
+    def _decide(self, now: float, snapshots: Mapping[str, VehicleState], limit: float) -> None:
+        """Decide each fence whose decision is due (every ``tau``), in
+        ascending id order: build its problem under ``limit``, solve it and
+        toss against that solve at once, so the commands log the rates and
+        densities the assignment was solved for, and the expected-rate
+        budget covers exactly the vehicles tossed."""
         for fence_id in sorted(self.fences):
             fence = self.fences[fence_id]
             if now >= fence.next_solve:
                 problem = self.build_problem(fence, snapshots, limit)
                 self._toss_fence(fence, problem, solve(problem), snapshots, now)
                 fence.next_solve = now + self.config.tau
-        return entries[logged:]
 
     def active_fences(self) -> list[Geofence]:
         return [self.fences[fid] for fid in sorted(self.fences)]
@@ -456,9 +461,9 @@ class GeofenceCoordinator:
 
 class SingleVehicleController(GeofenceCoordinator):
     """Single-vehicle mode: each detector goes electric until its latest
-    detection expires.  No fence is kept (``fences`` and ``in_fence_ids``
-    stay empty), nothing is solved or tossed, and a command's ``fence_id``
-    is the cyclist's id."""
+    detection expires.  Fences live, expire and are traced as in every
+    mode; only the decision differs: nothing is solved or tossed, and a
+    command's ``fence_id`` is the cyclist's id."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -466,27 +471,19 @@ class SingleVehicleController(GeofenceCoordinator):
         self._electric: set[str] = set()
 
     def on_detection(
-        self, cyclist_id: str, position: Position, now: float, detecting_vehicle_id: str | None = None
-    ) -> None:
-        """Refresh the detecting vehicle's timer."""
+        self, cyclist_id: str, position: Point, now: float, detecting_vehicle_id: str | None = None
+    ) -> Geofence:
+        """Refresh the detecting vehicle's timer, then create or re-centre
+        the cyclist's fence."""
         if detecting_vehicle_id is not None:
             self._seen[detecting_vehicle_id] = (now, cyclist_id)
+        return super().on_detection(cyclist_id, position, now, detecting_vehicle_id)
 
-    def step(
-        self,
-        now: float,
-        snapshots: Mapping[str, VehicleState],
-        background_level: float,
-        index: VehicleIndex,
-    ) -> list[CommandRecord]:
+    def _decide(self, now: float, snapshots: Mapping[str, VehicleState], limit: float) -> None:
         """Command each detector electric while ``now - last <= expiry_timeout``
         and polluting after; pure EV reverts are skipped.  A pure ICE
         detector is never commanded, so its entry is dropped at once.
-        Return the records logged during this call, as
-        :meth:`GeofenceCoordinator.step` does.
-        ``index`` goes unread: no fence is kept to query it for."""
-        entries = self.command_log.entries
-        logged = len(entries)
+        ``limit`` goes unread: no budget binds a lone detector."""
         for vid in sorted(self._seen):
             last, cyclist_id = self._seen[vid]
             if vid not in snapshots:
@@ -509,4 +506,3 @@ class SingleVehicleController(GeofenceCoordinator):
             else:
                 continue
             self._command(now, cyclist_id, vid, mode)
-        return entries[logged:]

@@ -503,9 +503,11 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
 
     The spawn stream and the coin-toss stream are seeded separately so a
     control run and a baseline run of the same seed see identical traffic.
-    Baseline runs (control disabled) still track fence lifecycle for the
-    trace but never touch the toss stream, even in single-vehicle mode,
-    which otherwise runs a :class:`SingleVehicleController`.
+    Every run keeps the same fence lifecycle, so a control run traces its
+    baseline's fences row by row; a single-vehicle scenario runs a
+    :class:`SingleVehicleController`, which differs only in its decision.
+    Baseline runs (control disabled) never decide, so they never touch
+    the toss stream and never command, in either mode.
 
     Automatic garbage collection is paused while the steps run, for the
     whole process (see the module docstring); a caller's setting is put
@@ -518,8 +520,7 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     world = World(network=scenario.network, table=table, index=index)
     rng_spawn = random.Random(f"{seed}:spawn")
     rng_toss = random.Random(f"{seed}:toss")
-    single = scenario.single_vehicle and scenario.control_enabled
-    controller = SingleVehicleController if single else GeofenceCoordinator
+    controller = SingleVehicleController if scenario.single_vehicle else GeofenceCoordinator
     coordinator = controller(scenario.controller, rng_toss, control_enabled=scenario.control_enabled)
     fleet_cursor = 0
     cyclist_cursor = 0

@@ -32,6 +32,16 @@ _CONTROL_KEYS = (
 )
 
 
+# trace.csv joins an entry's fields with "~", its entries with "|" and a
+# fence's members with "+", so no vehicle, cyclist or edge id may hold one
+_TRACE_SEPARATORS = frozenset("~|+")
+
+
+def _check_separators(value: str, where: str, problems: list[str]) -> None:
+    if not _TRACE_SEPARATORS.isdisjoint(value):
+        problems.append(f"{where}: must not contain '~', '|' or '+'")
+
+
 class ScenarioError(Exception):
     """Scenario or density file failed validation; carries all violations."""
 
@@ -245,6 +255,7 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
         if eid in edges:
             problems.append(f"{where}.edge_id: duplicate edge {eid!r}")
             continue
+        _check_separators(eid, f"{where}.edge_id", problems)
         points_raw = _shaped(raw.get("points"), list, problems, f"{where}.points") or []
         points = []
         ok = True
@@ -320,6 +331,8 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             vid = f"?fleet{i}"
         elif vid in seen_vehicles:
             problems.append(f"{where}.vehicle_id: duplicate vehicle {vid!r}")
+        else:
+            _check_separators(vid, f"{where}.vehicle_id", problems)
         seen_vehicles.add(vid)
         spawn_time = _number(raw, "spawn_time", problems, where, default=0.0)
         if spawn_time < 0:
@@ -372,6 +385,8 @@ def parse_scenario(data: dict[str, Any]) -> Scenario:
             cid = f"?cyclist{i}"
         elif cid in seen_cyclists:
             problems.append(f"{where}.cyclist_id: duplicate cyclist {cid!r}")
+        else:
+            _check_separators(cid, f"{where}.cyclist_id", problems)
         seen_cyclists.add(cid)
         speed = _number(raw, "speed", problems, where)
         if speed is None or speed <= 0:

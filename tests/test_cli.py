@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from ecofence.cli import main
+from ecofence.optimizer import BUDGET_TOL
 from tests.conftest import ROOT, data_path
 
 
@@ -134,6 +136,27 @@ def test_budget_that_overflows_exits_one(tmp_path, capsys, control, overrides, e
     assert not out.exists()
 
 
+def test_ids_that_break_the_trace_encoding_exit_one(tmp_path, capsys):
+    # trace.csv joins fields with "~", entries with "|" and members with "+"
+    doc = json.loads(data_path("demo_ring.json").read_text())
+    doc["fleet"][0]["vehicle_id"] = "v|x~1"
+    doc["cyclist"]["cyclist_id"] = "c+1~a"
+    doc["network"]["edges"][0]["edge_id"] = "ring+s"
+    for road_user in doc["fleet"] + [doc["cyclist"]]:
+        road_user["route"] = ["ring+s" if e == "ring_s" else e for e in road_user["route"]]
+    scenario = tmp_path / "separators.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--seed", "1", "--out", str(out)]) == 1
+    rule = "must not contain '~', '|' or '+'"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: network.edges[0].edge_id: {rule}",
+        f"error: fleet[0].vehicle_id: {rule}",
+        f"error: cyclists[0].cyclist_id: {rule}",
+    ]
+    assert not out.exists()
+
+
 def test_run_missing_file_exits_one(tmp_path):
     code = main(
         ["run", "--scenario", str(tmp_path / "nope.json"), "--seed", "1", "--out", str(tmp_path)]
@@ -179,6 +202,29 @@ def test_compare_outputs_and_overrides(tmp_path):
         assert (tmp_path / name).exists(), name
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["budget"] == pytest.approx(0.9)
+
+
+def test_compare_in_single_vehicle_mode_reads_the_fence_rows(tmp_path):
+    doc = json.loads(data_path("demo_ring.json").read_text())
+    doc["control"]["single_vehicle"] = True
+    scenario = tmp_path / "single.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "control_trace.csv", newline="") as fh:
+        fence_rows = [row for row in csv.DictReader(fh) if row["fences"]]
+    rates = [float(row["in_fence_rate"]) for row in fence_rows]
+    within = [rate <= float(row["budget"]) + BUDGET_TOL for rate, row in zip(rates, fence_rows)]
+    assert len(fence_rows) == 640
+    assert summary["control_mean_in_fence"] == pytest.approx(sum(rates) / len(rates))
+    assert round(summary["control_mean_in_fence"], 3) == 9.035
+    assert summary["within_budget_fraction"] == sum(within) / len(within) == 0.0
+    with open(out / "plot_before_after.csv", newline="") as fh:
+        assert any(float(row["after_rate"]) > 0.0 for row in csv.DictReader(fh))
+    # no fence toss is logged, so neither command table is written
+    assert not (out / "plot_assignment_snapshot.csv").exists()
+    assert not (out / "plot_fleet_size.csv").exists()
 
 
 def test_background_override_constant(tmp_path):

@@ -338,16 +338,18 @@ def test_toss_frequency_near_half():
 def test_single_vehicle_step_cycle():
     coord = SingleVehicleController(ControllerConfig(), random.Random("test:toss"))
     snapshots = {"v1": snap("v1")}
-    coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
-    assert coord.fences == {}  # no fences in this mode
+    fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0, detecting_vehicle_id="v1")
+    assert coord.fences == {"tag-1": fence}  # the fence is kept, as in every mode
     commands = coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "electric")]
+    assert fence.member_ids == ("v1",) and coord.in_fence_ids == {"v1"}
     # refreshed detections keep it electric with no re-issued command
     coord.on_detection("tag-1", (0.0, 0.0), 5.0, detecting_vehicle_id="v1")
     assert coord.step(6.0, snapshots, 0.0, index_of(snapshots)) == []
     assert coord.step(25.0, snapshots, 0.0, index_of(snapshots)) == []  # 25 - 5 <= 20
     commands = coord.step(25.1, snapshots, 0.0, index_of(snapshots))
     assert [(c.vehicle_id, c.commanded_mode) for c in commands] == [("v1", "polluting")]
+    assert coord.fences == {}  # the fence expired with the detection
 
 
 def test_single_vehicle_controller_drops_pure_ice_detectors(tmp_path, monkeypatch):

@@ -231,7 +231,8 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
 
     for name in ("GeofenceCoordinator", "SingleVehicleController"):
         cls = getattr(engine, name)
-        monkeypatch.setattr(cls, "step", logging_step(cls.step))
+        if "step" in vars(cls):  # an inherited step is wrapped once, where it is defined
+            monkeypatch.setattr(cls, "step", logging_step(cls.step))
 
     original_trace_row = engine._trace_row
 

@@ -89,14 +89,16 @@ def test_compare_outputs_match_golden_digests(tmp_path):
         assert sha256(tmp_path / name) == digest, name
 
 
+# demo_ring in single-vehicle mode; its trace rows hold the fences that
+# every mode keeps
 SINGLE_VEHICLE_DIGESTS = {
-    "trace.csv": "25ddf9951aad470bf5c2ed35b40278d0f844742dcd1183e79186efe78b920ce5",
+    "trace.csv": "ec92aa35c792caa943356953f072f14591e8ab12b24c09878a0e4bb704f748d6",
     "commands.csv": "3393af3c0276058b04eb1f3c67c07ab97a62e8caaaf2b0d6cbc4a7d9c5c403ea",
 }
 
 # demo_ring in single-vehicle mode with pure EVs and pure ICE vehicles
 MIXED_POWERTRAIN_DIGESTS = {
-    "trace.csv": "a6b74506772699cc47d25a2b4c348fd99c2fdcb9d730d4acb0f3eaf3cb50d27f",
+    "trace.csv": "6f543f5c785f51c19b62339f01859b72a511006b0173fd187a2a52e95177fc83",
     "commands.csv": "fe0fb20d76dfef7eec41911c8449b2e22996c73d298705a211c4271cda770a76",
 }
 

@@ -58,6 +58,20 @@ def test_compare_baseline_is_silent_in_single_vehicle_mode(demo_ring, demo_ring_
     assert compared.baseline.trace.rows == demo_ring_compare.baseline.trace.rows
 
 
+@pytest.mark.parametrize("single_vehicle", [False, True], ids=["fence", "single_vehicle"])
+@pytest.mark.parametrize("demo", ["demo_ring", "demo_lifecycle", "demo_slack"])
+def test_control_run_records_its_baselines_fences(demo, single_vehicle, request):
+    # fences follow detections, and so positions, which no mode changes
+    scenario = dataclasses.replace(request.getfixturevalue(demo), single_vehicle=single_vehicle)
+    for latency in (0.0, 5.0):
+        controller = dataclasses.replace(scenario.controller, actuation_latency=latency)
+        for seed in (1, 42):
+            compared = run_compare(dataclasses.replace(scenario, controller=controller), seed)
+            baseline = [row.fences for row in compared.baseline.trace.rows]
+            assert any(baseline), (latency, seed)
+            assert [row.fences for row in compared.control.trace.rows] == baseline, (latency, seed)
+
+
 def test_compare_demo_ring_summary(demo_ring_compare):
     summary = demo_ring_compare.summary
     assert summary.baseline_mean_in_fence > 1.1
