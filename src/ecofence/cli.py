@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .coordinator import FenceToss
 from .engine import run
-from .optimizer import GeofenceProblem, ProblemEntry, budget_spend, solve
+from .optimizer import GeofenceProblem, budget_spend, solve
 from .reporting import (
     CompareResult,
     assignment_snapshot_table,
@@ -245,7 +245,7 @@ def _parse_problem(data: dict) -> GeofenceProblem:
     raw_entries = data.get("entries")
     if raw_entries is None:
         problems.append("entries: must be a list")
-    entries = []
+    vehicle_ids, densities, rates = [], [], []
     seen: set[str] = set()
     for i, raw in enumerate(_shaped(raw_entries, list, problems, "entries") or []):
         where = f"entries[{i}]"
@@ -265,10 +265,12 @@ def _parse_problem(data: dict) -> GeofenceProblem:
         rate = _required_number(raw, "emission_rate", problems, where)
         if rate is not None and rate < 0.0:
             problems.append(f"{where}.emission_rate: must be >= 0, got {rate!r}")
-        entries.append(ProblemEntry(vid, density, rate))
+        vehicle_ids.append(vid)
+        densities.append(density)
+        rates.append(rate)
     if problems:
         raise ScenarioError(problems)
-    return GeofenceProblem(entries=tuple(entries), limit=limit)
+    return GeofenceProblem(tuple(vehicle_ids), tuple(densities), tuple(rates), limit)
 
 
 def _cmd_solve_debug(args) -> int:

@@ -39,7 +39,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .network import Point, VehicleIndex
-from .optimizer import Assignment, GeofenceProblem, ProblemEntry, solve
+from .optimizer import Assignment, GeofenceProblem, solve
 
 if TYPE_CHECKING:
     from .engine import VehicleState
@@ -135,10 +135,12 @@ class FenceToss(NamedTuple):
     Item ``i`` of the six columns is the row of one vehicle, in problem
     (ascending id) order; the time, the fence and the effective time are
     the same for every row.  The columns hold only strings and floats, the
-    draws as an ``array('d')`` of 8 bytes each, so neither the problem's
-    entries nor its :class:`~ecofence.optimizer.Assignment` is kept alive;
-    ``assignments`` is the assignment's ``x`` column.  The toss is one entry of
-    the command log and of the engine's queue, which applies its
+    draws as an ``array('d')`` of 8 bytes each.  ``vehicle_ids``,
+    ``densities`` and ``rates`` are the problem's own columns and
+    ``assignments`` is the assignment's ``x``, so neither the
+    :class:`~ecofence.optimizer.GeofenceProblem` nor its
+    :class:`~ecofence.optimizer.Assignment` is kept alive.  The toss is one
+    entry of the command log and of the engine's queue, which applies its
     ``vehicle_ids`` and ``modes`` row by row.
     """
 
@@ -320,25 +322,32 @@ class GeofenceCoordinator:
     ) -> GeofenceProblem:
         """Assemble the assignment problem for one fence under ``limit`` g/min.
 
-        The entries are the fence members the coordinator may command, in
-        ascending id order.  Pure-ICE vehicles cannot switch drivetrain and
-        are left out.  Each member enters with its record's
-        ``emission_rate``; pure EVs enter with a zero rate so the solver
-        hands them probability 1 at no budget cost.  Nothing is checked
-        here: the densities and rates were checked when the scenario
-        loaded, and ``step`` checks that the limit is finite.
+        The problem's vehicles are the fence members the coordinator may
+        command, in ascending id order.  Pure-ICE vehicles cannot switch
+        drivetrain and are left out.  Each member enters with its record's
+        ``density_weight`` and ``emission_rate``; pure EVs enter with a
+        zero rate so the solver hands them probability 1 at no budget cost.
+        Each member's record is read once.  When no member is left out,
+        the ids column is ``fence.member_ids`` itself, the tuple the trace
+        rows keep.  Nothing is checked here: the densities and rates were
+        checked when the scenario loaded, and ``step`` checks that the
+        limit is finite.
         """
         pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
-        entries = []
-        append = entries.append
-        for vid in fence.member_ids:
+        member_ids = fence.member_ids
+        vehicle_ids, densities, rates = [], [], []
+        add_id, add_density, add_rate = vehicle_ids.append, densities.append, rates.append
+        for vid in member_ids:
             snap = snapshots[vid]
             powertrain = snap.powertrain
             if powertrain is pure_ice:
                 continue
-            rate = 0.0 if powertrain is pure_ev else snap.emission_rate
-            append(_record(ProblemEntry, (vid, snap.density_weight, rate)))
-        return GeofenceProblem(entries=tuple(entries), limit=limit)
+            add_id(vid)
+            add_density(snap.density_weight)
+            add_rate(0.0 if powertrain is pure_ev else snap.emission_rate)
+        if len(vehicle_ids) == len(member_ids):
+            vehicle_ids = member_ids
+        return GeofenceProblem(tuple(vehicle_ids), tuple(densities), tuple(rates), limit)
 
     def _toss_fence(
         self,
@@ -357,13 +366,11 @@ class GeofenceCoordinator:
         stability but are always commanded electric; they have no engine
         to pollute with.
         """
-        entries = problem.entries
-        if entries:
+        vehicle_ids = problem.vehicle_ids
+        if vehicle_ids:
             effective = now + self.config.actuation_latency
             fence_id = fence.fence_id
-            vehicle_ids, densities, rates = zip(*entries)
-            if vehicle_ids == fence.member_ids:
-                vehicle_ids = fence.member_ids  # the tuple the trace rows keep
+            rates = problem.rates
             assignments = assignment.x
             draws, modes = [], []
             add_draw, add_mode = draws.append, modes.append
@@ -381,7 +388,7 @@ class GeofenceCoordinator:
                     controlled[vehicle_id] = fence_id
                 add_draw(draw)
                 add_mode("polluting" if polluting else "electric")
-            columns = (vehicle_ids, densities, rates, assignments, array("d", draws), tuple(modes))
+            columns = (vehicle_ids, problem.densities, rates, assignments, array("d", draws), tuple(modes))
             self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
 
     # -- per-step driver -----------------------------------------------------
@@ -396,14 +403,20 @@ class GeofenceCoordinator:
         """Advance the coordinator one simulation step; return the entries
         it appended to ``command_log``, in log order.
 
-        Order: expire stale fences, recompute memberships (a fence keeps
-        its ``member_ids`` tuple when the members are the same), restore
+        Order: expire stale fences, recompute memberships, restore
         the controlled vehicles still on the road that are outside every
         live fence (the one restore path, in ascending id order; a restore
         names the fence of the vehicle's last decision), then, under
         control, ``_decide`` under the budget ``allowable_limit -
         background_level``, which must be finite.  Only ``_decide``
         differs between modes.
+
+        A fence keeps its ``member_ids`` tuple while its members stay the
+        same, and is given the members newly sorted only when the set
+        found differs from it: a length check, then one ``issuperset``,
+        which together test equality without sorting.  So a member that
+        leaves as another enters, at the same size, is caught, and the
+        trace rows of unchanged steps share one tuple.
 
         Membership candidates come from ``index``, a
         :class:`~ecofence.network.VehicleIndex` that holds exactly the
@@ -423,9 +436,10 @@ class GeofenceCoordinator:
         self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
-            inside = tuple(sorted(members(fence, index.near(fence.center, fence.radius))))
-            if inside != fence.member_ids:  # an equal tuple is kept, for the trace rows to share
-                fence.member_ids = inside
+            inside = members(fence, index.near(fence.center, fence.radius))
+            kept = fence.member_ids
+            if len(inside) != len(kept) or not inside.issuperset(kept):
+                fence.member_ids = tuple(sorted(inside))
             in_any_fence.update(inside)
         self.in_fence_ids = in_any_fence
         # only a controlled vehicle outside every fence can need a restore

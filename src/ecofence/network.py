@@ -150,8 +150,10 @@ class VehicleIndex:
     box side, and is doubled until no box spans more than two cells along
     an axis, so each edge is listed in at most 4 cells.  ``extent`` is the
     largest coordinate magnitude of any edge point, which bounds how far
-    rounding can put a position outside its edge's box.  The index only
-    prunes: callers keep the exact distance test.
+    rounding can put a position outside its edge's box.  ``spans`` caches,
+    per span of cells a query has covered, the entries of the edges listed
+    there (see :meth:`near`).  The index only prunes: callers keep the
+    exact distance test.
     """
 
     def __init__(self, network: RoadNetwork, cell: float):
@@ -176,16 +178,18 @@ class VehicleIndex:
             cell *= 2.0
         cells: dict[tuple[int, int], list[tuple]] = {}
         for eid, x0, y0, x1, y1 in boxes:
-            ix0, iy0 = floor(x0 / cell), floor(y0 / cell)
-            entry = (eid, ix0, iy0, x0, y0, x1, y1, self.buckets[eid])
-            for ix in range(ix0, floor(x1 / cell) + 1):
-                for iy in range(iy0, floor(y1 / cell) + 1):
+            entry = (eid, x0, y0, x1, y1, self.buckets[eid])
+            for ix in range(floor(x0 / cell), floor(x1 / cell) + 1):
+                for iy in range(floor(y0 / cell), floor(y1 / cell) + 1):
                     cells.setdefault((ix, iy), []).append(entry)
         self.cell = cell
         self.extent = extent
-        # (ix, iy) -> one entry per edge listed there: (edge id, its first
-        # cell's ix and iy, x_lo, y_lo, x_hi, y_hi of its box, its bucket)
+        # (ix, iy) -> one entry per edge listed there: (edge id, x_lo, y_lo,
+        # x_hi, y_hi of its box, its bucket)
         self.cells = cells
+        # (ix_first, iy_first, ix_last, iy_last) -> the entries of every
+        # edge listed in those cells, once each
+        self.spans: dict[tuple[int, int, int, int], tuple[tuple, ...]] = {}
 
     def add(self, vehicle_id: str, record: Any, edge_id: str) -> None:
         """Put ``record`` in the bucket of ``edge_id``."""
@@ -207,10 +211,13 @@ class VehicleIndex:
         They are the records on every edge whose box meets the query
         square: the disc's bounding square with each side pushed out by
         ``pad = (|cx| + |cy| + radius + extent) * 2**-40`` to cover
-        rounding.  Only the cells under the square are visited, and an
-        edge listed in several of them is taken in the first: the one
-        whose ``ix`` is the larger of the edge's first and the square's
-        first, and ``iy`` alike.
+        rounding.  The query's span is the cells under the square,
+        ``(ix_first, iy_first, ix_last, iy_last)``.  The edges it tests
+        are the span's listing: every edge listed in one of those cells,
+        once each, built from ``cells`` the first time the span is queried
+        and kept in ``spans``.  A listing holds each edge's bucket itself,
+        not a copy, so it never goes stale: ``add``, ``move`` and
+        ``remove`` change the buckets it reads.
 
         Why no record the callers accept is missed.  With unit roundoff
         ``u = 2**-53``, a caller's test ``hypot(x - cx, y - cy) <= radius``
@@ -231,9 +238,26 @@ class VehicleIndex:
         with a wide margin; the high side and the y axis are alike.  So
         ``q`` lies in both the box and the square, the box test keeps its
         edge, and since ``coord / cell`` and ``floor`` are monotone, the
-        cell of ``q`` is one the edge is listed in and the query visits.
-        For a query within 1 km of the origin, on a network within 1 km of
-        it, with a 100 m radius, the pad is under 3e-9 m.
+        cell of ``q`` lies in the span and lists the edge, so the span's
+        listing holds it.  For a query within 1 km of the origin, on a
+        network within 1 km of it, with a 100 m radius, the pad is under
+        3e-9 m.
+
+        How many spans are kept.  A span is kept only when its listing
+        holds an edge, so it meets the columns ``c_lo..c_hi`` and the rows
+        that ``cells`` occupies.  A span of ``w + 1`` columns that meets
+        them starts in one of the ``nx + w`` columns ``c_lo - w..c_hi``,
+        where ``nx = c_hi - c_lo + 1``, and the rows alike, with ``ny``.
+        A query whose reach ``radius + pad`` is at most 1.25 cells, with
+        its centre within ``2**30`` cells of the origin, spans at most 4
+        columns and 4 rows: ``x_hi - x_lo`` is under 2.51 cells and the
+        divisions by ``cell`` round by far less than 0.49 cells.  The
+        engine's queries are such on a network within ``2**30`` cells of
+        the origin: their radius is at most ``cell``, their centre is a
+        road user's position on the network, and so their pad is under
+        ``2**-8`` cells.  So those queries keep at most
+        ``(4 * nx + 6) * (4 * ny + 6)`` spans in a run, however many steps
+        it makes.
         """
         cx, cy = center
         reach = radius + (abs(cx) + abs(cy) + radius + self.extent) * 2.0**-40
@@ -241,23 +265,28 @@ class VehicleIndex:
         y_lo, y_hi = cy - reach, cy + reach
         cell = self.cell
         floor = math.floor
-        ix_first, iy_first = floor(x_lo / cell), floor(y_lo / cell)
-        cells = self.cells
+        span = (floor(x_lo / cell), floor(y_lo / cell), floor(x_hi / cell), floor(y_hi / cell))
+        listing = self.spans.get(span)
+        if listing is None:
+            listing = self._list_span(span)
         found: dict[str, Any] = {}
-        for ix in range(ix_first, floor(x_hi / cell) + 1):
-            for iy in range(iy_first, floor(y_hi / cell) + 1):
-                listed = cells.get((ix, iy))
-                if listed is None:
-                    continue
-                for _, ix0, iy0, bx_lo, by_lo, bx_hi, by_hi, bucket in listed:
-                    if (
-                        (ix == ix0 or ix == ix_first)
-                        and (iy == iy0 or iy == iy_first)
-                        and bucket
-                        and bx_lo <= x_hi
-                        and x_lo <= bx_hi
-                        and by_lo <= y_hi
-                        and y_lo <= by_hi
-                    ):
-                        found.update(bucket)
+        for _, bx_lo, by_lo, bx_hi, by_hi, bucket in listing:
+            if bucket and bx_lo <= x_hi and x_lo <= bx_hi and by_lo <= y_hi and y_lo <= by_hi:
+                found.update(bucket)
         return found
+
+    def _list_span(self, span: tuple[int, int, int, int]) -> tuple[tuple, ...]:
+        """The entry of every edge listed in a cell of ``span``, once each,
+        in the order a column-by-column visit of its cells first meets
+        them; kept in ``spans`` when it holds any."""
+        ix_first, iy_first, ix_last, iy_last = span
+        cells = self.cells
+        listed: dict[str, tuple] = {}
+        for ix in range(ix_first, ix_last + 1):
+            for iy in range(iy_first, iy_last + 1):
+                for entry in cells.get((ix, iy), ()):
+                    listed.setdefault(entry[0], entry)
+        listing = tuple(listed.values())
+        if listing:
+            self.spans[span] = listing
+        return listing

@@ -18,10 +18,13 @@ When the budget is zero or negative the assignment is all-zero by rule:
 every vehicle goes electric regardless of objective, since no polluting
 allocation is acceptable.
 
-An :class:`Assignment` keeps x as a column in problem order.  The solvers
-assume unique ids, finite d >= 1, finite e >= 0 and a finite limit, and
-check none of it: a problem is checked where its data enters the program
-(the scenario loader, and ``solve-debug`` for a problem file).
+A :class:`GeofenceProblem` holds its vehicles as three columns (ids,
+densities d and rates e, item ``i`` of each being vehicle ``i``), and an
+:class:`Assignment` keeps x as a fourth column in the same order, so the
+coordinator's coin tosses and the command log take all four as they are.
+The solvers assume unique ids, finite d >= 1, finite e >= 0 and a finite
+limit, and check none of it: a problem is checked where its data enters
+the program (the scenario loader, and ``solve-debug`` for a problem file).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ BRUTE_FORCE_MAX_ENTRIES = 8
 
 
 class ProblemEntry(NamedTuple):
-    """One vehicle in the assignment problem."""
+    """One vehicle in the assignment problem: one row of its columns."""
 
     vehicle_id: str
     density: float
@@ -48,18 +51,29 @@ class ProblemEntry(NamedTuple):
 class GeofenceProblem:
     """An assignment instance: the vehicles in a fence plus the budget.
 
+    The vehicles are three columns of equal length: item ``i`` of
+    ``vehicle_ids``, ``densities`` and ``rates`` is one vehicle's id,
+    density weight d and polluting-mode emission rate e (g/min).
     ``limit`` is the allowed aggregate polluting rate in g/min and may be
-    zero or negative (forcing the all-electric rule).
+    zero or negative (forcing the all-electric rule).  ``entries`` zips
+    the columns into :class:`ProblemEntry` rows each time it is read.
     """
 
-    entries: tuple[ProblemEntry, ...]
+    vehicle_ids: tuple[str, ...]
+    densities: tuple[float, ...]
+    rates: tuple[float, ...]
     limit: float
+
+    @property
+    def entries(self) -> tuple[ProblemEntry, ...]:
+        return tuple(map(ProblemEntry._make, zip(self.vehicle_ids, self.densities, self.rates)))
 
 
 @dataclass(frozen=True)
 class Assignment:
     """Polluting probabilities plus the achieved objective; ``x[i]``
-    belongs to ``problem.entries[i]``."""
+    belongs to vehicle ``i`` of the problem's columns, so ``x`` is the
+    problem's fourth column."""
 
     x: tuple[float, ...] = ()
     objective_value: float = 0.0
@@ -75,20 +89,21 @@ def solve(problem: GeofenceProblem) -> Assignment:
     Once the remaining budget is exactly 0.0 every later vehicle would get
     ``0.0 / e = 0.0`` and add ``0.0`` to the objective, so the fill stops
     there and leaves them at x = 0.0, with the same values and the same
-    objective.  The x column is filled by entry index, in problem order.
+    objective.  The x column is filled by vehicle index, in problem order.
 
-    A fill usually stops a few entries in, so the entries are not sorted:
-    they are heapified and popped in fill order only until the budget is
-    spent, which costs O(n + k log n) for k entries filled.
+    A fill usually stops a few vehicles in, so they are not sorted: their
+    ``(d*e, d, index, e)`` keys are heapified and popped in fill order
+    only until the budget is spent, which costs O(n + k log n) for k
+    vehicles filled.
     """
-    entries = problem.entries
+    densities, rates = problem.densities, problem.rates
     if problem.limit <= 0.0:
-        return Assignment(x=(0.0,) * len(entries), objective_value=0.0)
-    x = [0.0] * len(entries)
+        return Assignment(x=(0.0,) * len(rates), objective_value=0.0)
+    x = [0.0] * len(rates)
     objective = 0.0
     costed: list[tuple[float, float, int, float]] = []
     append = costed.append
-    for index, (_, density, rate) in enumerate(entries):
+    for index, (density, rate) in enumerate(zip(densities, rates)):
         if rate == 0.0:
             x[index] = 1.0
             objective += 1.0 / density
@@ -122,7 +137,8 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
     outside S covers every extreme point; the best feasible one is optimal.
     Only valid for small instances (<= 8 entries).
     """
-    n = len(problem.entries)
+    densities, rates = problem.densities, problem.rates
+    n = len(rates)
     if n > BRUTE_FORCE_MAX_ENTRIES:
         raise ValueError(
             f"brute force supports at most {BRUTE_FORCE_MAX_ENTRIES} entries, got {n}"
@@ -136,8 +152,8 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
         base_objective = 0.0
         for i in range(n):
             if mask & (1 << i):
-                cost += problem.entries[i].emission_rate
-                base_objective += 1.0 / problem.entries[i].density
+                cost += rates[i]
+                base_objective += 1.0 / densities[i]
         slack = problem.limit - cost
         # feasibility slop must scale with the operands: an absolute epsilon
         # would admit genuinely infeasible subsets when the rates are tiny
@@ -153,11 +169,11 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
         for j in range(n):
             if mask & (1 << j):
                 continue
-            e_j = problem.entries[j].emission_rate
+            e_j = rates[j]
             if e_j == 0.0:
                 continue
             x_j = min(1.0, slack / e_j)
-            objective = base_objective + x_j / problem.entries[j].density
+            objective = base_objective + x_j / densities[j]
             if objective > best_objective:
                 best_objective = objective
                 best_x = (*subset[:j], x_j, *subset[j + 1:])
@@ -165,5 +181,13 @@ def brute_force_solve(problem: GeofenceProblem) -> Assignment:
 
 
 def budget_spend(assignment: Assignment, problem: GeofenceProblem) -> float:
-    """Expected aggregate polluting rate sum(x_i * e_i) under ``assignment``."""
-    return sum(x * entry.emission_rate for entry, x in zip(problem.entries, assignment.x, strict=True))
+    """Expected aggregate polluting rate sum(x_i * e_i) under ``assignment``.
+
+    The products are added one at a time from the left, as ``sum`` did
+    before Python 3.12 compensated float sums, so every version prints
+    the same bits.
+    """
+    total = 0.0
+    for rate, x in zip(problem.rates, assignment.x, strict=True):
+        total += x * rate
+    return total

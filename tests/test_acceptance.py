@@ -14,7 +14,6 @@ import pytest
 
 from ecofence import (
     GeofenceProblem,
-    ProblemEntry,
     brute_force_solve,
     budget_spend,
     emission_rate_g_per_km,
@@ -84,13 +83,16 @@ def test_criterion_2_lp_correctness():
         start = time.perf_counter()
         for _ in range(1000):
             n = rng.randint(1, 6)
-            entries = tuple(
-                ProblemEntry(f"v{i}", 1.0 + rng.random() * 9.0, rng.random() * 5.0)
-                for i in range(n)
-            )
-            total = sum(e.emission_rate for e in entries)
+            vehicle_ids, densities, rates = [], [], []
+            for i in range(n):
+                vehicle_ids.append(f"v{i}")
+                densities.append(1.0 + rng.random() * 9.0)
+                rates.append(rng.random() * 5.0)
+            total = sum(rates)
             limit = -1.0 + rng.random() * (total + 2.0)
-            problem = GeofenceProblem(entries=entries, limit=limit)
+            problem = GeofenceProblem(
+                vehicle_ids=tuple(vehicle_ids), densities=tuple(densities), rates=tuple(rates), limit=limit
+            )
             greedy = solve(problem)
             oracle = brute_force_solve(problem)
             assert abs(greedy.objective_value - oracle.objective_value) <= TOL

@@ -6,6 +6,7 @@ import pytest
 from ecofence import engine
 from ecofence.coordinator import (
     ControllerConfig,
+    FenceToss,
     Geofence,
     GeofenceCoordinator,
     Powertrain,
@@ -14,7 +15,7 @@ from ecofence.coordinator import (
     toss_polluting,
 )
 from ecofence.emissions import load_default_table
-from ecofence.scenario import load_scenario
+from ecofence.scenario import load_scenario, parse_scenario
 from tests.conftest import Snapshot, index_of
 from tests.test_golden import mixed_powertrain_scenario
 
@@ -271,12 +272,84 @@ def test_pure_ice_member_never_commanded():
     assert "ice" in fence.member_ids  # geometrically still a member
 
 
+def test_build_problem_passes_the_members_on_as_columns():
+    coord = make_coordinator()
+    fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    fence.member_ids = ("a", "b", "c")
+    hybrids = {vid: snap(vid, speed=10.0 * (i + 1), density=1.5 + i) for i, vid in enumerate("abc")}
+    problem = coord.build_problem(fence, hybrids, 2.5)
+    assert problem.vehicle_ids is fence.member_ids
+    assert problem.densities == (1.5, 2.5, 3.5)
+    assert problem.rates == tuple(hybrids[vid].emission_rate for vid in "abc")
+    assert problem.limit == 2.5
+    # a pure EV stays in the problem at rate 0.0, with its density
+    with_ev = dict(hybrids, b=snap("b", density=2.5, powertrain=Powertrain.PURE_EV))
+    problem = coord.build_problem(fence, with_ev, 2.5)
+    assert problem.vehicle_ids is fence.member_ids
+    assert problem.densities == (1.5, 2.5, 3.5)
+    assert problem.rates == (hybrids["a"].emission_rate, 0.0, hybrids["c"].emission_rate)
+    # a pure-ICE member is left out of every column
+    with_ice = dict(hybrids, a=snap("a", powertrain=Powertrain.PURE_ICE))
+    problem = coord.build_problem(fence, with_ice, 2.5)
+    assert problem.vehicle_ids == ("b", "c")
+    assert problem.densities == (2.5, 3.5)
+    assert problem.rates == (hybrids["b"].emission_rate, hybrids["c"].emission_rate)
+    assert all(type(column) is tuple for column in (problem.vehicle_ids, problem.densities, problem.rates))
+
+
+def test_each_toss_logs_its_fences_member_tuple(demo_ring_dict):
+    # demo_ring with two pure EVs on the ring, in every fence, and its two
+    # spur vehicles, in about a third of the fences, pure ICE
+    powertrains = {"v01": "pure_ev", "v02": "pure_ev", "v13": "pure_ice", "v14": "pure_ice"}
+    for entry in demo_ring_dict["fleet"]:
+        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
+    pure_ice = {"v13", "v14"}
+    result = engine.run(parse_scenario(demo_ring_dict), 42)
+    members_at = {
+        (row.sim_time, fence.fence_id): fence.member_ids for row in result.trace.rows for fence in row.fences
+    }
+    tosses = [entry for entry in result.commands.entries if type(entry) is FenceToss]
+    shared = 0
+    for toss in tosses:
+        member_ids = members_at[toss.sim_time, toss.fence_id]
+        if pure_ice.isdisjoint(member_ids):
+            assert toss.vehicle_ids is member_ids
+            shared += 1
+        else:
+            assert toss.vehicle_ids == tuple(vid for vid in member_ids if vid not in pure_ice)
+    # both cases occur, and a pure EV was tossed in a shared tuple
+    assert 0 < shared < len(tosses)
+    assert any(
+        toss.vehicle_ids is members_at[toss.sim_time, toss.fence_id] and 0.0 in toss.rates for toss in tosses
+    )
+
+
 def test_members_outside_are_never_commanded():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"in": snap("in"), "far": snap("far", pos=(500.0, 0.0))}
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert [c.vehicle_id for c in coord.command_log] == ["in"]
+
+
+def test_members_are_sorted_again_only_when_the_set_changes():
+    coord = make_coordinator()
+    fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    far = (500.0, 0.0)
+    first = {"b": snap("b"), "d": snap("d"), "a": snap("a", pos=far), "c": snap("c", pos=far)}
+    coord.step(0.0, first, 0.0, index_of(first))
+    assert fence.member_ids == ("b", "d")
+    kept = fence.member_ids
+    coord.step(0.5, first, 0.0, index_of(first))
+    assert fence.member_ids is kept
+    # d leaves as a enters: same size, another set
+    swapped = {"a": snap("a"), "b": snap("b"), "c": snap("c", pos=far), "d": snap("d", pos=far)}
+    coord.step(1.0, swapped, 0.0, index_of(swapped))
+    assert fence.member_ids == ("a", "b")
+    assert coord.in_fence_ids == {"a", "b"}
+    kept = fence.member_ids
+    coord.step(1.5, swapped, 0.0, index_of(swapped))
+    assert fence.member_ids is kept
 
 
 def test_vehicle_leaving_fence_reverts_next_step():

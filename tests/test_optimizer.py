@@ -14,9 +14,13 @@ from ecofence.optimizer import (
 )
 
 
-def problem(entries, limit):
+def problem(rows, limit):
+    """A problem from (id, d, e) rows, built by its column constructor."""
     return GeofenceProblem(
-        entries=tuple(ProblemEntry(vid, d, e) for vid, d, e in entries), limit=limit
+        vehicle_ids=tuple(vid for vid, _, _ in rows),
+        densities=tuple(d for _, d, _ in rows),
+        rates=tuple(e for _, _, e in rows),
+        limit=limit,
     )
 
 
@@ -108,6 +112,39 @@ def test_budget_spend_missing_id():
     assert budget_spend(Assignment(x=(0.5,)), p) == 0.5
 
 
+def left_to_right_spend(assignment, p):
+    total = 0.0
+    for x, e in zip(assignment.x, p.rates):
+        total += x * e
+    return total
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        [0.1] * 10,  # 0.9999999999999999 left to right, 1.0 compensated
+        [1e16, 1.0, -1e16, 1.0],  # 1.0 left to right, 2.0 compensated
+    ],
+    ids=["tenths", "cancelling"],
+)
+def test_budget_spend_adds_left_to_right_on_every_version(rates):
+    # Python 3.12's sum() returns the compensated sum for both; a rate
+    # below 0 never reaches a solver, -1e16 only makes the two sums differ
+    p = problem([(f"v{i}", 1.0, e) for i, e in enumerate(rates)], 1.0)
+    assignment = Assignment(x=(1.0,) * len(rates))
+    spend = budget_spend(assignment, p)
+    assert spend.hex() == left_to_right_spend(assignment, p).hex()
+    assert spend != math.fsum(rates)
+
+
+def test_entries_read_the_columns_row_by_row():
+    p = problem([("b", 2.0, 0.5), ("a", 1.0, 0.0), ("c", 3.5, 1.25)], 1.0)
+    assert p.entries == (ProblemEntry("b", 2.0, 0.5), ProblemEntry("a", 1.0, 0.0), ProblemEntry("c", 3.5, 1.25))
+    assert all(type(entry) is ProblemEntry for entry in p.entries)
+    assert [tuple(entry) for entry in p.entries] == list(zip(p.vehicle_ids, p.densities, p.rates))
+    assert problem([], 1.0).entries == ()
+
+
 # -- properties ---------------------------------------------------------------
 
 entry_lists = st.lists(
@@ -163,9 +200,9 @@ def test_property_monotone_in_weighted_cost(entries_raw, limit):
 def test_property_scale_invariance(entries_raw, limit, scale):
     p = build(entries_raw, limit)
     scaled = GeofenceProblem(
-        entries=tuple(
-            ProblemEntry(e.vehicle_id, e.density, e.emission_rate * scale) for e in p.entries
-        ),
+        vehicle_ids=p.vehicle_ids,
+        densities=p.densities,
+        rates=tuple(e * scale for e in p.rates),
         limit=p.limit * scale,
     )
     x0 = solve(p).x

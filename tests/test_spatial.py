@@ -20,6 +20,7 @@ import math
 import random
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -334,6 +335,102 @@ def test_grid_lists_each_edge_in_at_most_four_cells_at_any_cell_size(starts, dat
     counts = listings(index)
     assert set(counts) == set(edges)
     assert max(counts.values()) <= 4
+
+
+# -- span listings -----------------------------------------------------------
+
+
+def test_a_kept_span_listing_sees_every_later_add_move_and_remove():
+    # six 8 m edges along y = 0 and y = 30 in 10 m cells; the query covers
+    # the cells of every edge but x8 and far
+    starts = {"x0": (0.0, 0.0), "x1": (12.0, 0.0), "x2": (24.0, 0.0), "y0": (0.0, 30.0), "x8": (80.0, 0.0)}
+    edges = {eid: Edge(eid, ((x, y), (x + 8.0, y)), 30.0) for eid, (x, y) in starts.items()}
+    edges["far"] = Edge("far", ((500.0, 500.0), (508.0, 500.0)), 30.0)
+    index = VehicleIndex(RoadNetwork(edges=edges), 10.0)
+    on = {}  # vehicle id -> (edge id, record)
+
+    def place(vid, eid, offset):
+        # as the engine does: a record is added once, then moved and updated
+        position = edges[eid].position_at(offset)
+        if vid in on:
+            was, record = on[vid]
+            index.move(vid, was, eid)
+            record.position = position
+        else:
+            record = SimpleNamespace(position=position)
+            index.add(vid, record, eid)
+        on[vid] = eid, record
+
+    def query():
+        found = index.near(centre, radius)
+        records = {vid: record for bucket in index.buckets.values() for vid, record in bucket.items()}
+        positions = {vid: record.position for vid, record in records.items()}
+        assert set(found) >= set(brute_members(centre, radius, positions))
+        assert all(records[vid] is record for vid, record in found.items())
+        return found
+
+    centre, radius = (15.0, 10.0), 20.0
+    place("a", "x0", 4.0)
+    place("gone", "x1", 2.0)
+    place("stays", "x2", 1.0)
+    assert set(query()) == {"a", "gone", "stays"}
+    (span,) = index.spans  # the query kept one listing
+    kept = index.spans[span]
+    # adds onto an edge that was empty when listed, a move in, a move out
+    # of the span, and a removal
+    place("new", "y0", 3.0)
+    place("b", "far", 1.0)
+    place("b", "x1", 6.0)
+    place("a", "x8", 2.0)
+    index.remove("gone", on.pop("gone")[0])
+    assert set(query()) == {"new", "b", "stays"}
+    assert index.spans == {span: kept}  # the same listing answered
+
+
+def engine_indexes(monkeypatch):
+    """Every index that ``run`` builds from now on."""
+    built = []
+    build = VehicleIndex.__init__
+
+    def kept(self, network, cell):
+        build(self, network, cell)
+        built.append(self)
+
+    monkeypatch.setattr(VehicleIndex, "__init__", kept)
+    return built
+
+
+@pytest.mark.parametrize("name", ["demo_ring", "demo_lifecycle", "grid_sparse"])
+def test_a_run_keeps_no_more_span_listings_than_near_bounds(name, request, monkeypatch, tmp_path):
+    if name == "grid_sparse":
+        scenario = load_scenario(bench_scenario("grid_sparse", tmp_path / "grid_sparse.json"))
+    else:
+        scenario = request.getfixturevalue(name)
+    built = engine_indexes(monkeypatch)
+    queries = Counter()
+    near = VehicleIndex.near
+
+    def counted(self, center, radius):
+        queries[id(self)] += 1
+        return near(self, center, radius)
+
+    monkeypatch.setattr(VehicleIndex, "near", counted)
+    run(scenario, 42)
+    (index,) = built
+    columns = {ix for ix, _ in index.cells}
+    rows = {iy for _, iy in index.cells}
+    nx = max(columns) - min(columns) + 1
+    ny = max(rows) - min(rows) + 1
+    spans = index.spans
+    assert 0 < len(spans) <= (4 * nx + 6) * (4 * ny + 6)
+    assert queries[id(index)] > 10 * len(spans)  # the listings are reused
+    for (ix_first, iy_first, ix_last, iy_last), listing in spans.items():
+        assert 0 <= ix_last - ix_first <= 3 and 0 <= iy_last - iy_first <= 3
+        assert ix_first <= max(columns) and ix_last >= min(columns)
+        assert iy_first <= max(rows) and iy_last >= min(rows)
+        listed = [entry[0] for ix in range(ix_first, ix_last + 1) for iy in range(iy_first, iy_last + 1)
+                  for entry in index.cells.get((ix, iy), ())]
+        assert [entry[0] for entry in listing] == list(dict.fromkeys(listed))
 
 
 # -- bookkeeping ---------------------------------------------------------------
