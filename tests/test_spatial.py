@@ -428,8 +428,13 @@ def test_a_run_keeps_no_more_span_listings_than_near_bounds(name, request, monke
         assert 0 <= ix_last - ix_first <= 3 and 0 <= iy_last - iy_first <= 3
         assert ix_first <= max(columns) and ix_last >= min(columns)
         assert iy_first <= max(rows) and iy_last >= min(rows)
-        listed = [entry[0] for ix in range(ix_first, ix_last + 1) for iy in range(iy_first, iy_last + 1)
-                  for entry in index.cells.get((ix, iy), ())]
+        # every edge of the span's cells, once each
+        listed = [
+            entry[0]
+            for ix in range(ix_first, ix_last + 1)
+            for iy in range(iy_first, iy_last + 1)
+            for entry in index.cells.get((ix, iy), ())
+        ]
         assert [entry[0] for entry in listing] == list(dict.fromkeys(listed))
 
 
