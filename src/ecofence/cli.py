@@ -279,10 +279,12 @@ def _cmd_solve_debug(args) -> int:
     print(f"{'vehicle_id':<12} {'d':>8} {'e':>10} {'x':>8}")
     for (vehicle_id, density, rate), x in zip(problem.entries, assignment.x):
         print(f"{vehicle_id:<12} {density:>8.3f} {rate:>10.4f} {x:>8.4f}")
-    print(
-        f"objective {assignment.objective_value:.6f}, "
-        f"expected rate {budget_spend(assignment, problem):.6f} <= limit {problem.limit:.6f}"
-    )
+    spend = f"objective {assignment.objective_value:.6f}, expected rate {budget_spend(assignment, problem):.6f}"
+    if problem.limit > 0.0:
+        print(f"{spend} <= limit {problem.limit:.6f}")
+    else:
+        # the solver meets max(limit, 0): a limit at or below zero sets every x to 0
+        print(f"{spend} <= 0.000000 (all-electric rule: limit {problem.limit:.6f} is not positive)")
     return 0
 
 

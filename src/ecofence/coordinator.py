@@ -5,8 +5,11 @@ the set of active geofences (created when a vehicle detects a cyclist,
 re-centred on every detection, removed after a detection-free timeout),
 derives the emission budget from a background pollution reading, solves
 the assignment problem for the vehicles inside each fence, and enacts the
-result by a weighted coin toss per vehicle: polluting with probability
-``x_i``, electric otherwise.
+result by a weighted coin per vehicle: polluting with probability
+``x_i``, electric otherwise.  Only an uncertain coin, 0 < ``x_i`` < 1, is
+tossed with a draw from the toss stream; the greedy fill leaves at most
+one per fence, and every other vehicle's outcome is known (x = 1 is
+polluting, x = 0 electric).
 
 A fence decides every ``tau``, in one step: it builds its problem, solves
 it and tosses against that solve in the same tick, so its only decision
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .network import Point, VehicleIndex
@@ -115,7 +118,9 @@ class CommandRecord(NamedTuple):
     engine sets the vehicle's mode to ``commanded_mode``, ``"polluting"``
     or ``"electric"``.  Assignment fields are None for restore
     commands (a controlled vehicle outside every live fence) and for
-    single-vehicle-mode commands.
+    single-vehicle-mode commands.  ``draw`` is the uniform a toss row's
+    coin drew, and None on a toss row whose ``assignment`` is 0 or 1,
+    whose outcome needs no draw.
     """
 
     sim_time: float
@@ -132,13 +137,15 @@ class CommandRecord(NamedTuple):
 class FenceToss(NamedTuple):
     """One fence toss: the rows of its problem's vehicles, as columns.
 
-    Item ``i`` of the six columns is the row of one vehicle, in problem
+    Item ``i`` of ``vehicle_ids``, ``densities``, ``rates``,
+    ``assignments`` and ``modes`` is the row of one vehicle, in problem
     (ascending id) order; the time, the fence and the effective time are
-    the same for every row.  The columns hold only strings and floats, the
-    draws as an ``array('d')`` of 8 bytes each.  ``vehicle_ids``,
-    ``densities`` and ``rates`` are the problem's own columns and
-    ``assignments`` is the assignment's ``x``, so neither the
-    :class:`~ecofence.optimizer.GeofenceProblem` nor its
+    the same for every row.  ``draws`` holds only the draws made, one per
+    row with 0 < x < 1, in row order: the greedy fill leaves at most one
+    such row, so it is mostly empty.  The columns hold only strings and
+    floats.  ``vehicle_ids``, ``densities`` and ``rates`` are the
+    problem's own columns and ``assignments`` is the assignment's ``x``,
+    so neither the :class:`~ecofence.optimizer.GeofenceProblem` nor its
     :class:`~ecofence.optimizer.Assignment` is kept alive.  The toss is one
     entry of the command log and of the engine's queue, which applies its
     ``vehicle_ids`` and ``modes`` row by row.
@@ -151,13 +158,16 @@ class FenceToss(NamedTuple):
     densities: tuple[float, ...]
     rates: tuple[float, ...]
     assignments: tuple[float, ...]
-    draws: array
+    draws: tuple[float, ...]
     modes: tuple[str, ...]
 
     def records(self) -> list[CommandRecord]:
-        """The toss's rows, built now."""
+        """The toss's rows, built now; a row with x in {0, 1} drew nothing,
+        so its ``draw`` is None."""
+        draws = iter(self.draws)
+        row_draws = [next(draws) if 0.0 < x < 1.0 else None for x in self.assignments]
         head, tail = (self.sim_time, self.fence_id), (self.effective_time,)
-        columns = zip(self.vehicle_ids, self.densities, self.rates, self.assignments, self.draws, self.modes)
+        columns = zip(self.vehicle_ids, self.densities, self.rates, self.assignments, row_draws, self.modes)
         return [_record(CommandRecord, head + row + tail) for row in columns]
 
 
@@ -358,13 +368,16 @@ class GeofenceCoordinator:
         now: float,
     ) -> None:
         """Enact ``assignment``, solved for the fence's ``problem`` this
-        tick, by one coin toss per vehicle, logged as one :class:`FenceToss`.
+        tick, by one coin per vehicle, logged as one :class:`FenceToss`.
 
         Each row carries the density and emission rate the assignment was
-        solved with.  One uniform draw is consumed per problem entry in
-        ascending vehicle-id order.  Pure EVs keep their draw for stream
-        stability but are always commanded electric; they have no engine
-        to pollute with.
+        solved with.  Only a row with 0 < x < 1 draws, one uniform from
+        the toss stream each, in ascending vehicle-id order; a row with
+        x = 1 is polluting and one with x = 0 electric, so every outcome
+        keeps its Bernoulli(x) distribution.  The modes start all electric
+        and only the rows with x > 0 are visited.  Pure EVs, entered at
+        rate 0.0 and so never fractional, are always commanded electric;
+        they have no engine to pollute with.
         """
         vehicle_ids = problem.vehicle_ids
         if vehicle_ids:
@@ -372,23 +385,29 @@ class GeofenceCoordinator:
             fence_id = fence.fence_id
             rates = problem.rates
             assignments = assignment.x
-            draws, modes = [], []
-            add_draw, add_mode = draws.append, modes.append
-            toss = toss_polluting
-            rng = self.rng
-            controlled = self._controlled
             pure_ev = Powertrain.PURE_EV
-            for vehicle_id, rate, x in zip(vehicle_ids, rates, assignments):
-                polluting, draw = toss(x, rng)
+            n = len(vehicle_ids)
+            modes = ["electric"] * n
+            draws = []
+            for i in compress(range(n), assignments):
+                x = assignments[i]
+                if x < 1.0:
+                    polluting, draw = toss_polluting(x, self.rng)
+                    draws.append(draw)
+                    if polluting:
+                        modes[i] = "polluting"
+                elif rates[i] != 0.0 or snapshots[vehicle_ids[i]].powertrain is not pure_ev:
+                    modes[i] = "polluting"
+            controlled = self._controlled
+            if 0.0 in rates:
                 # build_problem entered every pure EV at rate 0.0, so only
                 # a zero-rate row needs its powertrain read again
-                if rate == 0.0 and snapshots[vehicle_id].powertrain is pure_ev:
-                    polluting = False
-                else:
-                    controlled[vehicle_id] = fence_id
-                add_draw(draw)
-                add_mode("polluting" if polluting else "electric")
-            columns = (vehicle_ids, problem.densities, rates, assignments, array("d", draws), tuple(modes))
+                for vehicle_id, rate in zip(vehicle_ids, rates):
+                    if rate != 0.0 or snapshots[vehicle_id].powertrain is not pure_ev:
+                        controlled[vehicle_id] = fence_id
+            else:
+                controlled.update(zip(vehicle_ids, repeat(fence_id)))
+            columns = (vehicle_ids, problem.densities, rates, assignments, tuple(draws), tuple(modes))
             self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
 
     # -- per-step driver -----------------------------------------------------

@@ -440,6 +440,22 @@ def test_solve_debug_prints_table(tmp_path, capsys):
     assert "vehicle_id" in out
     assert "A" in out and "B" in out
     assert "objective 1.250000" in out
+    assert out.splitlines()[-1] == "objective 1.250000, expected rate 2.000000 <= limit 2.000000"
+
+
+@pytest.mark.parametrize("limit", [-0.5, 0.0])
+def test_solve_debug_names_the_all_electric_rule_for_a_limit_not_above_zero(limit, tmp_path, capsys):
+    # the solver meets max(limit, 0), not a negative limit: every x is 0
+    problem = tmp_path / "problem.json"
+    entries = [{"vehicle_id": "a", "density": 1.0, "emission_rate": 0.8}]
+    problem.write_text(json.dumps({"limit": limit, "entries": entries}))
+    assert main(["solve-debug", "--problem", str(problem)]) == 0
+    table, line = capsys.readouterr().out.splitlines()[1:]
+    assert table.split() == ["a", "1.000", "0.8000", "0.0000"]
+    assert line == (
+        "objective 0.000000, expected rate 0.000000 <= 0.000000 "
+        f"(all-electric rule: limit {limit:.6f} is not positive)"
+    )
 
 
 def test_solve_debug_problem_not_utf8(tmp_path, capsys):

@@ -11,7 +11,6 @@ import dataclasses
 import gc
 import json
 import tracemalloc
-from array import array
 
 import pytest
 
@@ -33,12 +32,15 @@ from tests.test_golden import mixed_powertrain_scenario
 
 class PerRowCoordinator(GeofenceCoordinator):
     """Logs one record per tossed vehicle, as the coordinator did before a
-    toss was kept as columns."""
+    toss was kept as columns; only a row with 0 < x < 1 draws."""
 
     def _toss_fence(self, fence, problem, assignment, snapshots, now):
         effective = now + self.config.actuation_latency
         for (vehicle_id, density, rate), x in zip(problem.entries, assignment.x):
-            polluting, draw = toss_polluting(x, self.rng)
+            if 0.0 < x < 1.0:
+                polluting, draw = toss_polluting(x, self.rng)
+            else:
+                polluting, draw = x == 1.0, None
             if snapshots[vehicle_id].powertrain is Powertrain.PURE_EV:
                 polluting = False
             else:
@@ -106,11 +108,12 @@ def test_a_hand_built_log_reads_across_its_entries():
     def row(vid):
         return CommandRecord(1.0, "f", vid, None, None, None, None, "polluting", 1.0)
 
+    # only the row with 0 < x < 1 drew
     toss = FenceToss(
         2.0, "f", 7.0, ("a", "b", "c"), (1.0, 2.0, 1.0), (0.5, 0.25, 0.0), (1.0, 0.5, 0.0),
-        array("d", [0.1, 0.6, 0.9]), ("polluting", "electric", "electric"),
+        (0.6,), ("polluting", "electric", "electric"),
     )
-    empty = FenceToss(3.0, "f", 3.0, (), (), (), (), array("d"), ())
+    empty = FenceToss(3.0, "f", 3.0, (), (), (), (), (), ())
     log = CommandLog()
     assert len(log) == 0 and log == [] and log == () and list(log) == []
     entries = [row("x"), toss, empty, row("y")]
@@ -118,9 +121,9 @@ def test_a_hand_built_log_reads_across_its_entries():
         log.append(entry)
     expected = [
         row("x"),
-        CommandRecord(2.0, "f", "a", 1.0, 0.5, 1.0, 0.1, "polluting", 7.0),
+        CommandRecord(2.0, "f", "a", 1.0, 0.5, 1.0, None, "polluting", 7.0),
         CommandRecord(2.0, "f", "b", 2.0, 0.25, 0.5, 0.6, "electric", 7.0),
-        CommandRecord(2.0, "f", "c", 1.0, 0.0, 0.0, 0.9, "electric", 7.0),
+        CommandRecord(2.0, "f", "c", 1.0, 0.0, 0.0, None, "electric", 7.0),
         row("y"),
     ]
     assert len(log) == 5 and list(log) == expected and log == expected

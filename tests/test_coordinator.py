@@ -405,6 +405,40 @@ def test_toss_frequency_near_half():
     assert 0.48 <= hits / 10_000 <= 0.52
 
 
+def toss_stream_after(scenario, seed, monkeypatch):
+    """(the toss stream's state after ``engine.run(scenario, seed)``, the
+    run's fractional toss rows)."""
+    made = []
+
+    class Kept(GeofenceCoordinator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "GeofenceCoordinator", Kept)
+    result = engine.run(scenario, seed)
+    (coordinator,) = made
+    fractional = sum(1 for r in result.commands if r.assignment is not None and 0.0 < r.assignment < 1.0)
+    return coordinator.rng.getstate(), fractional
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_a_run_whose_budget_covers_every_member_never_draws(seed, demo_slack, monkeypatch):
+    state, fractional = toss_stream_after(demo_slack, seed, monkeypatch)
+    assert fractional == 0
+    assert state == random.Random(f"{seed}:toss").getstate()
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_a_run_draws_once_per_fractional_row(seed, demo_ring, monkeypatch):
+    state, fractional = toss_stream_after(demo_ring, seed, monkeypatch)
+    assert fractional >= 100
+    fresh = random.Random(f"{seed}:toss")
+    for _ in range(fractional):
+        fresh.random()
+    assert state == fresh.getstate()
+
+
 # -- single-vehicle mode ---------------------------------------------------------
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from array import array
 
 import pytest
 
@@ -138,7 +137,7 @@ def toss(vehicle_ids, modes, sim_time, effective_time):
     n = len(vehicle_ids)
     return FenceToss(
         sim_time, "c1", effective_time, tuple(vehicle_ids), (1.0,) * n, (0.5,) * n, (0.5,) * n,
-        array("d", [0.5] * n), tuple(modes),
+        (0.5,) * n, tuple(modes),
     )
 
 
