@@ -154,7 +154,7 @@ def _write_compare_outputs(compared: CompareResult, out: Path) -> None:
         out / "plot_before_after.csv",
     )
     commands = compared.control.commands
-    if any(type(entry) is FenceToss for entry in commands.entries):
+    if any(type(entry) is FenceToss for entry in commands):
         write_table_csv(assignment_snapshot_table(commands), out / "plot_assignment_snapshot.csv")
         write_table_csv(fleet_size_table(commands), out / "plot_fleet_size.csv")
 

@@ -18,11 +18,12 @@ lifecycle and the same ``step``; a mode differs only in ``_decide``.
 Single-vehicle mode, in which only the detecting vehicle switches, is
 :class:`SingleVehicleController`, which overrides that decision alone.
 
-Every command is logged in ``command_log``, a :class:`CommandLog` of
-entries: a fence toss is kept as one :class:`FenceToss` of columns, and
-each other command (a restore or a single-vehicle switch) as one
-:class:`CommandRecord` row.  ``step`` returns the entries it appended,
-the same objects, and the engine queues and applies them row by row;
+Every command is logged in ``command_log``, a plain list of entries: a
+fence toss is kept as one :class:`FenceToss` of columns, and each other
+command (a restore or a single-vehicle switch) as one
+:class:`CommandRecord` row.  No per-row form of a toss is built; its
+readers zip the columns.  ``step`` returns the entries it appended, the
+same objects, and the engine queues and applies them row by row;
 :func:`commanded_modes` gives an entry's (vehicle, mode) pairs.
 
 All state mutation happens through a serialized sequence of
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
@@ -112,15 +113,15 @@ class Geofence:
 
 
 class CommandRecord(NamedTuple):
-    """One issued command: the audit row, and the row the engine applies.
+    """One issued command that enacts no assignment, in the columns of
+    ``commands.csv``: a restore (a controlled vehicle outside every live
+    fence) or a single-vehicle-mode command.
 
     At ``effective_time`` (``sim_time`` plus the actuation latency) the
     engine sets the vehicle's mode to ``commanded_mode``, ``"polluting"``
-    or ``"electric"``.  Assignment fields are None for restore
-    commands (a controlled vehicle outside every live fence) and for
-    single-vehicle-mode commands.  ``draw`` is the uniform a toss row's
-    coin drew, and None on a toss row whose ``assignment`` is 0 or 1,
-    whose outcome needs no draw.
+    or ``"electric"``.  The coordinator leaves ``density``,
+    ``emission_rate``, ``assignment`` and ``draw`` None; the rows of a
+    fence toss are kept as one :class:`FenceToss` instead.
     """
 
     sim_time: float
@@ -161,61 +162,12 @@ class FenceToss(NamedTuple):
     draws: tuple[float, ...]
     modes: tuple[str, ...]
 
-    def records(self) -> list[CommandRecord]:
-        """The toss's rows, built now; a row with x in {0, 1} drew nothing,
-        so its ``draw`` is None."""
-        draws = iter(self.draws)
-        row_draws = [next(draws) if 0.0 < x < 1.0 else None for x in self.assignments]
-        head, tail = (self.sim_time, self.fence_id), (self.effective_time,)
-        columns = zip(self.vehicle_ids, self.densities, self.rates, self.assignments, row_draws, self.modes)
-        return [_record(CommandRecord, head + row + tail) for row in columns]
-
 
 def commanded_modes(entry: CommandRecord | FenceToss) -> Iterable[tuple[str, str]]:
     """The (vehicle id, commanded mode) pairs of a log entry, in row order."""
     if type(entry) is FenceToss:
         return zip(entry.vehicle_ids, entry.modes)
     return ((entry.vehicle_id, entry.commanded_mode),)
-
-
-class CommandLog:
-    """Every command of a controller, in log order, read-only.
-
-    ``entries`` holds one :class:`FenceToss` per fence toss and one
-    :class:`CommandRecord` per other command.  ``len`` counts rows, and
-    iteration yields every row as a :class:`CommandRecord`, building a
-    toss's rows when they are read, as ``TraceRow.vehicles`` does.  A log
-    compares ``==`` by its rows against another log, a list or a tuple of
-    rows.  Only the controller that owns it calls ``append``.
-    """
-
-    __slots__ = ("entries", "_rows")
-
-    def __init__(self) -> None:
-        self.entries: list[CommandRecord | FenceToss] = []
-        self._rows = 0
-
-    def append(self, entry: CommandRecord | FenceToss) -> None:
-        self._rows += len(entry.vehicle_ids) if type(entry) is FenceToss else 1
-        self.entries.append(entry)
-
-    def __len__(self) -> int:
-        return self._rows
-
-    def __iter__(self) -> Iterator[CommandRecord]:
-        for entry in self.entries:
-            if type(entry) is FenceToss:
-                yield from entry.records()
-            else:
-                yield entry
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (CommandLog, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"CommandLog({list(self)!r})"
 
 
 def members(fence: Geofence, candidates: Mapping[str, VehicleState]) -> set[str]:
@@ -264,7 +216,7 @@ class GeofenceCoordinator:
         self.rng = rng
         self.control_enabled = control_enabled
         self.fences: dict[str, Geofence] = {}
-        self.command_log = CommandLog()
+        self.command_log: list[CommandRecord | FenceToss] = []
         self._controlled: dict[str, str] = {}  # hybrid vehicle -> fence id
         self.in_fence_ids: set[str] = set()
 
@@ -450,8 +402,7 @@ class GeofenceCoordinator:
         besides which ids are in ``snapshots``; the records are never
         mutated and no reference to them is kept once ``step`` returns.
         """
-        entries = self.command_log.entries
-        logged = len(entries)
+        logged = len(self.command_log)
         self.expire(now)
         in_any_fence: set[str] = set()
         for fence in self.fences.values():
@@ -473,7 +424,7 @@ class GeofenceCoordinator:
             if not math.isfinite(limit):
                 raise ValueError(f"budget must be finite, got {limit!r}")
             self._decide(now, snapshots, limit)
-        return entries[logged:]
+        return self.command_log[logged:]
 
     def _decide(self, now: float, snapshots: Mapping[str, VehicleState], limit: float) -> None:
         """Decide each fence whose decision is due (every ``tau``), in

@@ -52,15 +52,14 @@ The clock is a step count: step ``k`` (from 1) runs at ``k * dt``, which is
 never summed, so with ``dt=0.1`` step 10 runs at exactly 1.0.
 
 A :class:`TraceRow` keeps its step's vehicles as six parallel columns,
-one exact tuple per :class:`VehicleTraceEntry` field, not as one record
-per vehicle; ``TraceRow.vehicles`` builds the records when it is read.
-A column holds only strings, ints or floats, so CPython stops tracking
-it at the first collection that visits it, and later collections skip
-the kept trace.  A column equal to the same column of the previous row
-is that row's tuple, so a fleet that stays the same keeps one copy of
-its ids, classes, speeds and modes, not one per step; the coordinator
-likewise keeps a fence's member tuple while its members stay the same,
-and the fence entries of consecutive rows share it.
+one exact tuple per vehicle field, and no record per vehicle.  A column
+holds only strings, ints or floats, so CPython stops tracking it at the
+first collection that visits it, and later collections skip the kept
+trace.  A column equal to the same column of the previous row is that
+row's tuple, so a fleet that stays the same keeps one copy of its ids,
+classes, speeds and modes, not one per step; the coordinator likewise
+keeps a fence's member tuple while its members stay the same, and the
+fence entries of consecutive rows share it.
 
 ``run`` pauses CPython's cyclic garbage collector for its step loop and
 puts back the caller's setting afterwards, also when the loop raises: the
@@ -72,10 +71,10 @@ the trace rows built since the last collection.  The pause is
 process-wide; the engine is single-threaded, and ``sweep`` runs in
 parallel by processes.
 
-``RunResult.commands`` is the coordinator's
-:class:`~ecofence.coordinator.CommandLog` itself, which keeps a fence
-toss as one :class:`~ecofence.coordinator.FenceToss` of columns, not one
-record per vehicle, and builds the rows when they are read.
+``RunResult.commands`` is a tuple of the coordinator's log entries, the
+same objects: one :class:`~ecofence.coordinator.FenceToss` of columns
+per fence toss, not one record per vehicle, and one
+:class:`~ecofence.coordinator.CommandRecord` per other command.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .coordinator import (
-    CommandLog,
     CommandRecord,
     FenceToss,
     GeofenceCoordinator,
@@ -327,15 +325,6 @@ def detect(world: World, detection_range: float) -> list[tuple[str, str]]:
 # -- trace structures --------------------------------------------------------
 
 
-class VehicleTraceEntry(NamedTuple):
-    vehicle_id: str
-    euro_class: int
-    edge_id: str
-    edge_offset: float
-    speed: float
-    mode: str
-
-
 class FenceTraceEntry(NamedTuple):
     fence_id: str
     center: Point
@@ -350,16 +339,15 @@ class TraceRow:
     """One recorded step: the budget, the emission rates, the fences and
     every vehicle present.
 
-    The vehicles are kept as six parallel columns, one exact tuple per
-    :class:`VehicleTraceEntry` field and in its field order, with one item
-    per vehicle in the order the vehicles spawned.  A vehicle costs the
-    row six 8-byte slots, where a record took 96 bytes plus a slot.  A
-    column holds only strings, ints or floats, so CPython stops tracking
-    it at the first collection that visits it.  Within a run, each column
-    but ``edge_offsets`` is the previous row's tuple when it equals it,
-    so consecutive rows share what did not change.  ``vehicles`` zips the
-    columns into :class:`VehicleTraceEntry` records each time it is read;
-    the writers and the summary read the columns directly.
+    The vehicles are kept as six parallel columns, from ``vehicle_ids``
+    to ``modes``, each one exact tuple with one item per vehicle in the
+    order the vehicles spawned; the columns are the only form of the
+    vehicles, and every reader zips the ones it needs.  A vehicle costs
+    the row six 8-byte slots, where a record took 96 bytes plus a slot.
+    A column holds only strings, ints or floats, so CPython stops
+    tracking it at the first collection that visits it.  Within a run,
+    each column but ``edge_offsets`` is the previous row's tuple when it
+    equals it, so consecutive rows share what did not change.
     """
 
     sim_time: float
@@ -375,13 +363,6 @@ class TraceRow:
     speeds: tuple[float, ...]
     modes: tuple[str, ...]
 
-    @property
-    def vehicles(self) -> tuple[VehicleTraceEntry, ...]:
-        columns = zip(
-            self.vehicle_ids, self.euro_classes, self.edge_ids, self.edge_offsets, self.speeds, self.modes
-        )
-        return tuple(map(VehicleTraceEntry._make, columns))
-
 
 @dataclass(frozen=True)
 class ScenarioTrace:
@@ -390,10 +371,11 @@ class ScenarioTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's trace and its controller's whole command log."""
+    """A run's trace and its controller's whole command log, as the
+    log's entries in log order."""
 
     trace: ScenarioTrace
-    commands: CommandLog
+    commands: tuple[CommandRecord | FenceToss, ...]
 
 
 def _spawn_due(world: World, fleet: tuple[FleetEntry, ...], cursor: int, rng: random.Random) -> int:
@@ -549,4 +531,4 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     finally:
         if collecting:
             gc.enable()
-    return RunResult(trace=ScenarioTrace(rows=tuple(rows)), commands=coordinator.command_log)
+    return RunResult(trace=ScenarioTrace(rows=tuple(rows)), commands=tuple(coordinator.command_log))

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable
 
-from .coordinator import CommandLog, CommandRecord, FenceToss
+from .coordinator import CommandRecord, FenceToss
 from .emissions import load_default_table
 from .engine import RunResult, ScenarioTrace, TraceRow, run
 from .optimizer import BUDGET_TOL
@@ -131,7 +131,7 @@ class PlotTable:
 def total_emissions_table(trace: ScenarioTrace) -> PlotTable:
     """Total rate and vehicle count per step."""
     if not trace.rows:
-        raise ValueError("total_emissions_vs_time needs a non-empty trace")
+        raise ValueError("total_emissions_table needs a non-empty trace")
     rows = tuple((r.sim_time, r.total_rate, r.n_vehicles) for r in trace.rows)
     return PlotTable(("sim_time", "total_rate", "n_vehicles"), rows)
 
@@ -140,7 +140,7 @@ def before_after_table(trace: ScenarioTrace, baseline: ScenarioTrace) -> PlotTab
     """In-fence rate per step without control (``baseline``) and with it
     (``trace``), beside the budget."""
     if not trace.rows:
-        raise ValueError("in_fence_before_after needs a control and a baseline trace")
+        raise ValueError("before_after_table needs a control and a baseline trace")
     if len(trace.rows) != len(baseline.rows):
         raise ValueError("traces have different lengths")
     rows = tuple(
@@ -150,28 +150,30 @@ def before_after_table(trace: ScenarioTrace, baseline: ScenarioTrace) -> PlotTab
     return PlotTable(("sim_time", "before_rate", "after_rate", "budget"), rows)
 
 
-def _tosses(commands: CommandLog) -> list[FenceToss]:
+def _tosses(commands: Iterable[CommandRecord | FenceToss]) -> list[FenceToss]:
     """The log's fence tosses, one per decision, in log order."""
-    tosses = [entry for entry in commands.entries if type(entry) is FenceToss]
+    tosses = [entry for entry in commands if type(entry) is FenceToss]
     if not tosses:
         raise ValueError("no assignment rows in the command log")
     return tosses
 
 
-def assignment_snapshot_table(commands: CommandLog) -> PlotTable:
+def assignment_snapshot_table(commands: Iterable[CommandRecord | FenceToss]) -> PlotTable:
     """The assignment rows of the last decision time in the log, in
     vehicle-id order."""
     tosses = _tosses(commands)
     at_time = tosses[-1].sim_time
-    snapshot = [r for toss in tosses if toss.sim_time == at_time for r in toss.records()]
-    rows = tuple(
-        (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
-        for r in sorted(snapshot, key=lambda r: r.vehicle_id)
-    )
+    snapshot = [
+        row
+        for toss in tosses
+        if toss.sim_time == at_time
+        for row in zip(toss.vehicle_ids, toss.densities, toss.rates, toss.assignments, toss.modes)
+    ]
+    rows = tuple(sorted(snapshot, key=itemgetter(0)))
     return PlotTable(("vehicle_id", "density", "emission_rate", "assignment", "commanded_mode"), rows)
 
 
-def fleet_size_table(commands: CommandLog) -> PlotTable:
+def fleet_size_table(commands: Iterable[CommandRecord | FenceToss]) -> PlotTable:
     """Mean total assignment and mean expected rate of the decisions,
     grouped by how many vehicles each decided."""
     by_size: dict[int, list[tuple[float, float]]] = {}
@@ -270,23 +272,35 @@ COMMANDS_HEADER = (
 )
 
 
-def write_commands_csv(commands: Iterable[CommandRecord], path) -> None:
+def write_commands_csv(commands: Iterable[CommandRecord | FenceToss], path) -> None:
+    """One row per command, in log order: a :class:`CommandRecord` is the
+    row of its fields, and a :class:`FenceToss` one row per vehicle,
+    straight from its columns.  A toss row's draw cell is the next of the
+    toss's ``draws`` where 0 < x < 1, and empty elsewhere, where nothing
+    was drawn."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(COMMANDS_HEADER)
-        for record in commands:
-            writer.writerow(
+        for entry in commands:
+            if type(entry) is not FenceToss:
+                writer.writerow(map(_cell, entry))
+                continue
+            sim_time, fence_id, effective = _cell(entry.sim_time), entry.fence_id, _cell(entry.effective_time)
+            draws = iter(entry.draws)
+            columns = zip(entry.vehicle_ids, entry.densities, entry.rates, entry.assignments, entry.modes)
+            writer.writerows(
                 [
-                    _cell(record.sim_time),
-                    record.fence_id,
-                    record.vehicle_id,
-                    _cell(record.density),
-                    _cell(record.emission_rate),
-                    _cell(record.assignment),
-                    _cell(record.draw),
-                    record.commanded_mode,
-                    _cell(record.effective_time),
+                    sim_time,
+                    fence_id,
+                    vehicle_id,
+                    _cell(density),
+                    _cell(rate),
+                    _cell(x),
+                    _cell(next(draws)) if 0.0 < x < 1.0 else "",
+                    mode,
+                    effective,
                 ]
+                for vehicle_id, density, rate, x, mode in columns
             )
 
 

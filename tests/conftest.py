@@ -8,7 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from ecofence import load_default_table, load_scenario, run_compare
-from ecofence.coordinator import Powertrain
+from ecofence.coordinator import CommandRecord, FenceToss, Powertrain
 from ecofence.network import Edge, RoadNetwork, VehicleIndex
 
 
@@ -57,6 +57,48 @@ def index_of(records, cell: float = 100.0) -> VehicleIndex:
     for vid, record in records.items():
         index.add(vid, record, vid)
     return index
+
+
+def tosses(commands) -> list[FenceToss]:
+    """The fence tosses of a command log, one per decision, in log order."""
+    return [entry for entry in commands if type(entry) is FenceToss]
+
+
+def command_rows(commands) -> list[CommandRecord]:
+    """Every row of a command log as its own ``CommandRecord``, in log
+    order, for comparing a log with a reference that logs one record per
+    row.  A toss's row takes the next of the toss's ``draws`` when its x
+    lies strictly between 0 and 1, and None otherwise; every draw must be
+    used.  Written apart from ``reporting.write_commands_csv``, so that a
+    test of the writer against these rows does not test it against
+    itself."""
+    rows = []
+    for entry in commands:
+        if type(entry) is not FenceToss:
+            rows.append(entry)
+            continue
+        drawn = 0
+        for i, vehicle_id in enumerate(entry.vehicle_ids):
+            x = entry.assignments[i]
+            draw = None
+            if 0.0 < x < 1.0:
+                draw = entry.draws[drawn]
+                drawn += 1
+            rows.append(
+                CommandRecord(
+                    entry.sim_time,
+                    entry.fence_id,
+                    vehicle_id,
+                    entry.densities[i],
+                    entry.rates[i],
+                    x,
+                    draw,
+                    entry.modes[i],
+                    entry.effective_time,
+                )
+            )
+        assert drawn == len(entry.draws), f"{entry.fence_id} at {entry.sim_time}: draws left unused"
+    return rows
 
 
 @pytest.fixture(autouse=True)

@@ -7,7 +7,6 @@ Each test prints one ``ACCEPTANCE <n> <name>: PASS/FAIL`` line; run with
 import dataclasses
 import random
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
@@ -24,8 +23,10 @@ from ecofence import (
     toss_polluting,
     vehicle_emission_rate,
 )
+from ecofence.coordinator import commanded_modes
 from ecofence.emissions import EmissionCoefficients
 from ecofence.reporting import write_commands_csv, write_trace_csv
+from tests.conftest import tosses
 
 BUDGET = 1.0
 TOL = 1e-9
@@ -51,13 +52,10 @@ def regulated_run(demo_ring):
 
 
 def _expected_spend_by_tick(commands):
-    spend = defaultdict(float)
-    for record in commands:
-        if record.assignment is not None:
-            spend[(record.sim_time, record.fence_id)] += (
-                record.assignment * record.emission_rate
-            )
-    return spend
+    return {
+        (toss.sim_time, toss.fence_id): sum(x * e for x, e in zip(toss.assignments, toss.rates))
+        for toss in tosses(commands)
+    }
 
 
 def test_criterion_1_budget_regulation(regulated_run):
@@ -114,7 +112,7 @@ def test_criterion_3_all_electric_rule(demo_ring):
         assert switch_row.budget == pytest.approx(-0.5)
         after = rows[300.0 + scenario.controller.tau]
         assert after.fences, "fence unexpectedly gone"
-        modes = {v.vehicle_id: v.mode for v in after.vehicles}
+        modes = dict(zip(after.vehicle_ids, after.modes))
         for member in after.fences[0].member_ids:
             assert modes[member] == "electric"
         assert after.in_fence_rate == 0.0
@@ -125,7 +123,7 @@ def test_criterion_3_all_electric_rule(demo_ring):
         for prev, row in zip(tail, tail[1:]):
             prev_members = set(prev.fences[0].member_ids) if prev.fences else set()
             now_members = set(row.fences[0].member_ids) if row.fences else set()
-            modes = {v.vehicle_id: v.mode for v in row.vehicles}
+            modes = dict(zip(row.vehicle_ids, row.modes))
             for member in prev_members & now_members:
                 assert modes[member] == "electric"
 
@@ -133,30 +131,27 @@ def test_criterion_3_all_electric_rule(demo_ring):
 def test_criterion_4_slack_budget_regime(demo_slack):
     with criterion(4, "slack budget keeps everyone polluting"):
         result = run(demo_slack, 7)
-        assignments = [c for c in result.commands if c.assignment is not None]
-        assert assignments, "no decisions recorded"
-        assert all(c.assignment == 1.0 for c in assignments)
+        decided = tosses(result.commands)
+        assert decided, "no decisions recorded"
+        assert all(x == 1.0 for toss in decided for x in toss.assignments)
         spend = _expected_spend_by_tick(result.commands)
         assert all(v <= BUDGET + TOL for v in spend.values())
         for row in result.trace.rows:
-            for entry in row.vehicles:
-                assert entry.mode == "polluting"
-        assert all(c.commanded_mode == "polluting" for c in result.commands)
+            assert all(mode == "polluting" for mode in row.modes)
+        assert all(mode == "polluting" for entry in result.commands for _, mode in commanded_modes(entry))
 
 
 def test_criterion_5_assignment_structure(regulated_run):
     with criterion(5, "dirtier/busier vehicles switched off first"):
         compared, _ = regulated_run
-        by_tick = defaultdict(list)
-        for record in compared.control.commands:
-            if record.assignment is not None and record.emission_rate > 0:
-                by_tick[(record.sim_time, record.fence_id)].append(record)
-        assert by_tick
-        for records in by_tick.values():
-            for a in records:
-                for b in records:
-                    if a.density * a.emission_rate > b.density * b.emission_rate:
-                        assert a.assignment <= b.assignment + 1e-12
+        decided = tosses(compared.control.commands)
+        assert decided
+        for toss in decided:
+            rows = [(d * e, x) for d, e, x in zip(toss.densities, toss.rates, toss.assignments) if e > 0]
+            for cost_a, x_a in rows:
+                for cost_b, x_b in rows:
+                    if cost_a > cost_b:
+                        assert x_a <= x_b + 1e-12
 
 
 def test_criterion_6_geofence_lifecycle(demo_lifecycle):
@@ -177,7 +172,7 @@ def test_criterion_6_geofence_lifecycle(demo_lifecycle):
         assert all(not r.fences for r in rows if r.sim_time >= removed_at)
         for row in rows:
             if row.sim_time >= removed_at + dt:
-                assert all(v.mode == "polluting" for v in row.vehicles)
+                assert all(mode == "polluting" for mode in row.modes)
 
 
 def test_criterion_7_emission_model(table):

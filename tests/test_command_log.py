@@ -1,12 +1,15 @@
-"""The command log keeps a fence toss as columns, and the engine applies
-the log's entries as logged.
+"""The command log keeps a fence toss as columns, the engine applies the
+log's entries as logged, and the writer writes a toss's rows from its
+columns.
 
 The references here are test-local: a coordinator that logs one
 ``CommandRecord`` per tossed vehicle, and controllers whose ``step``
 returns every row it logged as its own record, so that the engine queues
-and applies one record per row.
+and applies one record per row.  ``tests.conftest.command_rows`` expands
+a log into such records.
 """
 
+import csv
 import dataclasses
 import gc
 import json
@@ -16,7 +19,6 @@ import pytest
 
 from ecofence import engine
 from ecofence.coordinator import (
-    CommandLog,
     CommandRecord,
     FenceToss,
     GeofenceCoordinator,
@@ -25,8 +27,9 @@ from ecofence.coordinator import (
     commanded_modes,
     toss_polluting,
 )
+from ecofence.reporting import COMMANDS_HEADER, write_commands_csv
 from ecofence.scenario import load_scenario
-from tests.conftest import data_path
+from tests.conftest import command_rows, data_path
 from tests.test_golden import mixed_powertrain_scenario
 
 
@@ -36,7 +39,7 @@ class PerRowCoordinator(GeofenceCoordinator):
 
     def _toss_fence(self, fence, problem, assignment, snapshots, now):
         effective = now + self.config.actuation_latency
-        for (vehicle_id, density, rate), x in zip(problem.entries, assignment.x):
+        for vehicle_id, density, rate, x in zip(problem.vehicle_ids, problem.densities, problem.rates, assignment.x):
             if 0.0 < x < 1.0:
                 polluting, draw = toss_polluting(x, self.rng)
             else:
@@ -59,9 +62,7 @@ def queue_every_row(monkeypatch):
             continue
 
         def step(self, now, snapshots, background_level, index, original=cls.step):
-            start = len(self.command_log)
-            original(self, now, snapshots, background_level, index)
-            return list(self.command_log)[start:]
+            return command_rows(original(self, now, snapshots, background_level, index))
 
         monkeypatch.setattr(cls, "step", step)
 
@@ -78,33 +79,39 @@ def mixed_fence_scenario(tmp_path):
     return load_scenario(path)
 
 
-def test_log_reads_as_the_per_row_reference(tmp_path, monkeypatch):
+def toss_and_per_row_runs(tmp_path, monkeypatch):
+    """The mixed-fence demo at seed 42, run as it is and with
+    :class:`PerRowCoordinator`."""
     scenario = mixed_fence_scenario(tmp_path)
     result = engine.run(scenario, 42)
-    log = result.commands
     monkeypatch.setattr(engine, "GeofenceCoordinator", PerRowCoordinator)
-    per_row = engine.run(scenario, 42)
+    return result, engine.run(scenario, 42)
+
+
+def test_log_reads_as_the_per_row_reference(tmp_path, monkeypatch):
+    result, per_row = toss_and_per_row_runs(tmp_path, monkeypatch)
     assert per_row.trace == result.trace
-    assert isinstance(log, CommandLog)
-    assert all(type(entry) is CommandRecord for entry in per_row.commands.entries)
-    reference = list(per_row.commands)
+    log = result.commands
+    assert type(log) is tuple and type(per_row.commands) is tuple
+    assert all(type(entry) is CommandRecord for entry in per_row.commands)
     # both kinds of entry are present, interleaved
-    assert {type(entry) for entry in log.entries[:20]} == {CommandRecord, FenceToss}
-
-    assert len(log) == len(reference) > 1000
-    assert len(log.entries) < len(reference)
-    assert list(log) == reference
-    assert all(type(row) is CommandRecord for row in log)
-    assert log == reference and log == tuple(reference) and log == log and log == per_row.commands
-    assert log != reference[:-1]
-    changed = reference[:-1] + [reference[-1]._replace(commanded_mode="other")]
-    assert log != changed
-    assert (log == "not rows") is False
-    with pytest.raises(TypeError):
-        hash(log)
+    assert {type(entry) for entry in log[:20]} == {CommandRecord, FenceToss}
+    rows = command_rows(log)
+    assert len(rows) == len(per_row.commands) > 1000
+    assert len(log) < len(rows)
+    assert rows == list(per_row.commands)
 
 
-def test_a_hand_built_log_reads_across_its_entries():
+def test_the_toss_log_writes_the_per_row_references_file(tmp_path, monkeypatch):
+    result, per_row = toss_and_per_row_runs(tmp_path, monkeypatch)
+    write_commands_csv(result.commands, tmp_path / "tosses.csv")
+    write_commands_csv(per_row.commands, tmp_path / "rows.csv")
+    written = (tmp_path / "tosses.csv").read_bytes()
+    assert written.count(b"\n") == len(per_row.commands) + 1
+    assert written == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_a_hand_built_log_reads_across_its_entries(tmp_path):
     def row(vid):
         return CommandRecord(1.0, "f", vid, None, None, None, None, "polluting", 1.0)
 
@@ -114,11 +121,7 @@ def test_a_hand_built_log_reads_across_its_entries():
         (0.6,), ("polluting", "electric", "electric"),
     )
     empty = FenceToss(3.0, "f", 3.0, (), (), (), (), (), ())
-    log = CommandLog()
-    assert len(log) == 0 and log == [] and log == () and list(log) == []
     entries = [row("x"), toss, empty, row("y")]
-    for entry in entries:
-        log.append(entry)
     expected = [
         row("x"),
         CommandRecord(2.0, "f", "a", 1.0, 0.5, 1.0, None, "polluting", 7.0),
@@ -126,11 +129,24 @@ def test_a_hand_built_log_reads_across_its_entries():
         CommandRecord(2.0, "f", "c", 1.0, 0.0, 0.0, None, "electric", 7.0),
         row("y"),
     ]
-    assert len(log) == 5 and list(log) == expected and log == expected
-    assert all(kept is entry for kept, entry in zip(log.entries, entries)) and len(log.entries) == 4
+    assert command_rows(entries) == expected
     # an entry's (vehicle, mode) pairs are its rows', in row order
-    pairs = [pair for entry in log.entries for pair in commanded_modes(entry)]
+    pairs = [pair for entry in entries for pair in commanded_modes(entry)]
     assert pairs == [(r.vehicle_id, r.commanded_mode) for r in expected]
+    # the writer gives one row per command and none for the empty toss
+    write_commands_csv(entries, tmp_path / "commands.csv")
+    with open(tmp_path / "commands.csv", encoding="utf-8", newline="") as handle:
+        header, *written = csv.reader(handle)
+    assert header == list(COMMANDS_HEADER)
+    assert written == [
+        ["1.0", "f", "x", "", "", "", "", "polluting", "1.0"],
+        ["2.0", "f", "a", "1.0", "0.5", "1.0", "", "polluting", "7.0"],
+        ["2.0", "f", "b", "2.0", "0.25", "0.5", "0.6", "electric", "7.0"],
+        ["2.0", "f", "c", "1.0", "0.0", "0.0", "", "electric", "7.0"],
+        ["1.0", "f", "y", "", "", "", "", "polluting", "1.0"],
+    ]
+    write_commands_csv([], tmp_path / "none.csv")
+    assert (tmp_path / "none.csv").read_bytes() == ",".join(COMMANDS_HEADER).encode() + b"\r\n"
 
 
 @pytest.mark.parametrize(
@@ -181,7 +197,7 @@ def test_ring_dense_log_keeps_at_most_a_third_of_a_row_list(ring_dense):
         del result
         gc.collect()
         with_log = tracemalloc.get_traced_memory()[0]
-        rows = list(log)
+        rows = command_rows(log)
         as_list = tracemalloc.get_traced_memory()[0] - with_log
         assert len(rows) == 36_600
         del rows, log

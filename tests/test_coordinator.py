@@ -6,7 +6,6 @@ import pytest
 from ecofence import engine
 from ecofence.coordinator import (
     ControllerConfig,
-    FenceToss,
     Geofence,
     GeofenceCoordinator,
     Powertrain,
@@ -16,7 +15,7 @@ from ecofence.coordinator import (
 )
 from ecofence.emissions import load_default_table
 from ecofence.scenario import load_scenario, parse_scenario
-from tests.conftest import Snapshot, index_of
+from tests.conftest import Snapshot, index_of, tosses
 from tests.test_golden import mixed_powertrain_scenario
 
 TABLE = load_default_table()
@@ -94,13 +93,14 @@ def test_expiry_restores_controlled_members():
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"v1": snap("v1"), "v2": snap("v2", pos=(10.0, 0.0))}
-    coord.step(0.0, snapshots, 0.0, index_of(snapshots))
-    start = len(coord.command_log)
-    assert start == 2  # both commanded at the first tick
-    coord.step(21.0, snapshots, 0.0, index_of(snapshots))
+    (toss,) = coord.step(0.0, snapshots, 0.0, index_of(snapshots))
+    assert toss.vehicle_ids == ("v1", "v2")  # both commanded at the first tick
+    restored = coord.step(21.0, snapshots, 0.0, index_of(snapshots))
     assert coord.fences == {}
-    restored = [(c.vehicle_id, c.commanded_mode, c.assignment) for c in list(coord.command_log)[start:]]
-    assert restored == [("v1", "polluting", None), ("v2", "polluting", None)]
+    assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in restored] == [
+        ("v1", "polluting", None),
+        ("v2", "polluting", None),
+    ]
 
 
 def test_vehicle_that_departs_as_its_fence_expires_is_not_restored():
@@ -114,7 +114,7 @@ def test_vehicle_that_departs_as_its_fence_expires_is_not_restored():
     appended = coord.step(21.0, remaining, 0.0, index_of(remaining))
     assert coord.fences == {}
     assert [(c.vehicle_id, c.fence_id, c.commanded_mode) for c in appended] == [("v1", "tag-1", "polluting")]
-    assert list(coord.command_log)[logged:] == appended
+    assert coord.command_log[logged:] == appended
     assert coord._controlled == {}
 
 
@@ -214,18 +214,22 @@ def test_decision_tick_extremes_ignore_draw():
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
         coord.step(float(t), snapshots, 0.0, index_of(snapshots))
-    rows = [r for r in coord.command_log if r.assignment is not None]
-    assert len(rows) == 100
-    assert all(r.assignment == 1.0 and r.commanded_mode == "polluting" for r in rows)
+    decided = tosses(coord.command_log)
+    assert [toss.vehicle_ids for toss in decided] == [("a", "b")] * 50
+    assert {(toss.assignments, toss.draws, toss.modes) for toss in decided} == {
+        ((1.0, 1.0), (), ("polluting", "polluting"))
+    }
 
     coord = make_coordinator()
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     for t in range(50):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
         coord.step(float(t), snapshots, 2.0, index_of(snapshots))
-    rows = [r for r in coord.command_log if r.assignment is not None]
-    assert len(rows) == 100
-    assert all(r.assignment == 0.0 and r.commanded_mode == "electric" for r in rows)
+    decided = tosses(coord.command_log)
+    assert [toss.vehicle_ids for toss in decided] == [("a", "b")] * 50
+    assert {(toss.assignments, toss.draws, toss.modes) for toss in decided} == {
+        ((0.0, 0.0), (), ("electric", "electric"))
+    }
 
 
 def test_decision_tick_negative_budget_all_electric():
@@ -233,9 +237,9 @@ def test_decision_tick_negative_budget_all_electric():
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {f"v{i}": snap(f"v{i}", pos=(float(i), 0.0)) for i in range(4)}
     coord.step(0.0, snapshots, 1.5, index_of(snapshots))
-    commands = list(coord.command_log)
-    assert {c.commanded_mode for c in commands} == {"electric"}
-    assert len(commands) == 4
+    (toss,) = coord.command_log
+    assert toss.vehicle_ids == ("v0", "v1", "v2", "v3")
+    assert toss.modes == ("electric",) * 4
 
 
 def test_decision_tick_expected_spend_within_budget():
@@ -246,10 +250,9 @@ def test_decision_tick_expected_spend_within_budget():
         for i in range(10)
     }
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
-    spend = sum(
-        r.assignment * r.emission_rate for r in coord.command_log if r.assignment is not None
-    )
-    assert spend <= 1.0 + 1e-9
+    (toss,) = coord.command_log
+    assert len(toss.vehicle_ids) == 10
+    assert sum(x * e for x, e in zip(toss.assignments, toss.rates)) <= 1.0 + 1e-9
 
 
 def test_pure_ev_member_always_electric():
@@ -257,10 +260,11 @@ def test_pure_ev_member_always_electric():
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
-    (ev_row,) = [r for r in coord.command_log if r.vehicle_id == "ev"]
-    assert ev_row.commanded_mode == "electric"
-    assert ev_row.assignment == 1.0  # zero-rate vehicles enter the problem at x=1
-    assert ev_row.emission_rate == 0.0
+    (toss,) = coord.command_log
+    ev = toss.vehicle_ids.index("ev")
+    assert toss.modes[ev] == "electric"
+    assert toss.assignments[ev] == 1.0  # zero-rate vehicles enter the problem at x=1
+    assert toss.rates[ev] == 0.0
 
 
 def test_pure_ice_member_never_commanded():
@@ -268,7 +272,8 @@ def test_pure_ice_member_never_commanded():
     fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ice": snap("ice", powertrain=Powertrain.PURE_ICE), "hv": snap("hv")}
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
-    assert [r.vehicle_id for r in coord.command_log] == ["hv"]
+    (toss,) = coord.command_log
+    assert toss.vehicle_ids == ("hv",)
     assert "ice" in fence.member_ids  # geometrically still a member
 
 
@@ -308,9 +313,9 @@ def test_each_toss_logs_its_fences_member_tuple(demo_ring_dict):
     members_at = {
         (row.sim_time, fence.fence_id): fence.member_ids for row in result.trace.rows for fence in row.fences
     }
-    tosses = [entry for entry in result.commands.entries if type(entry) is FenceToss]
+    decided = tosses(result.commands)
     shared = 0
-    for toss in tosses:
+    for toss in decided:
         member_ids = members_at[toss.sim_time, toss.fence_id]
         if pure_ice.isdisjoint(member_ids):
             assert toss.vehicle_ids is member_ids
@@ -318,9 +323,9 @@ def test_each_toss_logs_its_fences_member_tuple(demo_ring_dict):
         else:
             assert toss.vehicle_ids == tuple(vid for vid in member_ids if vid not in pure_ice)
     # both cases occur, and a pure EV was tossed in a shared tuple
-    assert 0 < shared < len(tosses)
+    assert 0 < shared < len(decided)
     assert any(
-        toss.vehicle_ids is members_at[toss.sim_time, toss.fence_id] and 0.0 in toss.rates for toss in tosses
+        toss.vehicle_ids is members_at[toss.sim_time, toss.fence_id] and 0.0 in toss.rates for toss in decided
     )
 
 
@@ -329,7 +334,8 @@ def test_members_outside_are_never_commanded():
     coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"in": snap("in"), "far": snap("far", pos=(500.0, 0.0))}
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
-    assert [c.vehicle_id for c in coord.command_log] == ["in"]
+    (toss,) = coord.command_log
+    assert toss.vehicle_ids == ("in",)
 
 
 def test_members_are_sorted_again_only_when_the_set_changes():
@@ -359,7 +365,7 @@ def test_vehicle_leaving_fence_reverts_next_step():
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     moved = {"v1": snap("v1", pos=(300.0, 0.0))}
     coord.step(1.0, moved, 0.0, index_of(moved))
-    logged = list(coord.command_log)[1:]
+    logged = coord.command_log[1:]
     assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in logged] == [("v1", "polluting", None)]
 
 
@@ -382,10 +388,8 @@ def test_recreated_fence_solves_and_tosses_on_its_first_tick():
     assert coord.fences == {}
     fence = coord.on_detection("tag-1", (0.0, 0.0), 22.0)
     problems = built_problems(coord)
-    start = len(coord.command_log)
-    coord.step(22.0, snapshots, 1.5, index_of(snapshots))
-    commands = list(coord.command_log)[start:]
-    assert [(c.vehicle_id, c.commanded_mode, c.assignment) for c in commands] == [("v1", "electric", 0.0)]
+    (toss,) = coord.step(22.0, snapshots, 1.5, index_of(snapshots))
+    assert (toss.vehicle_ids, toss.modes, toss.assignments) == (("v1",), ("electric",), (0.0,))
     assert [problem.limit for problem in problems] == [-0.5]
     assert fence.next_solve == 52.0
 
@@ -418,7 +422,7 @@ def toss_stream_after(scenario, seed, monkeypatch):
     monkeypatch.setattr(engine, "GeofenceCoordinator", Kept)
     result = engine.run(scenario, seed)
     (coordinator,) = made
-    fractional = sum(1 for r in result.commands if r.assignment is not None and 0.0 < r.assignment < 1.0)
+    fractional = sum(1 for toss in tosses(result.commands) for x in toss.assignments if 0.0 < x < 1.0)
     return coordinator.rng.getstate(), fractional
 
 
@@ -516,7 +520,6 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
     }
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     assert set(coord._controlled) == set(snapshots)
-    logged = len(coord.command_log)
     # v3 and v4 leave both fences, v1 and v2 move out of theirs, v5 leaves
     # the network; v6 stays in its fence
     moved = {
@@ -526,21 +529,15 @@ def test_restores_come_in_vehicle_id_order_and_skip_departed_vehicles():
         "v4": snap("v4", pos=(500.0, 500.0)),
         "v6": snap("v6", pos=(1002.0, 0.0)),
     }
-    coord.step(1.0, moved, 0.0, index_of(moved))
-    commands = list(coord.command_log)[logged:]
-    restores = [c for c in commands if c.vehicle_id != "v6"]
-    assert commands[-1].vehicle_id == "v6"  # tossed again in its fence
-    assert [(c.vehicle_id, c.commanded_mode) for c in restores] == [
-        (vid, "polluting") for vid in ("v1", "v2", "v3", "v4")
+    # restores precede decisions; v5 is neither restored nor tossed
+    *restores, toss = coord.step(1.0, moved, 0.0, index_of(moved))
+    assert toss.vehicle_ids == ("v6",)  # tossed again in its fence
+    assert [(r.vehicle_id, r.fence_id, r.commanded_mode, r.assignment) for r in restores] == [
+        ("v1", "tag-b", "polluting", None),
+        ("v2", "tag-a", "polluting", None),
+        ("v3", "tag-b", "polluting", None),
+        ("v4", "tag-a", "polluting", None),
     ]
-    assert commands[: len(restores)] == restores  # restores precede decisions
-    assert [(r.vehicle_id, r.fence_id, r.assignment) for r in restores] == [
-        ("v1", "tag-b", None),
-        ("v2", "tag-a", None),
-        ("v3", "tag-b", None),
-        ("v4", "tag-a", None),
-    ]
-    assert "v5" not in {r.vehicle_id for r in commands}
     assert set(coord._controlled) == {"v6"}
 
 
@@ -555,10 +552,8 @@ def test_budget_in_expectation_over_many_ticks():
     for t in range(400):
         coord.on_detection("tag-1", (0.0, 0.0), float(t))
         coord.step(float(t), snapshots, 0.0, index_of(snapshots))
-    spend_by_tick = {}
-    for row in coord.command_log:
-        if row.assignment is not None:
-            spend_by_tick.setdefault(row.sim_time, 0.0)
-            spend_by_tick[row.sim_time] += row.assignment * row.emission_rate
+    spend_by_tick = {
+        toss.sim_time: sum(x * e for x, e in zip(toss.assignments, toss.rates)) for toss in tosses(coord.command_log)
+    }
     assert len(spend_by_tick) == 400
     assert all(v <= 1.0 + 1e-9 for v in spend_by_tick.values())

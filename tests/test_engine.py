@@ -4,11 +4,17 @@ import random
 import pytest
 
 from ecofence import engine
-from ecofence.coordinator import CommandRecord, ControllerConfig, FenceToss, GeofenceCoordinator, Powertrain
+from ecofence.coordinator import (
+    CommandRecord,
+    ControllerConfig,
+    FenceToss,
+    GeofenceCoordinator,
+    Powertrain,
+    commanded_modes,
+)
 from ecofence.engine import (
     CyclistState,
     VehicleState,
-    VehicleTraceEntry,
     World,
     _apply_due_commands,
     _trace_row,
@@ -192,10 +198,11 @@ def test_no_command_or_trace_row_defies_a_powertrain(tmp_path):
             scenario = dataclasses.replace(mixed, controller=controller, single_vehicle=single_vehicle)
             for seed in (1, 2, 3, 42):
                 result = run(scenario, seed)
-                for record in result.commands:
-                    assert record.vehicle_id not in pure_ice, record
-                    assert not (record.vehicle_id in pure_ev and record.commanded_mode == "polluting"), record
-                    commanded.add(record.vehicle_id)
+                for entry in result.commands:
+                    for vid, mode in commanded_modes(entry):
+                        assert vid not in pure_ice, (entry.sim_time, vid)
+                        assert not (vid in pure_ev and mode == "polluting"), (entry.sim_time, vid)
+                        commanded.add(vid)
                 for row in result.trace.rows:
                     for vid, mode in zip(row.vehicle_ids, row.modes):
                         if vid in pure_ev:
@@ -217,10 +224,10 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     def logging_step(original):
         def step(self, now, snapshots, background_level, index):
             coordinators.append(self)
-            start = len(self.command_log.entries)
+            start = len(self.command_log)
             entries = original(self, now, snapshots, background_level, index)
             # exactly the entries appended in this call, as the same objects
-            appended = self.command_log.entries[start:]
+            appended = self.command_log[start:]
             assert len(entries) == len(appended)
             assert all(entry is logged for entry, logged in zip(entries, appended))
             returned.extend(entries)
@@ -238,7 +245,7 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     def checked_trace_row(world, coordinator, background_level, previous):
         # called once per step, after the step's commands were queued: every
         # queued entry is an entry of the log
-        logged = {id(entry) for entry in coordinator.command_log.entries}
+        logged = {id(entry) for entry in coordinator.command_log}
         assert all(id(entry) in logged for entry in world.pending_commands)
         queue_lengths.append(len(world.pending_commands))
         return original_trace_row(world, coordinator, background_level, previous)
@@ -247,10 +254,11 @@ def test_engine_queues_the_rows_the_coordinator_logged(single_vehicle, demo_ring
     result = run(scenario, 42)
     assert len(queue_lengths) == scenario.steps()
     assert max(queue_lengths) > 0
-    assert result.commands is coordinators[0].command_log
-    # the steps returned the whole log, entry by entry
-    assert len(returned) == len(result.commands.entries)
-    assert all(entry is logged for entry, logged in zip(returned, result.commands.entries))
+    # the result holds the log's own entries, which the steps returned,
+    # entry by entry
+    log = coordinators[0].command_log
+    assert len(returned) == len(result.commands) == len(log)
+    assert all(entry is logged is kept for entry, logged, kept in zip(returned, log, result.commands))
     kinds = {type(entry) for entry in returned}
     assert kinds == ({CommandRecord} if single_vehicle else {CommandRecord, FenceToss})
 
@@ -265,9 +273,10 @@ def test_a_command_is_in_force_in_the_row_of_its_effective_time(k, demo_ring):
     result = run(dataclasses.replace(demo_ring, controller=controller), 42)
     rows = {row.sim_time: row for row in result.trace.rows}
     due = {}  # (effective time, vehicle) -> the mode of the last command then
-    for record in result.commands:
-        assert record.effective_time == record.sim_time + k * dt
-        due[record.effective_time, record.vehicle_id] = record.commanded_mode
+    for entry in result.commands:
+        assert entry.effective_time == entry.sim_time + k * dt
+        for vid, mode in commanded_modes(entry):
+            due[entry.effective_time, vid] = mode
     checked = 0
     for (time, vid), mode in due.items():
         row = rows.get(time)
@@ -373,9 +382,8 @@ def test_run_different_seed_same_spawns(demo_ring):
     # explicit euro classes: traffic identical across seeds, tosses differ
     r1 = run(demo_ring, 1)
     r2 = run(demo_ring, 2)
-    v1 = [(e.vehicle_id, e.edge_id, e.edge_offset) for e in r1.trace.rows[50].vehicles]
-    v2 = [(e.vehicle_id, e.edge_id, e.edge_offset) for e in r2.trace.rows[50].vehicles]
-    assert v1 == v2
+    row1, row2 = r1.trace.rows[50], r2.trace.rows[50]
+    assert (row1.vehicle_ids, row1.edge_ids, row1.edge_offsets) == (row2.vehicle_ids, row2.edge_ids, row2.edge_offsets)
     assert r1 != r2
 
 
@@ -388,9 +396,9 @@ def test_run_accounting_conservation(demo_ring, table):
         for fence in row.fences:
             member_union.update(fence.member_ids)
         out_rate = sum(
-            vehicle_emission_rate(e.euro_class, table, e.speed)
-            for e in row.vehicles
-            if e.mode == "polluting" and e.vehicle_id not in member_union
+            vehicle_emission_rate(euro_class, table, speed)
+            for vid, euro_class, speed, mode in zip(row.vehicle_ids, row.euro_classes, row.speeds, row.modes)
+            if mode == "polluting" and vid not in member_union
         )
         assert row.in_fence_rate + out_rate == pytest.approx(row.total_rate, abs=1e-9)
 
@@ -401,7 +409,7 @@ def test_spawned_classes_drawn_when_unspecified(demo_slack):
     r1 = run(scenario, 9)
     r2 = run(scenario, 9)
     assert r1 == r2
-    classes = {e.vehicle_id: e.euro_class for e in r1.trace.rows[5].vehicles}
+    classes = dict(zip(r1.trace.rows[5].vehicle_ids, r1.trace.rows[5].euro_classes))
     assert set(classes.values()) <= {1, 2, 3, 4}
 
 
@@ -416,9 +424,9 @@ def test_no_electric_vehicle_contributes(demo_ring):
         for fence in row.fences:
             member_union.update(fence.member_ids)
         recomputed = sum(
-            vehicle_emission_rate(e.euro_class, table, e.speed)
-            for e in row.vehicles
-            if e.mode == "polluting" and e.vehicle_id in member_union
+            vehicle_emission_rate(euro_class, table, speed)
+            for vid, euro_class, speed, mode in zip(row.vehicle_ids, row.euro_classes, row.speeds, row.modes)
+            if mode == "polluting" and vid in member_union
         )
         assert row.in_fence_rate == pytest.approx(recomputed, abs=1e-12)
 
@@ -440,7 +448,7 @@ def test_step_time_is_the_step_count_times_dt(demo_ring_dict):
 
 def test_spawn_at_one_second_enters_on_the_step_after_one_second(demo_ring_dict):
     rows = run(tenth_second_ring(demo_ring_dict), 42).trace.rows
-    first = next(i for i, row in enumerate(rows) if any(e.vehicle_id == "v02" for e in row.vehicles))
+    first = next(i for i, row in enumerate(rows) if "v02" in row.vehicle_ids)
     assert first == 10
 
 
@@ -454,8 +462,6 @@ def test_trace_row_keeps_its_vehicles_as_columns(demo_ring):
         columns = [getattr(row, name) for name in TRACE_COLUMNS]
         assert [type(column) for column in columns] == [tuple] * len(TRACE_COLUMNS)
         assert [len(column) for column in columns] == [row.n_vehicles] * len(TRACE_COLUMNS)
-        assert row.vehicles == tuple(VehicleTraceEntry(*entry) for entry in zip(*columns))
-        assert all(type(entry) is VehicleTraceEntry for entry in row.vehicles)
 
 
 SHARED_COLUMNS = ("vehicle_ids", "euro_classes", "edge_ids", "speeds", "modes")

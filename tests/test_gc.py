@@ -115,11 +115,16 @@ def test_no_collection_starts_inside_the_step_loop(demo_ring, table, monkeypatch
 
 
 def test_a_kept_trace_holds_no_vehicle_records(demo_ring, table):
+    # a trace row copies each vehicle's fields into its columns, so the
+    # run's vehicle records are freed when it returns
+    def vehicle_records():
+        return sum(1 for obj in gc.get_objects() if type(obj) is engine.VehicleState)
+
     with collector(on=False):
+        before = vehicle_records()
         result = run(demo_ring, 42, table)
         assert result.trace.rows[-1].n_vehicles
-        kept = [obj for obj in gc.get_objects() if type(obj) is engine.VehicleTraceEntry]
-        assert kept == []
+        assert vehicle_records() == before
 
 
 def test_the_collector_stops_tracking_the_trace_columns(demo_ring, table):

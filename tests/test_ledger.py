@@ -18,6 +18,7 @@ import math
 import pytest
 
 from ecofence import engine
+from tests.conftest import tosses
 from tests.test_command_log import mixed_fence_scenario
 
 # The ledger sums in another order than the engine does.
@@ -26,25 +27,23 @@ REL_TOL = 1e-9
 
 def ledger_gaps(result, table):
     """(gap, in-fence rate) of each row where every live fence tossed."""
-    tosses = {}  # sim_time -> toss rows
-    for record in result.commands:
-        if record.assignment is not None:
-            tosses.setdefault(record.sim_time, []).append(record)
+    by_time = {}  # sim_time -> the tosses of that tick
+    for toss in tosses(result.commands):
+        by_time.setdefault(toss.sim_time, []).append(toss)
     gaps = []
     for row in result.trace.rows:
-        tossed = tosses.get(row.sim_time, [])
-        if not row.fences or {f.fence_id for f in row.fences} != {r.fence_id for r in tossed}:
+        tossed = by_time.get(row.sim_time, [])
+        if not row.fences or {f.fence_id for f in row.fences} != {t.fence_id for t in tossed}:
             continue
-        assert all(r.effective_time == r.sim_time for r in tossed)
-        tossed_ids = [r.vehicle_id for r in tossed]
+        assert all(t.effective_time == t.sim_time for t in tossed)
+        tossed_ids = [vid for t in tossed for vid in t.vehicle_ids]
         if len(set(tossed_ids)) < len(tossed_ids):
             continue  # overlapping fences tossed a vehicle twice
         members = set().union(*(f.member_ids for f in row.fences))
         assert set(tossed_ids) <= members
-        expected = math.fsum(r.assignment * r.emission_rate for r in tossed)
-        outcome = math.fsum(
-            ((r.commanded_mode == "polluting") - r.assignment) * r.emission_rate for r in tossed
-        )
+        columns = [(x, e, mode) for t in tossed for x, e, mode in zip(t.assignments, t.rates, t.modes)]
+        expected = math.fsum(x * e for x, e, _ in columns)
+        outcome = math.fsum(((mode == "polluting") - x) * e for x, e, mode in columns)
         pure_ice = math.fsum(
             table.rate(euro_class, speed)
             for vid, euro_class, speed, mode in zip(row.vehicle_ids, row.euro_classes, row.speeds, row.modes)
@@ -74,12 +73,11 @@ def coin_deviation(result):
     every fractional toss row of a run; the error is sqrt(sum x(1 - x) e^2),
     since each row's outcome is an independent Bernoulli(x) draw."""
     deviation, variance = [], []
-    for record in result.commands:
-        x = record.assignment
-        if x is not None and 0.0 < x < 1.0:
-            e = record.emission_rate
-            deviation.append(((record.commanded_mode == "polluting") - x) * e)
-            variance.append(x * (1.0 - x) * e * e)
+    for toss in tosses(result.commands):
+        for x, e, mode in zip(toss.assignments, toss.rates, toss.modes):
+            if 0.0 < x < 1.0:
+                deviation.append(((mode == "polluting") - x) * e)
+                variance.append(x * (1.0 - x) * e * e)
     return math.fsum(deviation), math.sqrt(math.fsum(variance)), len(deviation)
 
 
@@ -88,6 +86,6 @@ def coin_deviation(result):
 @pytest.mark.parametrize("name", ["demo_ring", "demo_lifecycle"])
 def test_the_coins_realize_the_expected_spend_within_four_standard_errors(name, seed, request):
     result = engine.run(request.getfixturevalue(name), seed)
-    deviation, error, tosses = coin_deviation(result)
-    assert tosses >= 30 and error > 0.0
+    deviation, error, rows = coin_deviation(result)
+    assert rows >= 30 and error > 0.0
     assert abs(deviation / error) <= 4.0

@@ -1,9 +1,9 @@
-"""The immutable per-vehicle records, and the live vehicle record as a snapshot.
+"""The immutable records, and the live vehicle record as a snapshot.
 
-The records are NamedTuples with the field names, in order, of the frozen
-dataclasses they replaced.  The coordinator must decide the same way
-whether it reads the engine's live vehicle records or
-test-local :class:`Snapshot` copies of them.
+The records are NamedTuples with fixed field names, in order; most keep
+those of the frozen dataclasses they replaced.  The coordinator must
+decide the same way whether it reads the engine's live vehicle records
+or test-local :class:`Snapshot` copies of them.
 """
 
 import dataclasses
@@ -11,8 +11,8 @@ import dataclasses
 import pytest
 
 from ecofence import coordinator, engine
-from ecofence.coordinator import CommandRecord
-from ecofence.engine import FenceTraceEntry, VehicleState, VehicleTraceEntry, World, run, step
+from ecofence.coordinator import CommandRecord, FenceToss
+from ecofence.engine import FenceTraceEntry, VehicleState, World, run, step
 from ecofence.network import Edge, RoadNetwork, VehicleIndex
 from ecofence.optimizer import ProblemEntry
 from tests.conftest import Snapshot
@@ -29,9 +29,12 @@ RECORDS = {
         ("vehicle_id", "density", "emission_rate"),
         ("v1", 2.0, 0.5),
     ),
-    VehicleTraceEntry: (
-        ("vehicle_id", "euro_class", "edge_id", "edge_offset", "speed", "mode"),
-        ("v1", 4, "e1", 3.5, 30.0, "polluting"),
+    FenceToss: (
+        (
+            "sim_time", "fence_id", "effective_time", "vehicle_ids", "densities", "rates",
+            "assignments", "draws", "modes",
+        ),
+        (1.0, "f", 1.0, ("v1", "v2"), (2.0, 1.0), (0.5, 0.25), (0.5, 0.0), (0.75,), ("electric", "electric")),
     ),
     FenceTraceEntry: (
         ("fence_id", "center", "radius", "created_at", "last_detection_at", "member_ids"),

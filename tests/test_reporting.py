@@ -1,11 +1,14 @@
+import csv
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
 import ecofence.engine
 import ecofence.optimizer
 import ecofence.reporting
+from ecofence import cli
 from ecofence.emissions import load_default_table
 from ecofence.engine import ScenarioTrace, run
 from ecofence.reporting import (
@@ -19,16 +22,15 @@ from ecofence.reporting import (
     write_summary_json,
     write_trace_csv,
 )
+from tests.conftest import command_rows, tosses
 
 
 def test_compare_slack_scenario_modes_identical(demo_slack):
     compared = run_compare(demo_slack, 7)
     for base_row, ctrl_row in zip(compared.baseline.trace.rows, compared.control.trace.rows):
-        base_modes = [(v.vehicle_id, v.mode) for v in base_row.vehicles]
-        ctrl_modes = [(v.vehicle_id, v.mode) for v in ctrl_row.vehicles]
-        assert base_modes == ctrl_modes
-    xs = [c.assignment for c in compared.control.commands if c.assignment is not None]
-    assert xs and all(x == 1.0 for x in xs)
+        assert (base_row.vehicle_ids, base_row.modes) == (ctrl_row.vehicle_ids, ctrl_row.modes)
+    decided = tosses(compared.control.commands)
+    assert decided and all(x == 1.0 for toss in decided for x in toss.assignments)
 
 
 def test_compare_zero_vehicles(demo_slack):
@@ -160,11 +162,13 @@ def test_plot_before_after(demo_ring_compare):
 def test_plot_assignment_snapshot_matches_log(demo_ring_compare):
     commands = demo_ring_compare.control.commands
     table = assignment_snapshot_table(commands)
-    at_time = max(r.sim_time for r in commands if r.assignment is not None)
+    decided = tosses(commands)
+    at_time = max(toss.sim_time for toss in decided)
     expected = sorted(
-        (r.vehicle_id, r.density, r.emission_rate, r.assignment, r.commanded_mode)
-        for r in commands
-        if r.assignment is not None and r.sim_time == at_time
+        row
+        for toss in decided
+        if toss.sim_time == at_time
+        for row in zip(toss.vehicle_ids, toss.densities, toss.rates, toss.assignments, toss.modes)
     )
     assert sorted(table.rows) == expected
 
@@ -230,7 +234,7 @@ def reference_plot_tables(commands):
 def test_command_tables_match_a_list_of_every_decided_row(demo_ring_compare):
     # the tables read one FenceToss per decision; the reference groups rows
     commands = demo_ring_compare.control.commands
-    expected_snapshot, expected_fleet = reference_plot_tables(list(commands))
+    expected_snapshot, expected_fleet = reference_plot_tables(command_rows(commands))
     assert assignment_snapshot_table(commands).rows == expected_snapshot
     assert fleet_size_table(commands).rows == expected_fleet
 
@@ -268,3 +272,35 @@ def test_compare_runs_see_identical_traffic(demo_ring_compare):
     # the traffic is the same although control changed modes
     assert any(b.modes != c.modes for b, c in zip(baseline, control))
     assert any(row.n_vehicles for row in baseline)
+
+
+def test_ids_that_need_quoting_read_back_through_the_csv_reader(demo_ring_dict, tmp_path):
+    # the loader bars ~, | and + in ids, but not , and ", which the writers
+    # leave to csv.writer to quote
+    vehicle_ids = set()
+    for entry in demo_ring_dict["fleet"]:
+        entry["vehicle_id"] = f'{entry["vehicle_id"]},"car"'
+        vehicle_ids.add(entry["vehicle_id"])
+    cyclist_id = demo_ring_dict["cyclist"]["cyclist_id"] = 'tag,"17"'
+    scenario = tmp_path / "quoted.json"
+    scenario.write_text(json.dumps(demo_ring_dict), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--seed", "1", "--out", str(out)]) == 0
+
+    def read(name):
+        with open(out / name, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert all(len(row) == len(header) for row in rows), name
+        return rows
+
+    commands = read("commands.csv")
+    assert len(commands) > 1000
+    assert {row[1] for row in commands} == {cyclist_id}
+    assert {row[2] for row in commands} == vehicle_ids
+    trace = read("trace.csv")
+    traced = {entry.split("~")[0] for row in trace if row[6] for entry in row[6].split("|")}
+    assert traced == vehicle_ids
+    fences = [row[5].split("~") for row in trace if row[5]]
+    assert fences and {fence[0] for fence in fences} == {cyclist_id}
+    members = {vid for fence in fences if fence[6] for vid in fence[6].split("+")}
+    assert members == vehicle_ids

@@ -12,7 +12,9 @@ the program's own view of it.  On every toss row (a row with an
 * an undrawn row is polluting exactly when x == 1, except a pure EV's
   row, which is always electric;
 * each decision, one ``(sim_time, fence_id)``, has at most one drawn row,
-  since the greedy fill leaves at most one fractional x.
+  since the greedy fill leaves at most one fractional x;
+* each vehicle has at most one toss row per tick, one ``(sim_time,
+  vehicle_id)``, so no vehicle is decided twice in a tick.
 """
 
 import csv
@@ -39,9 +41,12 @@ def toss_violations(rows, pure_ev_ids):
     violation names its line of the file."""
     problems = []
     drawn: dict[tuple[str, str], int] = {}
+    decided: dict[tuple[str, str], int] = {}
     for line, row in enumerate(rows, start=2):
         if not row["assignment"]:
             continue  # a restore or a single-vehicle command
+        key = (row["sim_time"], row["vehicle_id"])
+        decided[key] = decided.get(key, 0) + 1
         x = float(row["assignment"])
         where = f"line {line} ({row['vehicle_id']}, x {x!r}, draw {row['draw']!r}, {row['commanded_mode']})"
         polluting = row["commanded_mode"] == "polluting"
@@ -60,6 +65,7 @@ def toss_violations(rows, pure_ev_ids):
         elif polluting != (x == 1.0 and row["vehicle_id"] not in pure_ev_ids):
             problems.append(f"{where}: an undrawn row is polluting exactly when x == 1, except a pure EV")
     problems.extend(f"decision {key}: {count} drawn rows" for key, count in drawn.items() if count > 1)
+    problems.extend(f"tick and vehicle {key}: {count} toss rows" for key, count in decided.items() if count > 1)
     return sum(drawn.values()), problems
 
 
@@ -117,16 +123,21 @@ def test_each_mutated_copy_breaks_its_invariant(tmp_path):
         if (row["sim_time"], row["fence_id"]) == decision and row["assignment"] == "1.0"
     )
     flipped = {"polluting": "electric", "electric": "polluting"}[rows[drawn_line]["commanded_mode"]]
+
+    def changed(index, **changes):
+        return [dict(row, **changes) if i == index else row for i, row in enumerate(rows)]
+
     mutations = {
-        "flipped mode": (drawn_line, {"commanded_mode": flipped}, "drawn row is polluting exactly when"),
-        "draw on x = 1": (certain_line, {"draw": "0.5"}, "draw must be made exactly when"),
-        "second fractional row": (certain_line, {"assignment": "0.75", "draw": "0.25"}, "2 drawn rows"),
+        "flipped mode": (changed(drawn_line, commanded_mode=flipped), "drawn row is polluting exactly when"),
+        "draw on x = 1": (changed(certain_line, draw="0.5"), "draw must be made exactly when"),
+        "second fractional row": (changed(certain_line, assignment="0.75", draw="0.25"), "2 drawn rows"),
+        "tossed by a second fence": ([*rows, dict(rows[certain_line], fence_id="second")], "2 toss rows"),
     }
-    for label, (index, changes, expected) in mutations.items():
+    for label, (mutated, expected) in mutations.items():
         copy = tmp_path / f"{label}.csv"
         with open(copy, "w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=rows[0].keys())
             writer.writeheader()
-            writer.writerows(dict(row, **changes) if i == index else row for i, row in enumerate(rows))
+            writer.writerows(mutated)
         _, problems = toss_violations(read_rows(copy), evs)
         assert any(expected in problem for problem in problems), (label, problems)
