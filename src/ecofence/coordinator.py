@@ -4,12 +4,18 @@ The coordinator is the single decision authority of the system.  It owns
 the set of active geofences (created when a vehicle detects a cyclist,
 re-centred on every detection, removed after a detection-free timeout),
 derives the emission budget from a background pollution reading, solves
-the assignment problem for the vehicles inside each fence, and enacts the
-result by a weighted coin per vehicle: polluting with probability
-``x_i``, electric otherwise.  Only an uncertain coin, 0 < ``x_i`` < 1, is
-tossed with a draw from the toss stream; the greedy fill leaves at most
-one per fence, and every other vehicle's outcome is known (x = 1 is
-polluting, x = 0 electric).
+the assignment problem for the hybrid vehicles inside each fence, and
+enacts the result by a weighted coin per vehicle: polluting with
+probability ``x_i``, electric otherwise.  Only an uncertain coin, 0 <
+``x_i`` < 1, is tossed with a draw from the toss stream; the greedy fill
+leaves at most one per fence, and every other vehicle's outcome is known
+(x = 1 is polluting, x = 0 electric).
+
+Only a hybrid can switch drivetrain, so only a hybrid is ever commanded.
+A pure EV or pure ICE vehicle inside a fence is still one of its members,
+and its rate counts toward the in-fence aggregate, but it enters no
+problem, no toss and no command: ``build_problem`` leaves it out, and
+single-vehicle mode drops such a detector.
 
 A fence decides every ``tau``, in one step: it builds its problem, solves
 it and tosses against that solve in the same tick, so its only decision
@@ -284,29 +290,26 @@ class GeofenceCoordinator:
     ) -> GeofenceProblem:
         """Assemble the assignment problem for one fence under ``limit`` g/min.
 
-        The problem's vehicles are the fence members the coordinator may
-        command, in ascending id order.  Pure-ICE vehicles cannot switch
-        drivetrain and are left out.  Each member enters with its record's
-        ``density_weight`` and ``emission_rate``; pure EVs enter with a
-        zero rate so the solver hands them probability 1 at no budget cost.
-        Each member's record is read once.  When no member is left out,
-        the ids column is ``fence.member_ids`` itself, the tuple the trace
-        rows keep.  Nothing is checked here: the densities and rates were
+        The problem's vehicles are the fence's hybrid members, in ascending
+        id order: only a hybrid can switch between polluting and electric,
+        so a pure EV or pure ICE member is left out of every decision.
+        Each hybrid enters with its record's ``density_weight`` and
+        ``emission_rate``, read once.  When every member is a hybrid, the
+        ids column is ``fence.member_ids`` itself, the tuple the trace rows
+        keep.  Nothing is checked here: the densities and rates were
         checked when the scenario loaded, and ``step`` checks that the
         limit is finite.
         """
-        pure_ev, pure_ice = Powertrain.PURE_EV, Powertrain.PURE_ICE
+        hybrid = Powertrain.HYBRID
         member_ids = fence.member_ids
         vehicle_ids, densities, rates = [], [], []
         add_id, add_density, add_rate = vehicle_ids.append, densities.append, rates.append
         for vid in member_ids:
             snap = snapshots[vid]
-            powertrain = snap.powertrain
-            if powertrain is pure_ice:
-                continue
-            add_id(vid)
-            add_density(snap.density_weight)
-            add_rate(0.0 if powertrain is pure_ev else snap.emission_rate)
+            if snap.powertrain is hybrid:
+                add_id(vid)
+                add_density(snap.density_weight)
+                add_rate(snap.emission_rate)
         if len(vehicle_ids) == len(member_ids):
             vehicle_ids = member_ids
         return GeofenceProblem(tuple(vehicle_ids), tuple(densities), tuple(rates), limit)
@@ -316,7 +319,6 @@ class GeofenceCoordinator:
         fence: Geofence,
         problem: GeofenceProblem,
         assignment: Assignment,
-        snapshots: Mapping[str, VehicleState],
         now: float,
     ) -> None:
         """Enact ``assignment``, solved for the fence's ``problem`` this
@@ -327,17 +329,14 @@ class GeofenceCoordinator:
         the toss stream each, in ascending vehicle-id order; a row with
         x = 1 is polluting and one with x = 0 electric, so every outcome
         keeps its Bernoulli(x) distribution.  The modes start all electric
-        and only the rows with x > 0 are visited.  Pure EVs, entered at
-        rate 0.0 and so never fractional, are always commanded electric;
-        they have no engine to pollute with.
+        and only the rows with x > 0 are visited.  Every vehicle tossed is
+        a hybrid, now controlled by the fence until ``step`` restores it.
         """
         vehicle_ids = problem.vehicle_ids
         if vehicle_ids:
             effective = now + self.config.actuation_latency
             fence_id = fence.fence_id
-            rates = problem.rates
             assignments = assignment.x
-            pure_ev = Powertrain.PURE_EV
             n = len(vehicle_ids)
             modes = ["electric"] * n
             draws = []
@@ -348,18 +347,10 @@ class GeofenceCoordinator:
                     draws.append(draw)
                     if polluting:
                         modes[i] = "polluting"
-                elif rates[i] != 0.0 or snapshots[vehicle_ids[i]].powertrain is not pure_ev:
+                else:
                     modes[i] = "polluting"
-            controlled = self._controlled
-            if 0.0 in rates:
-                # build_problem entered every pure EV at rate 0.0, so only
-                # a zero-rate row needs its powertrain read again
-                for vehicle_id, rate in zip(vehicle_ids, rates):
-                    if rate != 0.0 or snapshots[vehicle_id].powertrain is not pure_ev:
-                        controlled[vehicle_id] = fence_id
-            else:
-                controlled.update(zip(vehicle_ids, repeat(fence_id)))
-            columns = (vehicle_ids, problem.densities, rates, assignments, tuple(draws), tuple(modes))
+            self._controlled.update(zip(vehicle_ids, repeat(fence_id)))
+            columns = (vehicle_ids, problem.densities, problem.rates, assignments, tuple(draws), tuple(modes))
             self.command_log.append(_record(FenceToss, (now, fence_id, effective, *columns)))
 
     # -- per-step driver -----------------------------------------------------
@@ -436,7 +427,7 @@ class GeofenceCoordinator:
             fence = self.fences[fence_id]
             if now >= fence.next_solve:
                 problem = self.build_problem(fence, snapshots, limit)
-                self._toss_fence(fence, problem, solve(problem), snapshots, now)
+                self._toss_fence(fence, problem, solve(problem), now)
                 fence.next_solve = now + self.config.tau
 
     def active_fences(self) -> list[Geofence]:
@@ -464,8 +455,8 @@ class SingleVehicleController(GeofenceCoordinator):
         return super().on_detection(cyclist_id, position, now, detecting_vehicle_id)
 
     def _decide(self, now: float, snapshots: Mapping[str, VehicleState], limit: float) -> None:
-        """Command each detector electric while ``now - last <= expiry_timeout``
-        and polluting after; pure EV reverts are skipped.  A pure ICE
+        """Command each hybrid detector electric while ``now - last <=
+        expiry_timeout`` and polluting after.  A pure EV or pure ICE
         detector is never commanded, so its entry is dropped at once.
         ``limit`` goes unread: no budget binds a lone detector."""
         for vid in sorted(self._seen):
@@ -474,7 +465,7 @@ class SingleVehicleController(GeofenceCoordinator):
                 del self._seen[vid]
                 self._electric.discard(vid)
                 continue
-            if snapshots[vid].powertrain is Powertrain.PURE_ICE:
+            if snapshots[vid].powertrain is not Powertrain.HYBRID:
                 del self._seen[vid]
                 continue
             fresh = now - last <= self.config.expiry_timeout
@@ -484,8 +475,6 @@ class SingleVehicleController(GeofenceCoordinator):
             elif not fresh and vid in self._electric:
                 self._electric.discard(vid)
                 del self._seen[vid]
-                if snapshots[vid].powertrain is Powertrain.PURE_EV:
-                    continue
                 mode = "polluting"
             else:
                 continue

@@ -264,8 +264,7 @@ def _apply_due_commands(world: World) -> None:
 
     Each row of a due entry sets its vehicle's mode to the row's mode; a
     row for a vehicle no longer on the road is skipped.  The rows need no
-    powertrain check: the coordinator never commands a pure EV polluting
-    and never commands a pure ICE vehicle at all.
+    powertrain check: the coordinator commands only hybrids.
     """
     now = world.now
     vehicles = world.vehicles
@@ -486,10 +485,12 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     The spawn stream and the coin-toss stream are seeded separately so a
     control run and a baseline run of the same seed see identical traffic.
     Every run keeps the same fence lifecycle, so a control run traces its
-    baseline's fences row by row; a single-vehicle scenario runs a
-    :class:`SingleVehicleController`, which differs only in its decision.
-    Baseline runs (control disabled) never decide, so they never touch
-    the toss stream and never command, in either mode.
+    baseline's fences row by row; a single-vehicle scenario under control
+    runs a :class:`SingleVehicleController`, which differs only in its
+    decision.  A baseline run (control disabled) runs a plain
+    :class:`~ecofence.coordinator.GeofenceCoordinator` in either mode,
+    which never decides, so it never touches the toss stream and never
+    commands.
 
     Automatic garbage collection is paused while the steps run, for the
     whole process (see the module docstring); a caller's setting is put
@@ -502,7 +503,8 @@ def run(scenario: Scenario, seed: int, table: CoefficientTable | None = None) ->
     world = World(network=scenario.network, table=table, index=index)
     rng_spawn = random.Random(f"{seed}:spawn")
     rng_toss = random.Random(f"{seed}:toss")
-    controller = SingleVehicleController if scenario.single_vehicle else GeofenceCoordinator
+    single_vehicle = scenario.single_vehicle and scenario.control_enabled
+    controller = SingleVehicleController if single_vehicle else GeofenceCoordinator
     coordinator = controller(scenario.controller, rng_toss, control_enabled=scenario.control_enabled)
     fleet_cursor = 0
     cyclist_cursor = 0

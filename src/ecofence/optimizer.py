@@ -82,7 +82,7 @@ class Assignment:
 def solve(problem: GeofenceProblem) -> Assignment:
     """Optimal assignment by greedy benefit/cost fill.
 
-    Zero-rate vehicles (full EVs, stationary vehicles) get x = 1 outright:
+    Zero-rate vehicles get x = 1 outright:
     they add objective without spending budget.  Positive-rate vehicles are
     filled in ascending d*e order (ties: lower d first, then input order)
     until the budget runs out, so at most one of them ends up fractional.

@@ -22,7 +22,6 @@ from ecofence.coordinator import (
     CommandRecord,
     FenceToss,
     GeofenceCoordinator,
-    Powertrain,
     SingleVehicleController,
     commanded_modes,
     toss_polluting,
@@ -37,17 +36,14 @@ class PerRowCoordinator(GeofenceCoordinator):
     """Logs one record per tossed vehicle, as the coordinator did before a
     toss was kept as columns; only a row with 0 < x < 1 draws."""
 
-    def _toss_fence(self, fence, problem, assignment, snapshots, now):
+    def _toss_fence(self, fence, problem, assignment, now):
         effective = now + self.config.actuation_latency
         for vehicle_id, density, rate, x in zip(problem.vehicle_ids, problem.densities, problem.rates, assignment.x):
             if 0.0 < x < 1.0:
                 polluting, draw = toss_polluting(x, self.rng)
             else:
                 polluting, draw = x == 1.0, None
-            if snapshots[vehicle_id].powertrain is Powertrain.PURE_EV:
-                polluting = False
-            else:
-                self._controlled[vehicle_id] = fence.fence_id
+            self._controlled[vehicle_id] = fence.fence_id
             mode = "polluting" if polluting else "electric"
             self.command_log.append(
                 CommandRecord(now, fence.fence_id, vehicle_id, density, rate, x, draw, mode, effective)

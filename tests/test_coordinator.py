@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -255,16 +256,15 @@ def test_decision_tick_expected_spend_within_budget():
     assert sum(x * e for x, e in zip(toss.assignments, toss.rates)) <= 1.0 + 1e-9
 
 
-def test_pure_ev_member_always_electric():
+def test_pure_ev_member_never_commanded():
     coord = make_coordinator()
-    coord.on_detection("tag-1", (0.0, 0.0), 0.0)
+    fence = coord.on_detection("tag-1", (0.0, 0.0), 0.0)
     snapshots = {"ev": snap("ev", powertrain=Powertrain.PURE_EV), "hv": snap("hv")}
     coord.step(0.0, snapshots, 0.0, index_of(snapshots))
     (toss,) = coord.command_log
-    ev = toss.vehicle_ids.index("ev")
-    assert toss.modes[ev] == "electric"
-    assert toss.assignments[ev] == 1.0  # zero-rate vehicles enter the problem at x=1
-    assert toss.rates[ev] == 0.0
+    assert toss.vehicle_ids == ("hv",)
+    assert "ev" in fence.member_ids  # geometrically still a member
+    assert coord._controlled == {"hv": "tag-1"}  # so it is never restored either
 
 
 def test_pure_ice_member_never_commanded():
@@ -287,46 +287,40 @@ def test_build_problem_passes_the_members_on_as_columns():
     assert problem.densities == (1.5, 2.5, 3.5)
     assert problem.rates == tuple(hybrids[vid].emission_rate for vid in "abc")
     assert problem.limit == 2.5
-    # a pure EV stays in the problem at rate 0.0, with its density
-    with_ev = dict(hybrids, b=snap("b", density=2.5, powertrain=Powertrain.PURE_EV))
-    problem = coord.build_problem(fence, with_ev, 2.5)
-    assert problem.vehicle_ids is fence.member_ids
-    assert problem.densities == (1.5, 2.5, 3.5)
-    assert problem.rates == (hybrids["a"].emission_rate, 0.0, hybrids["c"].emission_rate)
-    # a pure-ICE member is left out of every column
-    with_ice = dict(hybrids, a=snap("a", powertrain=Powertrain.PURE_ICE))
-    problem = coord.build_problem(fence, with_ice, 2.5)
-    assert problem.vehicle_ids == ("b", "c")
-    assert problem.densities == (2.5, 3.5)
-    assert problem.rates == (hybrids["b"].emission_rate, hybrids["c"].emission_rate)
-    assert all(type(column) is tuple for column in (problem.vehicle_ids, problem.densities, problem.rates))
+    # a pure EV or pure ICE member is left out of every column
+    for powertrain in (Powertrain.PURE_EV, Powertrain.PURE_ICE):
+        other = dict(hybrids, b=snap("b", density=2.5, powertrain=powertrain))
+        problem = coord.build_problem(fence, other, 2.5)
+        assert problem.vehicle_ids == ("a", "c")
+        assert problem.densities == (1.5, 3.5)
+        assert problem.rates == (hybrids["a"].emission_rate, hybrids["c"].emission_rate)
+        assert all(type(column) is tuple for column in (problem.vehicle_ids, problem.densities, problem.rates))
 
 
 def test_each_toss_logs_its_fences_member_tuple(demo_ring_dict):
-    # demo_ring with two pure EVs on the ring, in every fence, and its two
-    # spur vehicles, in about a third of the fences, pure ICE
-    powertrains = {"v01": "pure_ev", "v02": "pure_ev", "v13": "pure_ice", "v14": "pure_ice"}
+    # demo_ring with its two spur vehicles, in about a third of the
+    # fences, a pure EV and a pure ICE vehicle
+    powertrains = {"v13": "pure_ev", "v14": "pure_ice"}
     for entry in demo_ring_dict["fleet"]:
         entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    pure_ice = {"v13", "v14"}
     result = engine.run(parse_scenario(demo_ring_dict), 42)
     members_at = {
         (row.sim_time, fence.fence_id): fence.member_ids for row in result.trace.rows for fence in row.fences
     }
     decided = tosses(result.commands)
     shared = 0
+    left_out = set()
     for toss in decided:
         member_ids = members_at[toss.sim_time, toss.fence_id]
-        if pure_ice.isdisjoint(member_ids):
+        if powertrains.keys().isdisjoint(member_ids):
             assert toss.vehicle_ids is member_ids
             shared += 1
         else:
-            assert toss.vehicle_ids == tuple(vid for vid in member_ids if vid not in pure_ice)
-    # both cases occur, and a pure EV was tossed in a shared tuple
+            assert toss.vehicle_ids == tuple(vid for vid in member_ids if vid not in powertrains)
+            left_out.update(powertrains.keys() & set(member_ids))
+    # both cases occur, and each kind of non-hybrid was left out
     assert 0 < shared < len(decided)
-    assert any(
-        toss.vehicle_ids is members_at[toss.sim_time, toss.fence_id] and 0.0 in toss.rates for toss in decided
-    )
+    assert left_out == {"v13", "v14"}
 
 
 def test_members_outside_are_never_commanded():
@@ -463,8 +457,9 @@ def test_single_vehicle_step_cycle():
     assert coord.fences == {}  # the fence expired with the detection
 
 
-def test_single_vehicle_controller_drops_pure_ice_detectors(tmp_path, monkeypatch):
-    # the mixed-powertrain golden run, where v03 and v04 are pure ICE
+def test_single_vehicle_controller_drops_non_hybrid_detectors(tmp_path, monkeypatch):
+    # the mixed-powertrain golden run, where v01 and v02 are pure EVs and
+    # v03 and v04 pure ICE
     scenario = load_scenario(mixed_powertrain_scenario(tmp_path / "mixed.json"))
     detectors, seen_after_step = set(), []
 
@@ -481,8 +476,24 @@ def test_single_vehicle_controller_drops_pure_ice_detectors(tmp_path, monkeypatc
     monkeypatch.setattr(engine, "SingleVehicleController", Watched)
     engine.run(scenario, 42)
     assert len(seen_after_step) == scenario.steps()
-    assert "v03" in detectors
-    assert all(seen.isdisjoint({"v03", "v04"}) for seen in seen_after_step)
+    assert {"v01", "v02", "v03"} <= detectors
+    assert all(seen.isdisjoint({"v01", "v02", "v03", "v04"}) for seen in seen_after_step)
+
+
+def test_only_a_control_run_builds_the_single_vehicle_controller(demo_ring, monkeypatch):
+    # a baseline decides nothing, so in single-vehicle mode it runs the
+    # plain coordinator and keeps no detector timers
+    built = []
+
+    class Watched(SingleVehicleController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "SingleVehicleController", Watched)
+    for control_enabled in (False, True):
+        engine.run(dataclasses.replace(demo_ring, single_vehicle=True, control_enabled=control_enabled), 42)
+        assert len(built) == control_enabled
 
 
 def test_config_validation():

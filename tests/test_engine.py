@@ -185,13 +185,13 @@ def test_step_leaves_the_modes_and_the_queue_alone(table):
 
 def test_no_command_or_trace_row_defies_a_powertrain(tmp_path):
     # the engine applies commands without checking powertrains, so the
-    # controllers must never command a pure EV polluting nor a pure ICE
-    # vehicle at all, whatever the controller, latency and seed
+    # controllers must command only hybrids, whatever the controller,
+    # latency and seed
     mixed = mixed_fence_scenario(tmp_path)
     pure_ev = {entry.vehicle_id for entry in mixed.fleet if entry.powertrain is Powertrain.PURE_EV}
     pure_ice = {entry.vehicle_id for entry in mixed.fleet if entry.powertrain is Powertrain.PURE_ICE}
     assert pure_ev and pure_ice
-    commanded = set()
+    fenced = set()
     for single_vehicle in (False, True):
         for latency in (0.0, 2 * mixed.dt):
             controller = dataclasses.replace(mixed.controller, actuation_latency=latency)
@@ -199,18 +199,18 @@ def test_no_command_or_trace_row_defies_a_powertrain(tmp_path):
             for seed in (1, 2, 3, 42):
                 result = run(scenario, seed)
                 for entry in result.commands:
-                    for vid, mode in commanded_modes(entry):
-                        assert vid not in pure_ice, (entry.sim_time, vid)
-                        assert not (vid in pure_ev and mode == "polluting"), (entry.sim_time, vid)
-                        commanded.add(vid)
+                    for vid, _ in commanded_modes(entry):
+                        assert vid not in pure_ev | pure_ice, (entry.sim_time, vid)
                 for row in result.trace.rows:
+                    for fence in row.fences:
+                        fenced.update(fence.member_ids)
                     for vid, mode in zip(row.vehicle_ids, row.modes):
                         if vid in pure_ev:
                             assert mode == "electric", (row.sim_time, vid)
                         elif vid in pure_ice:
                             assert mode == "polluting", (row.sim_time, vid)
-    # the pure EVs were commanded, so the check saw the rows it guards against
-    assert pure_ev <= commanded
+    # the non-hybrids were fence members, so the check saw the case it guards
+    assert pure_ev | pure_ice <= fenced
 
 
 @pytest.mark.parametrize("single_vehicle", [False, True], ids=["fences", "single_vehicle"])

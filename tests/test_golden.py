@@ -3,8 +3,9 @@
 The digests pin ``trace.csv`` and ``commands.csv`` of ``run`` (and, for
 demo_ring, its ``plot_total_emissions.csv``) and the output files of
 ``compare``, plot tables included, seed 42, plus single-vehicle mode (also
-with pure EVs and pure ICE vehicles), a two-fence run with actuation
-latency, tau above 1 and a background series, a run whose detection
+with pure EVs and pure ICE vehicles), control mode with pure EVs and pure
+ICE vehicles, a two-fence run with actuation latency, tau above 1 and a
+background series, a run whose detection
 range exceeds its fence radius, and the merged summary of ``sweep`` on one and on two workers.
 Two benchmark workloads, built by ``perfbench/workloads.py``, pin the
 dense paths the demos (at most 14 vehicles) never reach: every file of
@@ -100,7 +101,14 @@ SINGLE_VEHICLE_DIGESTS = {
 # demo_ring in single-vehicle mode with pure EVs and pure ICE vehicles
 MIXED_POWERTRAIN_DIGESTS = {
     "trace.csv": "6f543f5c785f51c19b62339f01859b72a511006b0173fd187a2a52e95177fc83",
-    "commands.csv": "fe0fb20d76dfef7eec41911c8449b2e22996c73d298705a211c4271cda770a76",
+    "commands.csv": "6f6c8e22a0e1de0ed7ea884ae7664a5e8ee034d2d35ff78d0cd65bf3166a4ea0",
+}
+
+# demo_ring under control, 5 s latency, with two pure EVs on the ring and
+# its two spur vehicles pure ICE
+MIXED_CONTROL_DIGESTS = {
+    "trace.csv": "e046ae9ee3d8e0b920c0e1188476647ecc9de9ff69472045fdb4a50f5cfb6fe0",
+    "commands.csv": "132a6b23dad0b5ec09d376f2fbe79abf6cc20c3ec4948c36c2edda182774fa85",
 }
 
 TWO_TILE_DIGESTS = {
@@ -190,18 +198,34 @@ def test_single_vehicle_run_with_mixed_powertrains_matches_golden_digests(tmp_pa
         assert sha256(out / name) == digest, name
     with open(out / "commands.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 172
+    assert len(rows) == 152
     cyclist_ids = {json.loads(scenario.read_text())["cyclist"]["cyclist_id"]}
     modes: dict[str, list[str]] = {}
     for row in rows:
         assert row["fence_id"] in cyclist_ids
         assert float(row["effective_time"]) == float(row["sim_time"]) + 5.0
         modes.setdefault(row["vehicle_id"], []).append(row["commanded_mode"])
-    # a pure EV is only ever switched on, a pure ICE vehicle never commanded
-    assert modes.pop("v01") == modes.pop("v02") == ["electric"] * 10
-    assert "v03" not in modes and "v04" not in modes
+    # only a hybrid is commanded
+    assert modes.keys().isdisjoint({"v01", "v02", "v03", "v04"})
     for vid, sequence in modes.items():
         assert sequence == ["electric", "polluting"] * (len(sequence) // 2) + ["electric"] * (len(sequence) % 2), vid
+
+
+def test_control_run_with_mixed_powertrains_matches_golden_digests(tmp_path):
+    demo = json.loads(data_path("demo_ring.json").read_text())
+    powertrains = {"v01": "pure_ev", "v02": "pure_ev", "v13": "pure_ice", "v14": "pure_ice"}
+    for entry in demo["fleet"]:
+        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
+    demo["control"] = dict(demo["control"], actuation_latency=5.0)
+    scenario = tmp_path / "mixed_control.json"
+    scenario.write_text(json.dumps(demo))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
+    for name, digest in MIXED_CONTROL_DIGESTS.items():
+        assert sha256(out / name) == digest, name
+    with open(out / "commands.csv", newline="") as fh:
+        commanded = {row["vehicle_id"] for row in csv.DictReader(fh)}
+    assert commanded.isdisjoint(powertrains)
 
 
 def test_two_tile_run_with_latency_and_background_matches_golden_digests(tmp_path):

@@ -9,8 +9,8 @@ in-fence rate is the sum of three terms:
 * the coin's deviation, (outcome - x) * e, which only the one fractional
   vehicle of a toss can make nonzero (x = 1 always lands polluting and
   x = 0 never does);
-* the rates of the members left out of the problem, the pure ICE
-  vehicles, which are always polluting.
+* the rates of the members left out of the problem, the non-hybrids:
+  a pure ICE vehicle is always polluting, and a pure EV adds nothing.
 """
 
 import math
@@ -44,12 +44,12 @@ def ledger_gaps(result, table):
         columns = [(x, e, mode) for t in tossed for x, e, mode in zip(t.assignments, t.rates, t.modes)]
         expected = math.fsum(x * e for x, e, _ in columns)
         outcome = math.fsum(((mode == "polluting") - x) * e for x, e, mode in columns)
-        pure_ice = math.fsum(
+        left_out = math.fsum(
             table.rate(euro_class, speed)
             for vid, euro_class, speed, mode in zip(row.vehicle_ids, row.euro_classes, row.speeds, row.modes)
             if vid in members and vid not in tossed_ids and mode == "polluting"
         )
-        gaps.append((row.in_fence_rate - (expected + outcome + pure_ice), row.in_fence_rate))
+        gaps.append((row.in_fence_rate - (expected + outcome + left_out), row.in_fence_rate))
     return gaps
 
 
