@@ -30,8 +30,10 @@ all read it.  What is read when:
 
 * per edge change (and at spawn): the edge, and the speed, density
   weight and emission rate that belong to it;
-* per step: the offset, and after movement the position, computed from
-  the segment constants the edge caches (``Edge.segments``).
+* per step: the offset, and after movement the position.  Inside a
+  straight edge it is computed inline from the start point and vector
+  the edge keeps (``Edge.line``), with the arithmetic of
+  ``Edge.position_at`` to the bit; elsewhere ``position_at`` computes it.
 
 Both proximity questions of a step (which vehicles are near a cyclist,
 which are inside a fence) are answered from one
@@ -287,10 +289,22 @@ def _snapshot_vehicles(world: World) -> None:
     emission rate change with the edge and were read when the cursor
     entered it.  The placed records are the step's vehicle snapshots:
     detection, the coordinator and the trace row read them until the next
-    ``step``.
+    ``step``.  A record inside a straight edge is placed by the edge's
+    ``line`` constants inline, with the arithmetic of ``Edge.position_at``;
+    every other record by ``position_at`` itself.
     """
     for vehicle in world.vehicles.values():
-        vehicle.position = vehicle.edge.position_at(vehicle.edge_offset)
+        edge = vehicle.edge
+        offset = vehicle.edge_offset
+        line = edge.line
+        if line is not None:
+            length = edge.length
+            if 0.0 < offset < length:
+                x0, y0, dx, dy = line
+                t = offset / length
+                vehicle.position = (x0 + t * dx, y0 + t * dy)
+                continue
+        vehicle.position = edge.position_at(offset)
 
 
 def detect(world: World, detection_range: float) -> list[tuple[str, str]]:

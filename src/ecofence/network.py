@@ -11,8 +11,7 @@ queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 Point = tuple[float, float]
@@ -22,10 +21,30 @@ _CHAIN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Edge:
+    """A polyline edge, with its geometry computed once when it is built.
+
+    ``segments`` holds per-segment constants ``(end, start, seg_len, x0,
+    y0, dx, dy)``: ``start`` and ``end`` are the cumulative offsets of the
+    segment's ends, ``seg_len`` their difference and ``(dx, dy)`` the
+    segment's vector.  ``length`` is the last segment's ``end``.  A
+    two-point edge also keeps ``line = (x0, y0, dx, dy)``, its start point
+    and vector, and ``None`` there otherwise: its one segment starts at
+    0.0 and its ``seg_len`` is ``length`` bit for bit, so at an offset
+    with ``0 < offset < length`` its point is ``t = offset / length;
+    (x0 + t * dx, y0 + t * dy)``.  All three are plain attributes set in
+    ``__post_init__``, and the engine places vehicles on straight edges
+    from them without calling :meth:`position_at`.
+    """
+
     edge_id: str
     points: tuple[Point, ...]
     speed_limit: float
     density_weight: float = 1.0
+    length: float = field(init=False, repr=False, compare=False)
+    segments: tuple[tuple[float, float, float, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    line: tuple[float, float, float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -35,19 +54,16 @@ class Edge:
             raise ValueError(f"edge {self.edge_id!r}: speed_limit must be positive and finite")
         if not (self.density_weight >= 1.0 and math.isfinite(self.density_weight)):
             raise ValueError(f"edge {self.edge_id!r}: density_weight must be >= 1.0 and finite")
-        if not (self.length > 0 and math.isfinite(self.length)):
-            raise ValueError(f"edge {self.edge_id!r}: length must be positive and finite")
-
-    @cached_property
-    def _cumulative(self) -> tuple[float, ...]:
-        acc = [0.0]
+        segments = []
+        end = 0.0
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            acc.append(acc[-1] + math.hypot(x1 - x0, y1 - y0))
-        return tuple(acc)
-
-    @cached_property
-    def length(self) -> float:
-        return self._cumulative[-1]
+            start, end = end, end + math.hypot(x1 - x0, y1 - y0)
+            segments.append((end, start, end - start, x0, y0, x1 - x0, y1 - y0))
+        if not (end > 0 and math.isfinite(end)):
+            raise ValueError(f"edge {self.edge_id!r}: length must be positive and finite")
+        object.__setattr__(self, "length", end)
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "line", segments[0][3:] if len(segments) == 1 else None)
 
     @property
     def start(self) -> Point:
@@ -56,20 +72,6 @@ class Edge:
     @property
     def end(self) -> Point:
         return self.points[-1]
-
-    @cached_property
-    def segments(self) -> tuple[tuple[float, float, float, float, float, float, float], ...]:
-        """Per-segment constants ``(end, start, seg_len, x0, y0, dx, dy)``.
-
-        ``start`` and ``end`` are the cumulative offsets of the segment's
-        ends, ``seg_len`` their difference and ``(dx, dy)`` the segment's
-        vector: the same values :meth:`position_at` interpolates with.
-        """
-        cum = self._cumulative
-        return tuple(
-            (cum[i + 1], cum[i], cum[i + 1] - cum[i], x0, y0, x1 - x0, y1 - y0)
-            for i, ((x0, y0), (x1, y1)) in enumerate(zip(self.points, self.points[1:]))
-        )
 
     def position_at(self, offset: float) -> Point:
         """Interpolated point at ``offset`` metres along the polyline."""
@@ -223,7 +225,8 @@ class VehicleIndex:
         ``u = 2**-53``, a caller's test ``hypot(x - cx, y - cy) <= radius``
         (a subtraction off by at most ``u`` relative, a ``hypot`` within
         one ulp) accepts only points with ``|x - cx| <= radius * (1 + 4u)``.
-        A record's position is ``Edge.position_at`` of its edge: an end
+        A record's position is ``Edge.position_at`` of its edge, or the
+        engine's inline copy of its straight-edge arithmetic: an end
         point exactly, or ``x0 + t * dx`` on a segment with ``0 <= t <= 1``
         (the offset test and monotone rounding bound ``t``), which lies
         between ``x0`` and ``x0 + dx``, and ``x0 + dx`` rounds to within

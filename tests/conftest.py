@@ -19,6 +19,26 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files("ecofence") / "data" / name))
 
 
+# demo_ring mixes for mixed_demo_ring: v01 and v06 pure EVs and v03 pure
+# ICE, all three in the fence on most ticks, so tosses and restores
+# interleave; and the single-vehicle golden run's v01 and v02 pure EVs and
+# v03 and v04 pure ICE
+FENCE_MIX = {"v01": "pure_ev", "v03": "pure_ice", "v06": "pure_ev"}
+SINGLE_VEHICLE_MIX = {"v01": "pure_ev", "v02": "pure_ev", "v03": "pure_ice", "v04": "pure_ice"}
+
+
+def mixed_demo_ring(path: Path, powertrains: dict[str, str], **control) -> Path:
+    """Write demo_ring to ``path`` with the vehicles named in
+    ``powertrains`` given those powertrains and ``control`` merged into its
+    control block; returns ``path``."""
+    demo = json.loads(data_path("demo_ring.json").read_text())
+    for entry in demo["fleet"]:
+        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
+    demo["control"] = dict(demo["control"], **control)
+    path.write_text(json.dumps(demo))
+    return path
+
+
 def bench_workloads():
     """The benchmark's scenario generator, ``perfbench/workloads.py``,
     imported from its file (``perfbench`` is not a package)."""

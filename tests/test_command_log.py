@@ -12,7 +12,6 @@ a log into such records.
 import csv
 import dataclasses
 import gc
-import json
 import tracemalloc
 
 import pytest
@@ -28,8 +27,7 @@ from ecofence.coordinator import (
 )
 from ecofence.reporting import COMMANDS_HEADER, write_commands_csv
 from ecofence.scenario import load_scenario
-from tests.conftest import command_rows, data_path
-from tests.test_golden import mixed_powertrain_scenario
+from tests.conftest import FENCE_MIX, SINGLE_VEHICLE_MIX, command_rows, mixed_demo_ring
 
 
 class PerRowCoordinator(GeofenceCoordinator):
@@ -63,22 +61,10 @@ def queue_every_row(monkeypatch):
         monkeypatch.setattr(cls, "step", step)
 
 
-def mixed_fence_scenario(tmp_path):
-    """demo_ring with pure EVs and pure ICE vehicles in the fence: tosses
-    and restores interleave."""
-    demo = json.loads(data_path("demo_ring.json").read_text())
-    powertrains = {"v01": "pure_ev", "v03": "pure_ice", "v06": "pure_ev"}
-    for entry in demo["fleet"]:
-        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    path = tmp_path / "mixed_fence.json"
-    path.write_text(json.dumps(demo))
-    return load_scenario(path)
-
-
 def toss_and_per_row_runs(tmp_path, monkeypatch):
     """The mixed-fence demo at seed 42, run as it is and with
     :class:`PerRowCoordinator`."""
-    scenario = mixed_fence_scenario(tmp_path)
+    scenario = load_scenario(mixed_demo_ring(tmp_path / "mixed_fence.json", FENCE_MIX))
     result = engine.run(scenario, 42)
     monkeypatch.setattr(engine, "GeofenceCoordinator", PerRowCoordinator)
     return result, engine.run(scenario, 42)
@@ -152,7 +138,8 @@ def test_a_hand_built_log_reads_across_its_entries(tmp_path):
 )
 def test_queueing_every_logged_row_gives_the_same_run(latency, single_vehicle, tmp_path, monkeypatch, demo_ring):
     if single_vehicle:
-        scenario = load_scenario(mixed_powertrain_scenario(tmp_path / "mixed.json"))
+        path = mixed_demo_ring(tmp_path / "mixed.json", SINGLE_VEHICLE_MIX, single_vehicle=True, actuation_latency=5.0)
+        scenario = load_scenario(path)
     else:
         controller = dataclasses.replace(demo_ring.controller, actuation_latency=latency)
         scenario = dataclasses.replace(demo_ring, controller=controller)

@@ -15,9 +15,8 @@ from ecofence.coordinator import (
     toss_polluting,
 )
 from ecofence.emissions import load_default_table
-from ecofence.scenario import load_scenario, parse_scenario
-from tests.conftest import Snapshot, index_of, tosses
-from tests.test_golden import mixed_powertrain_scenario
+from ecofence.scenario import load_scenario
+from tests.conftest import SINGLE_VEHICLE_MIX, Snapshot, index_of, mixed_demo_ring, tosses
 
 TABLE = load_default_table()
 
@@ -297,13 +296,11 @@ def test_build_problem_passes_the_members_on_as_columns():
         assert all(type(column) is tuple for column in (problem.vehicle_ids, problem.densities, problem.rates))
 
 
-def test_each_toss_logs_its_fences_member_tuple(demo_ring_dict):
+def test_each_toss_logs_its_fences_member_tuple(tmp_path):
     # demo_ring with its two spur vehicles, in about a third of the
     # fences, a pure EV and a pure ICE vehicle
     powertrains = {"v13": "pure_ev", "v14": "pure_ice"}
-    for entry in demo_ring_dict["fleet"]:
-        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    result = engine.run(parse_scenario(demo_ring_dict), 42)
+    result = engine.run(load_scenario(mixed_demo_ring(tmp_path / "mixed.json", powertrains)), 42)
     members_at = {
         (row.sim_time, fence.fence_id): fence.member_ids for row in result.trace.rows for fence in row.fences
     }
@@ -460,7 +457,8 @@ def test_single_vehicle_step_cycle():
 def test_single_vehicle_controller_drops_non_hybrid_detectors(tmp_path, monkeypatch):
     # the mixed-powertrain golden run, where v01 and v02 are pure EVs and
     # v03 and v04 pure ICE
-    scenario = load_scenario(mixed_powertrain_scenario(tmp_path / "mixed.json"))
+    path = mixed_demo_ring(tmp_path / "mixed.json", SINGLE_VEHICLE_MIX, single_vehicle=True, actuation_latency=5.0)
+    scenario = load_scenario(path)
     detectors, seen_after_step = set(), []
 
     class Watched(SingleVehicleController):

@@ -23,8 +23,8 @@ from ecofence.engine import (
     step,
 )
 from ecofence.network import Edge, RoadNetwork, VehicleIndex
-from ecofence.scenario import parse_scenario
-from tests.test_command_log import mixed_fence_scenario
+from ecofence.scenario import load_scenario, parse_scenario
+from tests.conftest import FENCE_MIX, mixed_demo_ring
 
 
 def straight_network(length=1000.0, speed=36.0, weight=1.0):
@@ -187,7 +187,7 @@ def test_no_command_or_trace_row_defies_a_powertrain(tmp_path):
     # the engine applies commands without checking powertrains, so the
     # controllers must command only hybrids, whatever the controller,
     # latency and seed
-    mixed = mixed_fence_scenario(tmp_path)
+    mixed = load_scenario(mixed_demo_ring(tmp_path / "mixed_fence.json", FENCE_MIX))
     pure_ev = {entry.vehicle_id for entry in mixed.fleet if entry.powertrain is Powertrain.PURE_EV}
     pure_ice = {entry.vehicle_id for entry in mixed.fleet if entry.powertrain is Powertrain.PURE_ICE}
     assert pure_ev and pure_ice

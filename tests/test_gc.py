@@ -16,9 +16,9 @@ import pytest
 
 from ecofence import engine, load_scenario, run, run_compare
 from ecofence.coordinator import GeofenceCoordinator
-from tests.conftest import data_path
+from tests.conftest import SINGLE_VEHICLE_MIX, data_path, mixed_demo_ring
 from tests.test_engine import TRACE_COLUMNS
-from tests.test_golden import mixed_powertrain_scenario, two_tile_scenario
+from tests.test_golden import two_tile_scenario
 
 
 @contextlib.contextmanager
@@ -43,7 +43,9 @@ def bundled(name):
         pytest.param(bundled("demo_ring"), run_compare, id="demo_ring_compare"),
         pytest.param(bundled("demo_lifecycle"), run, id="demo_lifecycle"),
         pytest.param(
-            lambda doc, tmp_path: load_scenario(mixed_powertrain_scenario(tmp_path / "mixed.json")),
+            lambda doc, tmp_path: load_scenario(
+                mixed_demo_ring(tmp_path / "mixed.json", SINGLE_VEHICLE_MIX, single_vehicle=True, actuation_latency=5.0)
+            ),
             run,
             id="single_vehicle_mixed_powertrains",
         ),

@@ -22,7 +22,7 @@ import json
 import pytest
 
 from ecofence import cli
-from tests.conftest import bench_scenario, data_path
+from tests.conftest import SINGLE_VEHICLE_MIX, bench_scenario, data_path, mixed_demo_ring
 
 RUN_DIGESTS = {
     ("demo_ring", "trace.csv"): "4770896946836664577642c8f95f4446b5bd1b0a934f537b8c54dc5a6797ea62",
@@ -178,20 +178,9 @@ def test_single_vehicle_run_matches_golden_digests(tmp_path):
         assert sha256(tmp_path / name) == digest, name
 
 
-def mixed_powertrain_scenario(path):
-    """demo_ring in single-vehicle mode with a 5 s actuation latency, where
-    v01 and v02 are pure EVs and v03 and v04 pure ICE vehicles."""
-    demo = json.loads(data_path("demo_ring.json").read_text())
-    powertrains = {"v01": "pure_ev", "v02": "pure_ev", "v03": "pure_ice", "v04": "pure_ice"}
-    for entry in demo["fleet"]:
-        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    demo["control"] = dict(demo["control"], single_vehicle=True, actuation_latency=5.0)
-    path.write_text(json.dumps(demo))
-    return path
-
-
 def test_single_vehicle_run_with_mixed_powertrains_matches_golden_digests(tmp_path):
-    scenario = mixed_powertrain_scenario(tmp_path / "mixed.json")
+    # demo_ring in single-vehicle mode with a 5 s actuation latency
+    scenario = mixed_demo_ring(tmp_path / "mixed.json", SINGLE_VEHICLE_MIX, single_vehicle=True, actuation_latency=5.0)
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
     for name, digest in MIXED_POWERTRAIN_DIGESTS.items():
@@ -212,13 +201,8 @@ def test_single_vehicle_run_with_mixed_powertrains_matches_golden_digests(tmp_pa
 
 
 def test_control_run_with_mixed_powertrains_matches_golden_digests(tmp_path):
-    demo = json.loads(data_path("demo_ring.json").read_text())
     powertrains = {"v01": "pure_ev", "v02": "pure_ev", "v13": "pure_ice", "v14": "pure_ice"}
-    for entry in demo["fleet"]:
-        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    demo["control"] = dict(demo["control"], actuation_latency=5.0)
-    scenario = tmp_path / "mixed_control.json"
-    scenario.write_text(json.dumps(demo))
+    scenario = mixed_demo_ring(tmp_path / "mixed_control.json", powertrains, actuation_latency=5.0)
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(scenario), "--seed", "42", "--out", str(out)]) == 0
     for name, digest in MIXED_CONTROL_DIGESTS.items():

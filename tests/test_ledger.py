@@ -18,8 +18,8 @@ import math
 import pytest
 
 from ecofence import engine
-from tests.conftest import tosses
-from tests.test_command_log import mixed_fence_scenario
+from ecofence.scenario import load_scenario
+from tests.conftest import FENCE_MIX, mixed_demo_ring, tosses
 
 # The ledger sums in another order than the engine does.
 REL_TOL = 1e-9
@@ -57,7 +57,8 @@ def ledger_gaps(result, table):
 @pytest.mark.parametrize("name", ["demo_ring", "demo_lifecycle", "demo_slack", "mixed_fence"])
 def test_in_fence_rate_is_the_toss_ledger_on_every_fence_row(name, seed, request, table, tmp_path):
     if name == "mixed_fence":
-        scenario = mixed_fence_scenario(tmp_path)  # pure EVs and pure ICE vehicles in the fence
+        # pure EVs and pure ICE vehicles in the fence
+        scenario = load_scenario(mixed_demo_ring(tmp_path / "mixed_fence.json", FENCE_MIX))
     else:
         scenario = request.getfixturevalue(name)
     assert scenario.controller.actuation_latency == 0.0

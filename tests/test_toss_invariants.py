@@ -26,7 +26,7 @@ import json
 import pytest
 
 from ecofence import cli
-from tests.conftest import bench_scenario, data_path
+from tests.conftest import FENCE_MIX, bench_scenario, data_path, mixed_demo_ring
 
 
 def read_rows(path):
@@ -83,23 +83,12 @@ def toss_violations(rows, non_hybrid_ids):
     return sum(drawn.values()), problems
 
 
-def mixed_powertrains(path):
-    """demo_ring where v01 and v06 are pure EVs and v03 is pure ICE, all
-    in the fence on most ticks."""
-    demo = json.loads(data_path("demo_ring.json").read_text())
-    powertrains = {"v01": "pure_ev", "v03": "pure_ice", "v06": "pure_ev"}
-    for entry in demo["fleet"]:
-        entry["powertrain"] = powertrains.get(entry["vehicle_id"], entry["powertrain"])
-    path.write_text(json.dumps(demo))
-    return path
-
-
 def written_run(name, tmp_path):
     """(commands.csv, scenario file) of a seed-1 control run of ``name``."""
     if name in ("ring_dense", "grid_sparse"):
         scenario = bench_scenario(name, tmp_path / f"{name}.json")
     elif name == "mixed_powertrains":
-        scenario = mixed_powertrains(tmp_path / f"{name}.json")
+        scenario = mixed_demo_ring(tmp_path / f"{name}.json", FENCE_MIX)
     else:
         scenario = data_path(f"{name}.json")
     command, commands = ("compare", "control_commands.csv") if name == "ring_dense" else ("run", "commands.csv")
